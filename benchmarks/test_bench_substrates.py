@@ -12,34 +12,17 @@ from repro.sim import Environment
 def test_bench_event_throughput(benchmark):
     """Schedule-and-fire cycles per second on the event heap."""
 
+    def noop():
+        pass
+
     def run():
         env = Environment()
         for i in range(5000):
-            env.timeout(i % 97)
+            env.call_at(i % 97, noop)
         env.run()
         return env.events_processed
 
     assert benchmark(run) == 5000
-
-
-def test_bench_process_switching(benchmark):
-    """Generator-process resume cost."""
-
-    def run():
-        env = Environment()
-        done = []
-
-        def worker(env):
-            for _ in range(500):
-                yield env.timeout(1)
-            done.append(True)
-
-        for _ in range(10):
-            env.process(worker(env))
-        env.run()
-        return len(done)
-
-    assert benchmark(run) == 10
 
 
 def test_bench_rng_uniform(benchmark):

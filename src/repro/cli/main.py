@@ -645,7 +645,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except SnapshotError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(f"resumed from {args.resume} at t={int(svc.sim.env.now)}")
+        print(f"resumed from {args.resume} at t={svc.sim.env.now}")
     else:
         svc = ServiceSimulator(spec, backend=backend, jsonl_path=args.trace)
     if args.swf:
@@ -654,7 +654,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
 
     window = max(args.window, 1)
-    now = int(svc.sim.env.now)
+    now = svc.sim.env.now
     cp_dir = Path(args.checkpoint_dir)
     next_cp = now + args.checkpoint_every if args.checkpoint_every else None
     next_view = now + args.report_every if args.report_every else None

@@ -239,7 +239,7 @@ class FailureInjector:
         nodes = self.sim.rim.nodes
         if not nodes:
             return 1.0
-        span = max(1, int(self.sim.env.now))
+        span = max(1, self.sim.env.now)
         down = 0
         for ev in self.events:
             end = ev.repaired_at if ev.repaired_at is not None else ev.repair_at
@@ -277,14 +277,14 @@ class FailureInjector:
         assert self.mtbf is not None
         gap = max(1, self.mtbf.sample_int(self.rng))
         self.sim.env.call_at(
-            int(self.sim.env.now) + gap, self._fail_one, tag=("crash_next",)
+            self.sim.env.now + gap, self._fail_one, tag=("crash_next",)
         )
 
     def _schedule_next_seu(self) -> None:
         assert self.seu_rate is not None
         gap = max(1, self.seu_rate.sample_int(self.rng))
         self.sim.env.call_at(
-            int(self.sim.env.now) + gap, self._seu_one, tag=("seu_next",)
+            self.sim.env.now + gap, self._seu_one, tag=("seu_next",)
         )
 
     def _schedule_next_burst(self) -> None:
@@ -293,14 +293,14 @@ class FailureInjector:
         assert self.burst_rate is not None
         gap = max(1, self.burst_rate.sample_int(self.rng))
         self.sim.env.call_at(
-            int(self.sim.env.now) + gap, self._burst_one, tag=("burst_next",)
+            self.sim.env.now + gap, self._burst_one, tag=("burst_next",)
         )
 
     # -- node-loss faults (crash / burst) ----------------------------------------
 
     def _fail_one(self) -> None:
         sim = self.sim
-        now = int(sim.env.now)
+        now = sim.env.now
         # Stop injecting once the workload is finished (keeps runs finite:
         # pending repair events alone must not sustain the failure process).
         if sim.workload_finished:
@@ -314,7 +314,7 @@ class FailureInjector:
     def _burst_one(self) -> None:
         """Correlated loss: crash up to ``burst_size`` nodes of one group."""
         sim = self.sim
-        now = int(sim.env.now)
+        now = sim.env.now
         if sim.workload_finished:
             return
         victims = [n for n in sim.rim.nodes if n.in_service]
@@ -383,7 +383,7 @@ class FailureInjector:
 
     def _repair_due(self, node: Node) -> None:
         """Scheduled repair tick: return to service, or quarantine if flaky."""
-        now = int(self.sim.env.now)
+        now = self.sim.env.now
         if node.node_no in self._quarantine_due:
             self._quarantine_due.discard(node.node_no)
             assert self.probation is not None
@@ -406,11 +406,11 @@ class FailureInjector:
         if not self.sim.rim.is_quarantined(node):
             return  # already requisitioned (and released) by the scheduler
         self.sim.rim.release_quarantined(node, reason="probation")
-        self._kick(int(self.sim.env.now))
+        self._kick(self.sim.env.now)
 
     def _on_release(self, node: Node, reason: str) -> None:
         """Manager callback: a quarantine ended (probation or requisition)."""
-        now = int(self.sim.env.now)
+        now = self.sim.env.now
         idx = self._open_quar.pop(node.node_no, None)
         if idx is not None:
             start, _end = self.log.quarantines[idx]
@@ -430,7 +430,7 @@ class FailureInjector:
 
     def _seu_one(self) -> None:
         sim = self.sim
-        now = int(sim.env.now)
+        now = sim.env.now
         if sim.workload_finished:
             return
         configured = [n for n in sim.rim.nodes if n.in_service and n.entries]
@@ -486,7 +486,7 @@ class FailureInjector:
         if scrub is None:
             return  # stale: the node crashed mid-scrub and lost the region
         self._scrub_entries.discard(id(scrub.entry))
-        now = int(self.sim.env.now)
+        now = self.sim.env.now
         self.sim.rim.finish_scrub(scrub.node, scrub.entry, scrub.scrub_task)
         # The freed region (and any area it unblocks) can host queued work.
         self.sim._redispatch_from(scrub.node, now)
@@ -551,7 +551,7 @@ class FailureInjector:
         """Backoff elapsed: the parked task re-enters scheduling."""
         sim = self.sim
         sim._pending_retries -= 1
-        sim._submit(task, int(sim.env.now))
+        sim._submit(task, sim.env.now)
 
     def _kick(self, now: int) -> None:
         """Restart a fully idled system whose queue still holds work.

@@ -117,7 +117,6 @@ def hot_eligible(sim: "DReAMSim") -> bool:
         and pol.blank is min_area
         and pol.partially_blank is min_area
         and type(sched.network) is FixedDelayModel
-        and sim.env.tracer is None
         and not sim.env._queue
         and sim.env._now == 0
         and not sim.tasks
@@ -318,10 +317,9 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
 
     # Event records: ``(time, seq, task, node, entry)`` — ``node`` is None
     # for an arrival, the hosting node (and its busy entry) for a
-    # completion.  All events carry the kernel's NORMAL priority, so heap
-    # order is ``(time, insertion seq)``; allocating ``seq`` at the same
-    # call sites as the generic path's ``Environment.schedule`` reproduces
-    # its tie-breaks exactly.
+    # completion.  Heap order is ``(time, insertion seq)``, the kernel's own
+    # order; allocating ``seq`` at the same call sites as the generic path's
+    # ``Environment.call_at`` reproduces its tie-breaks exactly.
     heap: list = []
     seq = 0
     events = 0

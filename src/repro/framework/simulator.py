@@ -136,7 +136,7 @@ class DReAMSim:
         self.counters = SearchCounters()
         self.trace = trace
         if trace is not None:
-            trace.clock = lambda: int(self.env.now)
+            trace.clock = lambda: self.env.now
             trace.counters = self.counters
         self.backend = resolve_backend(backend)
         self.rim = create_manager(
@@ -179,8 +179,9 @@ class DReAMSim:
         self._pending_arrival: Optional[TaskArrival] = None
         # Live completion event per placed task.  A completion event whose
         # placement was invalidated (node crash) is *stale*: the live run
-        # no-ops it, and the snapshot export drops it outright — this
-        # registry is how export tells live events from stale ones.
+        # no-ops it, and the snapshot export rewrites it to a
+        # ``("noop", task_no)`` clock-advancer — this registry is how export
+        # tells live events from stale ones.
         self._completion_events: dict[int, Event] = {}
         # Incremental-ingest seam (service mode): tasks pushed in from
         # outside interleave after the constructor stream drains.
@@ -386,7 +387,7 @@ class DReAMSim:
 
     def _ingest_watermark(self) -> int:
         """The earliest tick an ingested arrival may still carry."""
-        mark = int(self.env.now)
+        mark = self.env.now
         if self._pending_arrival is not None:
             mark = max(mark, self._pending_arrival.at)
         if self._ingest_buffer:
@@ -433,9 +434,9 @@ class DReAMSim:
                     if ht > last:
                         last = ht
             else:
-                return int(self.env.now)  # workload unfinished: use the clock
+                return self.env.now  # workload unfinished: use the clock
         if not self._arrivals_done:
-            return int(self.env.now)
+            return self.env.now
         return last
 
     def make_report(self) -> MetricsReport:
@@ -477,7 +478,7 @@ class DReAMSim:
                 self._arrivals_done = True
             return
         self._pending_arrival = arrival
-        at = max(arrival.at, int(self.env.now))
+        at = max(arrival.at, self.env.now)
         self.env.call_at(at, lambda: self._on_arrival(arrival), tag=("arrival",))
 
     def _charge_tick_housekeeping(self, now: int) -> None:
@@ -488,7 +489,7 @@ class DReAMSim:
         self._last_hk_time = max(self._last_hk_time, now)
 
     def _on_arrival(self, arrival: TaskArrival) -> None:
-        now = int(self.env.now)
+        now = self.env.now
         self._pending_arrival = None
         self._charge_tick_housekeeping(now)
         task = arrival.task
@@ -541,7 +542,7 @@ class DReAMSim:
             check_invariants(self.rim)
 
     def _on_complete(self, task: Task, expected_placement: Optional[Placement] = None) -> None:
-        now = int(self.env.now)
+        now = self.env.now
         current = self._placements.get(task.task_no)
         if expected_placement is not None and current is not expected_placement:
             return  # stale completion: the node failed and the task restarted
@@ -693,7 +694,7 @@ class DReAMSim:
             "sample_system": self._sample_system,
             "per_tick_hk": self._per_tick_hk,
             "env": {
-                "now": int(self.env.now),
+                "now": self.env.now,
                 "seq": self.env.schedule_seq,
                 "event_count": self.env.events_processed,
                 "pending": [
@@ -763,7 +764,7 @@ class DReAMSim:
         plus its exported state; restore rewires its callbacks in place of
         :meth:`FailureInjector.arm`.
         """
-        if self._started or self._done or self.tasks or int(self.env.now) != 0:
+        if self._started or self._done or self.tasks or self.env.now != 0:
             raise RuntimeError(
                 "restore_state requires a freshly constructed DReAMSim"
             )

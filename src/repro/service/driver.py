@@ -213,7 +213,7 @@ class ServiceSimulator:
         emitted) — the exact :class:`TraceReplayer` path the end-of-run
         report uses.  No event is re-folded.
         """
-        now = int(self.sim.env.now)
+        now = self.sim.env.now
         finished = None
         if self.result is None:
             finished = synthetic_run_finished(

@@ -1,59 +1,18 @@
 """Discrete-event simulation kernel (substrate S1).
 
 DReAMSim, as published, advances simulated time with an explicit
-``IncreaseTimeTick`` loop over integer *timeticks*.  This package provides the
-equivalent substrate built from scratch:
+``IncreaseTimeTick`` loop over integer *timeticks*.  This package replaces
+that loop with :class:`~repro.sim.environment.Environment`, an event kernel
+that jumps directly to the next scheduled function call
+(:meth:`~repro.sim.environment.Environment.call_at`) and can export and
+restore its pending queue for snapshots.
 
-* :class:`~repro.sim.environment.Environment` — an event-driven kernel that
-  jumps directly to the next scheduled event (the efficient default), with a
-  generator-based process model in the style of classic DES libraries.
-* :class:`~repro.sim.tick.TickDriver` — a tick-by-tick compatibility driver
-  that reproduces the paper's explicit time loop; used in tests to check that
-  event-driven execution visits exactly the same state transitions.
-* Generic shared resources (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`, :class:`~repro.sim.resources.Store`)
-  used by the higher layers and available to downstream users who want to
-  model other parts of a distributed system (networks, queues, staging areas).
-
-Time is measured in integer or float *timeticks* (Eq. 5 of the paper: total
-simulation time = total number of timeticks).  The kernel is deterministic:
-events scheduled at equal times fire in (priority, insertion-order) sequence.
+Time is measured in integer timeticks (Eq. 5 of the paper: total simulation
+time = total number of timeticks); the kernel rejects any other time type.
+It is deterministic: events scheduled at equal times fire in insertion order.
 """
 
-from repro.sim.core import (
-    AnyOf,
-    AllOf,
-    ConditionValue,
-    Event,
-    EventStatus,
-    Interrupt,
-    Process,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim.core import Event, SimulationError
 from repro.sim.environment import Environment
-from repro.sim.resources import Container, PriorityResource, Resource, Store
-from repro.sim.tick import TickDriver
-from repro.sim.trace import TraceEntry, Tracer
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "ConditionValue",
-    "Container",
-    "Environment",
-    "Event",
-    "EventStatus",
-    "Interrupt",
-    "PriorityResource",
-    "Process",
-    "Resource",
-    "SimulationError",
-    "StopSimulation",
-    "Store",
-    "TickDriver",
-    "Timeout",
-    "TraceEntry",
-    "Tracer",
-]
+__all__ = ["Environment", "Event", "SimulationError"]

@@ -1,392 +1,33 @@
-"""Core event types for the discrete-event kernel.
+"""Core types for the discrete-event kernel.
 
-The design follows the classic generator-coroutine DES model: a *process* is a
-Python generator that yields :class:`Event` objects; the environment resumes
-the generator when the yielded event fires.  Events carry a value (or an
-exception) and an ordered callback list.
-
-Everything here is deterministic.  Ties in the event queue are broken by
-``(time, priority, sequence_number)`` so two runs with the same seed replay
-identically — a property the reproduction tests rely on.
+An :class:`Event` is one scheduled function call: the zero-argument callable
+the kernel runs when the clock reaches the event, plus an optional
+serializable tag naming what the call does.  The event object's identity is
+what callers keep (the simulator's completion registry compares it) and its
+tag is what snapshots export.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sim.environment import Environment
+from typing import Callable, Optional
 
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-class StopSimulation(Exception):
-    """Raised internally to terminate :meth:`Environment.run` early.
-
-    Users trigger this by calling :meth:`Environment.exit` from within a
-    process, or by passing an ``until`` event to ``run``.
-    """
-
-    def __init__(self, value: Any = None) -> None:
-        super().__init__(value)
-        self.value = value
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` is whatever object the interrupter supplied; the scheduler
-    uses this to model task preemption and node reclamation.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class EventStatus(enum.Enum):
-    """Lifecycle of an :class:`Event`."""
-
-    PENDING = "pending"  # created, not yet scheduled to fire
-    SCHEDULED = "scheduled"  # in the event queue with a firing time
-    FIRED = "fired"  # callbacks have run (succeeded or failed)
-
-
-# Priorities: smaller fires earlier among events at the same time.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-
-
 class Event:
-    """A happening at a point in simulated time.
+    """A function call scheduled at a point in simulated time."""
 
-    An event starts *pending*; :meth:`succeed` or :meth:`fail` schedules it to
-    fire at the current simulation time.  Processes wait on events by yielding
-    them.  Arbitrary callables can also be attached via :attr:`callbacks`.
-    """
+    __slots__ = ("fn", "tag")
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_status", "_defused", "tag")
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self.callbacks: list[Callable[[Event], None]] = []
-        self._value: Any = None
-        self._ok: bool = True
-        self._status = EventStatus.PENDING
-        self._defused = False
+    def __init__(self, fn: Callable[[], None], tag: Optional[tuple] = None) -> None:
+        self.fn = fn
         #: Optional serializable identity (a tuple) naming what this event
         #: does, set via Environment.call_at(..., tag=...).  Snapshots export
-        #: pending events by tag and re-create their callbacks from it; an
+        #: pending events by tag and re-create their callables from it; an
         #: untagged pending event makes the run unsnapshottable.
-        self.tag: Optional[tuple] = None
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def status(self) -> EventStatus:
-        return self._status
-
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been scheduled or has fired."""
-        return self._status is not EventStatus.PENDING
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._status is EventStatus.FIRED
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (valid only once triggered)."""
-        if self._status is EventStatus.PENDING:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The event's value (or the exception it failed with)."""
-        if self._status is EventStatus.PENDING:
-            raise SimulationError("event value not yet available")
-        return self._value
-
-    # -- triggering ---------------------------------------------------------
-
-    def succeed(self, value: Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
-        """Schedule the event to fire successfully at the current time."""
-        if self._status is not EventStatus.PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = True
-        self._value = value
-        self.env.schedule(self, delay=0, priority=priority)
-        return self
-
-    def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
-        """Schedule the event to fire with an exception at the current time."""
-        if self._status is not EventStatus.PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self, delay=0, priority=priority)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
-    # -- composition ---------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
+        self.tag = tag
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} status={self._status.value}>"
-
-
-class Timeout(Event):
-    """An event that fires after a fixed delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(
-        self,
-        env: "Environment",
-        delay: float,
-        value: Any = None,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        env.schedule(self, delay=delay, priority=priority)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Timeout delay={self.delay} status={self._status.value}>"
-
-
-ProcessGenerator = Generator[Event, Any, Any]
-
-
-class Process(Event):
-    """A running process: wraps a generator that yields events.
-
-    The :class:`Process` itself is an event that fires when the generator
-    returns (value = return value) or raises (failure).  Other processes can
-    therefore wait for a process to finish by yielding it.
-    """
-
-    __slots__ = ("_generator", "_target", "name")
-
-    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = "") -> None:
-        if not hasattr(generator, "throw"):
-            raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
-        self._generator = generator
-        self._target: Optional[Event] = None
-        self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process at the current time via an initialisation event.
-        init = Event(env)
-        init.callbacks.append(self._resume)
-        init._ok = True
-        env.schedule(init, delay=0, priority=PRIORITY_URGENT)
-
-    @property
-    def is_alive(self) -> bool:
-        return self._status is not EventStatus.FIRED
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt the process: raise :class:`Interrupt` inside it.
-
-        The interrupt is delivered as an urgent event at the current time.  A
-        dead process cannot be interrupted; a process cannot interrupt itself
-        synchronously (deliver via the event queue instead).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env.schedule(event, delay=0, priority=PRIORITY_URGENT)
-
-    # -- engine -------------------------------------------------------------
-
-    def _resume(self, event: Event) -> None:
-        """Resume the generator with the value/exception of ``event``."""
-        env = self.env
-        env._active_process = self
-        # If we were waiting on some target, detach: the resume consumes it.
-        if self._target is not None and self._target is not event:
-            # Interrupt arrived while waiting on _target: remove our callback
-            # so the original event does not resume us a second time.
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already fired/detached
-                pass
-        self._target = None
-
-        while True:
-            try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
-                else:
-                    # The exception travels into the generator.
-                    event._defused = True
-                    exc = event._value
-                    next_event = self._generator.throw(exc)
-            except StopIteration as stop:
-                # Process finished normally.
-                self._ok = True
-                self._value = stop.value
-                env.schedule(self, delay=0, priority=PRIORITY_NORMAL)
-                break
-            except StopSimulation:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - process crashed
-                self._ok = False
-                self._value = exc
-                env.schedule(self, delay=0, priority=PRIORITY_NORMAL)
-                break
-
-            if not isinstance(next_event, Event):
-                exc2 = SimulationError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
-                )
-                event = Event(env)
-                event._ok = False
-                event._value = exc2
-                event._defused = True
-                continue
-
-            if next_event._status is EventStatus.FIRED:
-                # Already happened: resume immediately with its outcome.
-                event = next_event
-                if not event._ok:
-                    event._defused = True
-                continue
-
-            # Genuinely waiting: attach and return control to the loop.
-            self._target = next_event
-            next_event.callbacks.append(self._resume)
-            break
-
-        env._active_process = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Process {self.name!r} status={self._status.value}>"
-
-
-class ConditionValue:
-    """Ordered mapping of events to values for fired condition events."""
-
-    def __init__(self) -> None:
-        self._events: list[Event] = []
-
-    def add(self, event: Event) -> None:
-        """Record a fired component event (kernel internal)."""
-        self._events.append(event)
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self._events
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self._events:
-            raise KeyError(event)
-        return event._value
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def values(self) -> list[Any]:
-        """Component event values in trigger-registration order."""
-        return [e._value for e in self._events]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {len(self._events)} events>"
-
-
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for e in self._events:
-            if e.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        if not self._events:
-            self.succeed(ConditionValue())
-            return
-        for e in self._events:
-            if e._status is EventStatus.FIRED:
-                self._check(e)
-            else:
-                e.callbacks.append(self._check)
-
-    def _satisfied(self, fired_count: int) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self._status is not EventStatus.PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._satisfied(self._count):
-            result = ConditionValue()
-            for e in self._events:
-                if e._status is EventStatus.FIRED and e._ok:
-                    result.add(e)
-            self.succeed(result)
-
-
-class AllOf(_Condition):
-    """Fires when all component events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self, fired_count: int) -> bool:
-        return fired_count == len(self._events)
-
-
-class AnyOf(_Condition):
-    """Fires when at least one component event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self, fired_count: int) -> bool:
-        return fired_count >= 1
+        return f"<Event tag={self.tag!r}>"

@@ -1,60 +1,44 @@
 """The event-driven simulation environment.
 
-:class:`Environment` owns the event queue (a binary heap keyed on
-``(time, priority, sequence)``) and the simulation clock.  It is the
-from-scratch substrate replacing the explicit ``IncreaseTimeTick`` loop of the
-original C++ DReAMSim; see :class:`repro.sim.tick.TickDriver` for the
-tick-compatible driver.
+:class:`Environment` owns the event queue (a binary heap of
+``(time, sequence, event)`` records) and the integer simulation clock.  It
+replaces the explicit ``IncreaseTimeTick`` loop of the original C++
+DReAMSim: instead of visiting every tick, the clock jumps straight to the
+next scheduled event.  The per-tick state maintenance the reference performs
+on every tick is billed by the simulator's per-tick housekeeping charge, and
+the golden traces pin the resulting timetick accounting.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from repro.sim.core import (
-    PRIORITY_NORMAL,
-    Event,
-    EventStatus,
-    Process,
-    ProcessGenerator,
-    SimulationError,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim.core import Event, SimulationError
+
+#: The priority column snapshots carry for every pending record.  The kernel
+#: has a single priority class, so this is a constant of the export format
+#: (``[when, 1, seq, tag]``), kept so existing snapshot files stay valid.
+EXPORT_PRIORITY = 1
 
 
 class Environment:
-    """Event-driven execution environment.
+    """Event-driven execution environment with an integer clock.
 
-    Parameters
-    ----------
-    initial_time:
-        Simulation clock start (timeticks).
-    tracer:
-        Optional :class:`repro.sim.trace.Tracer`; every scheduled event is
-        reported to it, which the tick-equivalence tests use.
+    Events fire in ``(time, insertion sequence)`` order, so two runs that
+    schedule the same calls replay identically.
     """
 
-    def __init__(self, initial_time: float = 0, tracer: Optional[Any] = None) -> None:
-        self._now = initial_time
-        self._queue: list[tuple[float, int, int, Event]] = []
+    def __init__(self) -> None:
+        self._now = 0
+        self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
-        self.tracer = tracer
         self._event_count = 0
 
-    # -- clock ----------------------------------------------------------------
-
     @property
-    def now(self) -> float:
+    def now(self) -> int:
         """Current simulation time in timeticks."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def events_processed(self) -> int:
@@ -75,177 +59,84 @@ class Environment:
         """Number of events currently waiting in the queue."""
         return len(self._queue)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+    def call_at(
+        self,
+        when: int,
+        fn: Callable[[], None],
+        tag: Optional[tuple] = None,
+    ) -> Event:
+        """Schedule a plain function call at an absolute integer time.
 
-    # -- scheduling -------------------------------------------------------------
-
-    def schedule(self, event: Event, delay: float = 0, priority: int = PRIORITY_NORMAL) -> None:
-        """Place ``event`` in the queue ``delay`` ticks from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        if event._status is EventStatus.FIRED:
-            raise SimulationError("cannot schedule an event that already fired")
-        event._status = EventStatus.SCHEDULED
+        ``tag`` is an optional serializable tuple naming the call (e.g.
+        ``("complete", task_no)``); snapshots export pending events by tag
+        and rebuild their callables from it on restore.  A ``when`` that is
+        not an ``int`` (a ``bool`` does not count) raises :class:`TypeError`.
+        """
+        if type(when) is not int:
+            raise TypeError(f"event time {when!r} is not an integer tick")
+        if when < self._now:
+            raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
+        event = Event(fn, tag)
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
-        if self.tracer is not None:
-            self.tracer.on_schedule(self._now, self._now + delay, event)
-
-    # -- factories ---------------------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh pending event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` ticks from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Spawn a process from a generator."""
-        return Process(self, generator, name=name)
-
-    def exit(self, value: Any = None) -> None:
-        """Terminate :meth:`run` from inside a process."""
-        raise StopSimulation(value)
-
-    # -- execution ----------------------------------------------------------------
+        heapq.heappush(self._queue, (when, self._seq, event))
+        return event
 
     def step(self) -> None:
         """Fire the single next event.
 
-        Raises
-        ------
-        SimulationError
-            If the queue is empty, or an undefused event failed with an
-            unhandled exception (crash propagation).
+        Raises :class:`SimulationError` if the queue is empty; an exception
+        raised by the event's callable propagates unchanged.
         """
         if not self._queue:
             raise SimulationError("event queue is empty")
-        when, _prio, _seq, event = heapq.heappop(self._queue)
+        when, _seq, event = heapq.heappop(self._queue)
         self._now = when
-        event._status = EventStatus.FIRED
         self._event_count += 1
-        if self.tracer is not None:
-            self.tracer.on_fire(when, event)
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+        event.fn()
 
-    def run(self, until: Optional[Any] = None, *, idle_advance: bool = True) -> Any:
-        """Run until the queue drains, a time is reached, or an event fires.
+    def run(self, until: Optional[int] = None, *, idle_advance: bool = True) -> None:
+        """Run until the queue drains or the clock reaches ``until``.
 
-        Parameters
-        ----------
-        until:
-            * ``None`` — run until no events remain.
-            * a number — run until the clock reaches that time (the clock is
-              set to exactly that value on return).
-            * an :class:`Event` — run until that event fires; its value is
-              returned (its failure is raised).
-        idle_advance:
-            With a numeric ``until``, ``False`` leaves the clock at the last
-            fired event instead of idling it forward to ``until``.  Windowed
-            drivers use this so a run that ends mid-window produces the same
-            event stream, byte for byte, as one driven straight through.
+        With ``until`` set, every event at or before it fires and the clock
+        is then idled forward to exactly ``until``.  ``idle_advance=False``
+        leaves the clock at the last fired event instead; windowed drivers
+        use this so a run that ends mid-window produces the same event
+        stream, byte for byte, as one driven straight through.  An ``until``
+        that is not an ``int`` (a ``bool`` does not count) raises :class:`TypeError`.
         """
-        stop_at: Optional[float] = None
-        stop_event: Optional[Event] = None
+        queue = self._queue
         if until is None:
-            pass
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event._status is EventStatus.FIRED:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value
-            stop_event.callbacks.append(self._stop_on_event)
-        else:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise ValueError(f"until={stop_at} is in the past (now={self._now})")
-
-        try:
-            while self._queue:
-                if stop_at is not None and self.peek() > stop_at:
-                    break
+            while queue:
                 self.step()
-        except StopSimulation as stop:
-            return stop.value
-
-        if stop_at is not None and idle_advance:
-            self._now = max(self._now, stop_at)
-        if stop_event is not None and stop_event._status is not EventStatus.FIRED:
-            raise SimulationError("run(until=event) exhausted the queue before the event fired")
-        return None
-
-    @staticmethod
-    def _stop_on_event(event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-            raise event._value
-        raise StopSimulation(event._value)
-
-    # -- convenience -----------------------------------------------------------------
-
-    def run_all(self, limit: int = 10_000_000) -> int:
-        """Drain the queue with a hard safety limit; returns events fired."""
-        fired = 0
-        while self._queue:
+            return
+        if type(until) is not int:
+            raise TypeError(f"until={until!r} is not an integer tick")
+        if until < self._now:
+            raise ValueError(f"until={until} is in the past (now={self._now})")
+        while queue and queue[0][0] <= until:
             self.step()
-            fired += 1
-            if fired > limit:
-                raise SimulationError(f"exceeded event limit {limit}")
-        return fired
-
-    def call_at(
-        self,
-        when: float,
-        fn: Callable[[], None],
-        tag: Optional[tuple] = None,
-    ) -> Event:
-        """Schedule a plain function call at an absolute time.
-
-        ``tag`` is an optional serializable tuple naming the call (e.g.
-        ``("complete", task_no)``); snapshots export pending events by tag
-        and rebuild their callbacks from it on restore.
-        """
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past ({when} < {self._now})")
-        ev = Event(self)
-        ev._ok = True
-        ev.tag = tag
-        ev.callbacks.append(lambda _e: fn())
-        self.schedule(ev, delay=when - self._now)
-        return ev
+        if idle_advance:
+            self._now = until
 
     # -- snapshot support --------------------------------------------------------
 
     def export_pending(
         self, rewrite: Optional[Callable[[tuple, Event], tuple]] = None
-    ) -> list[tuple[float, int, int, tuple]]:
+    ) -> list[tuple[int, int, int, tuple]]:
         """Export every pending event as ``(time, priority, seq, tag)``.
 
-        Records come out in heap order (time, priority, seq) so the export is
-        canonical.  Every pending event must carry a tag; an untagged event
-        means some subsystem scheduled work the snapshot layer cannot
-        rebuild, so the run is not snapshottable and we refuse loudly.
-        ``rewrite`` may substitute the exported tag per event — e.g. mapping
-        a stale completion to a no-op marker so the restored queue keeps the
-        event (and its clock advance) without needing the dead callback; it
-        sees ``(tag, event)`` and returns the tag to export.  Events are
-        never dropped: every queue slot travels, so the restored heap is
-        structurally identical and the run's final time is preserved.
+        Records come out in firing order so the export is canonical, and
+        the priority is always :data:`EXPORT_PRIORITY`.  Every pending event
+        must carry a tag; an untagged event means some subsystem scheduled
+        work the snapshot layer cannot rebuild, so the run is not
+        snapshottable and we refuse loudly.  ``rewrite`` may substitute the
+        exported tag per event — e.g. mapping a stale completion to a no-op
+        marker so the restored queue keeps the event (and its clock advance)
+        without needing the dead callable; it sees ``(tag, event)`` and
+        returns the tag to export.  Events are never dropped.
         """
-        out: list[tuple[float, int, int, tuple]] = []
-        for when, prio, seq, event in sorted(
-            self._queue, key=lambda rec: (rec[0], rec[1], rec[2])
-        ):
+        out: list[tuple[int, int, int, tuple]] = []
+        for when, seq, event in sorted(self._queue):
             tag = event.tag
             if tag is None:
                 raise SimulationError(
@@ -255,15 +146,15 @@ class Environment:
                 )
             if rewrite is not None:
                 tag = rewrite(tag, event)
-            out.append((when, prio, seq, tag))
+            out.append((when, EXPORT_PRIORITY, seq, tag))
         return out
 
     def restore_pending(
         self,
-        records: list[tuple[float, int, int, tuple]],
+        records: list[tuple[int, int, int, tuple]],
         resolver: Callable[[tuple], Callable[[], None]],
         *,
-        now: float,
+        now: int,
         seq: int,
         event_count: int,
     ) -> list[Event]:
@@ -275,23 +166,42 @@ class Environment:
         counter and fired-event count are reset to the snapshot's values.
         Returns the rebuilt events in record order so callers can re-register
         them (e.g. the simulator's completion-event registry).
+
+        Snapshot data comes from outside the program, so a non-``int``
+        ``now``/``seq``/``event_count``, a record whose time or sequence is
+        not an ``int``, a priority other than :data:`EXPORT_PRIORITY`, or a
+        record earlier than ``now`` raises :class:`SimulationError` and
+        leaves the environment untouched.
         """
         if self._queue:
             raise SimulationError("restore_pending requires an empty event queue")
+        for name, value in (("now", now), ("seq", seq), ("event_count", event_count)):
+            if type(value) is not int:
+                raise SimulationError(f"snapshot {name}={value!r} is not an int")
+        queue: list[tuple[int, int, Event]] = []
+        for when, prio, ev_seq, tag in records:
+            if type(when) is not int or type(ev_seq) is not int:
+                raise SimulationError(
+                    f"pending record ({when!r}, {ev_seq!r}) has a non-int time or seq"
+                )
+            if prio != EXPORT_PRIORITY or type(prio) is not int:
+                raise SimulationError(
+                    f"pending record at t={when} has priority {prio!r}, "
+                    f"expected {EXPORT_PRIORITY}"
+                )
+            if when < now:
+                raise SimulationError(
+                    f"pending record at t={when} is earlier than now={now}"
+                )
+            tag = tuple(tag)
+            queue.append((when, ev_seq, Event(resolver(tag), tag)))
+        events = [event for _when, _seq, event in queue]
+        heapq.heapify(queue)
+        self._queue = queue
         self._now = now
         self._seq = seq
         self._event_count = event_count
-        out: list[Event] = []
-        for when, prio, ev_seq, tag in records:
-            fn = resolver(tuple(tag))
-            ev = Event(self)
-            ev._ok = True
-            ev.tag = tuple(tag)
-            ev._status = EventStatus.SCHEDULED
-            ev.callbacks.append(lambda _e, fn=fn: fn())
-            heapq.heappush(self._queue, (when, prio, ev_seq, ev))
-            out.append(ev)
-        return out
+        return events
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Environment now={self._now} queued={len(self._queue)}>"

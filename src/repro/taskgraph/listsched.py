@@ -118,7 +118,7 @@ class TaskGraphScheduler:
             ready.append(gt)
 
         def try_dispatch() -> None:
-            now = int(self.env.now)
+            now = self.env.now
             ready.sort(key=order_key)
             i = 0
             while i < len(ready):
@@ -158,10 +158,10 @@ class TaskGraphScheduler:
                 if remaining_deps[succ] == 0:
                     at = data_ready[succ]
                     make_ready(succ, at)
-                    self.env.call_at(max(at, int(self.env.now)), try_dispatch)
+                    self.env.call_at(max(at, self.env.now), try_dispatch)
 
         def on_complete(gt: GraphTask) -> None:
-            now = int(self.env.now)
+            now = self.env.now
             rec = records[gt.gid]
             task = rec.task
             task.mark_completed(now)

@@ -120,6 +120,16 @@ class TestRunSemantics:
         with pytest.raises(RuntimeError):
             sim.run()
 
+    def test_bounded_run_leaves_int_clock(self):
+        from repro.framework.campaign import FaultCampaignSpec, build_campaign
+
+        spec = FaultCampaignSpec(nodes=10, configs=5, tasks=60, seed=3, mtbf=3000)
+        sim, _injector = build_campaign(spec)
+        result = sim.run(until=2500)
+        assert sim.env.now == 2500
+        assert type(sim.env.now) is int
+        assert type(result.final_time) is int
+
     def test_debug_invariants_mode(self):
         # Runs the full checker during the simulation; any drift raises.
         result = quick_simulation(

@@ -1,16 +1,8 @@
-"""Unit tests for the DES kernel's event types (repro.sim.core)."""
+"""Unit tests for the DES kernel's event type (repro.sim.core)."""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    EventStatus,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import Environment, Event
 
 
 @pytest.fixture
@@ -20,142 +12,57 @@ def env():
 
 class TestEvent:
     def test_new_event_is_pending(self, env):
-        ev = env.event()
-        assert ev.status is EventStatus.PENDING
-        assert not ev.triggered
-        assert not ev.processed
-
-    def test_value_unavailable_before_trigger(self, env):
-        ev = env.event()
-        with pytest.raises(SimulationError):
-            _ = ev.value
-        with pytest.raises(SimulationError):
-            _ = ev.ok
-
-    def test_succeed_carries_value(self, env):
-        ev = env.event()
-        ev.succeed(42)
+        fired = []
+        ev = env.call_at(3, lambda: fired.append(True), tag=("probe",))
+        assert isinstance(ev, Event)
+        assert ev.tag == ("probe",)
+        assert env.pending_count == 1
+        assert fired == []  # nothing fires before the clock reaches it
         env.run()
-        assert ev.processed
-        assert ev.ok
-        assert ev.value == 42
-
-    def test_succeed_twice_raises(self, env):
-        ev = env.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.succeed()
-
-    def test_fail_requires_exception(self, env):
-        ev = env.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
+        assert fired == [True]
+        assert env.pending_count == 0
 
     def test_failed_event_crashes_run_if_not_defused(self, env):
-        ev = env.event()
-        ev.fail(ValueError("boom"))
+        def boom():
+            raise ValueError("boom")
+
+        env.call_at(2, boom)
+        env.call_at(5, lambda: None)
         with pytest.raises(ValueError, match="boom"):
             env.run()
-
-    def test_defused_failure_does_not_crash(self, env):
-        ev = env.event()
-        ev.fail(ValueError("boom"))
-        ev.defuse()
-        env.run()
-        assert ev.processed and not ev.ok
-
-    def test_callbacks_fire_in_order(self, env):
-        order = []
-        ev = env.event()
-        ev.callbacks.append(lambda e: order.append(1))
-        ev.callbacks.append(lambda e: order.append(2))
-        ev.succeed()
-        env.run()
-        assert order == [1, 2]
+        assert env.now == 2
+        assert env.pending_count == 1  # the later event was not consumed
 
 
 class TestTimeout:
     def test_fires_after_delay(self, env):
-        t = env.timeout(10, value="done")
+        seen = []
+        env.call_at(10, lambda: seen.append("done"))
         env.run()
         assert env.now == 10
-        assert t.value == "done"
+        assert seen == ["done"]
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            env.timeout(-1)
+            env.call_at(-1, lambda: None)
 
     def test_zero_delay_fires_now(self, env):
-        t = env.timeout(0)
+        seen = []
+        env.call_at(env.now, lambda: seen.append(env.now))
         env.run()
         assert env.now == 0
-        assert t.processed
+        assert seen == [0]
 
     def test_timeouts_fire_in_time_order(self, env):
         fired = []
-        for d in (5, 1, 3):
-            t = env.timeout(d, value=d)
-            t.callbacks.append(lambda e: fired.append(e.value))
+        for t in (5, 1, 3):
+            env.call_at(t, lambda t=t: fired.append(t))
         env.run()
         assert fired == [1, 3, 5]
 
     def test_equal_time_fires_in_creation_order(self, env):
         fired = []
         for tag in "abc":
-            t = env.timeout(7, value=tag)
-            t.callbacks.append(lambda e: fired.append(e.value))
+            env.call_at(7, lambda tag=tag: fired.append(tag))
         env.run()
         assert fired == ["a", "b", "c"]
-
-
-class TestConditions:
-    def test_allof_waits_for_all(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(5, "b")
-        both = AllOf(env, [a, b])
-        env.run(until=both)
-        assert env.now == 5
-        assert both.value.values() == ["a", "b"]
-
-    def test_anyof_fires_on_first(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(5, "b")
-        either = AnyOf(env, [a, b])
-        env.run(until=either)
-        assert env.now == 1
-        assert "a" in either.value.values()
-
-    def test_operator_composition(self, env):
-        a, b = env.timeout(2), env.timeout(3)
-        combined = a & b
-        assert isinstance(combined, AllOf)
-        combined2 = a | b
-        assert isinstance(combined2, AnyOf)
-
-    def test_empty_allof_fires_immediately(self, env):
-        cond = AllOf(env, [])
-        env.run()
-        assert cond.processed and len(cond.value) == 0
-
-    def test_condition_value_mapping(self, env):
-        a = env.timeout(1, "x")
-        cond = AllOf(env, [a])
-        env.run()
-        assert a in cond.value
-        assert cond.value[a] == "x"
-        with pytest.raises(KeyError):
-            _ = cond.value[env.event()]
-
-    def test_allof_propagates_failure(self, env):
-        a = env.timeout(1)
-        bad = env.event()
-        bad.fail(RuntimeError("inner"))
-        bad.defuse()
-        cond = AllOf(env, [a, bad])
-        with pytest.raises(RuntimeError):
-            env.run(until=cond)
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        a = env.timeout(1)
-        b = other.timeout(1)
-        with pytest.raises(SimulationError):
-            AllOf(env, [a, b])

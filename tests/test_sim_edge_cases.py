@@ -1,18 +1,9 @@
-"""Additional DES-kernel edge cases: failure propagation through waits,
-condition corner cases, resource cancellation, zero-delay storms."""
+"""Additional DES-kernel edge cases: zero-delay storms and rejected
+schedules."""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Container,
-    Environment,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -20,98 +11,16 @@ def env():
     return Environment()
 
 
-class TestFailurePropagation:
-    def test_process_catches_failed_event(self, env):
-        caught = []
-
-        def proc(env, ev):
-            try:
-                yield ev
-            except ValueError as e:
-                caught.append(str(e))
-
-        ev = env.event()
-        env.process(proc(env, ev))
-        ev.fail(ValueError("boom"))
-        env.run()
-        assert caught == ["boom"]
-
-    def test_uncaught_failure_kills_process_chain(self, env):
-        def child(env, ev):
-            yield ev  # failure not handled
-
-        def parent(env):
-            try:
-                yield env.process(child(env, bad))
-            except ValueError:
-                return "parent saw it"
-
-        bad = env.event()
-        p = env.process(parent(env))
-        bad.fail(ValueError("inner"))
-        assert env.run(until=p) == "parent saw it"
-
-    def test_yield_already_failed_event(self, env):
-        ev = env.event()
-        ev.fail(RuntimeError("pre"))
-        ev.defuse()
-        env.run()  # event fires, defused
-
-        def proc(env):
-            try:
-                yield ev  # already FIRED with failure
-            except RuntimeError:
-                return "handled"
-
-        p = env.process(proc(env))
-        assert env.run(until=p) == "handled"
-
-    def test_yield_already_succeeded_event(self, env):
-        ev = env.event()
-        ev.succeed("early")
-        env.run()
-
-        def proc(env):
-            value = yield ev
-            return value
-
-        p = env.process(proc(env))
-        assert env.run(until=p) == "early"
-
-
-class TestConditionEdgeCases:
-    def test_anyof_with_pre_fired_member(self, env):
-        done = env.timeout(0)
-        env.run()
-        cond = AnyOf(env, [done, env.timeout(100)])
-        env.run(until=cond)
-        assert env.now == 0
-
-    def test_nested_conditions(self, env):
-        a, b, c = env.timeout(1, "a"), env.timeout(2, "b"), env.timeout(9, "c")
-        combo = (a & b) | c
-        env.run(until=combo)
-        assert env.now == 2
-
-    def test_allof_value_order_follows_member_order(self, env):
-        b = env.timeout(5, "b")
-        a = env.timeout(1, "a")
-        cond = AllOf(env, [b, a])
-        env.run(until=cond)
-        assert cond.value.values() == ["b", "a"]
-
-
 class TestZeroDelayStorm:
     def test_chained_zero_delays_preserve_order(self, env):
         seen = []
 
-        def chain(env, depth):
+        def chain(depth):
             if depth:
-                t = env.timeout(0, value=depth)
-                t.callbacks.append(lambda e: seen.append(e.value))
-                t.callbacks.append(lambda e: chain(env, depth - 1))
+                seen.append(depth)
+                env.call_at(env.now, lambda: chain(depth - 1))
 
-        chain(env, 50)
+        env.call_at(0, lambda: chain(50))
         env.run()
         assert seen == list(range(50, 0, -1))
         assert env.now == 0
@@ -119,100 +28,24 @@ class TestZeroDelayStorm:
     def test_interleaved_zero_and_positive(self, env):
         order = []
 
-        def proc(env):
-            yield env.timeout(0)
+        def first():
             order.append("zero")
-            yield env.timeout(1)
-            order.append("one")
+            env.call_at(env.now + 1, lambda: order.append("one"))
 
-        env.process(proc(env))
-        t = env.timeout(0)
-        t.callbacks.append(lambda e: order.append("timeout0"))
+        env.call_at(0, lambda: env.call_at(env.now, first))
+        env.call_at(0, lambda: order.append("timeout0"))
         env.run()
-        # The process's own timeout(0) is created when its init event
-        # resumes it, i.e. after `t` was queued — so `t` fires first.
+        # ``first`` is scheduled from inside the first event, i.e. after
+        # the second time-0 event was queued — so that one fires first.
         assert order == ["timeout0", "zero", "one"]
 
 
-class TestResourceEdgeCases:
-    def test_container_interleaved_put_get_fairness(self, env):
-        tank = Container(env, capacity=10, init=0)
-        log = []
-
-        def consumer(env, name, amount):
-            yield tank.get(amount)
-            log.append(name)
-
-        env.process(consumer(env, "big", 8))
-        env.process(consumer(env, "small", 1))
-
-        def producer(env):
-            yield env.timeout(1)
-            yield tank.put(5)  # not enough for 'big' (head), blocks queue? No:
-            # Container gets are FIFO-headed: big waits, small can pass only
-            # after big per FIFO semantics.
-            yield env.timeout(1)
-            yield tank.put(5)
-
-        env.process(producer(env))
-        env.run()
-        assert log[0] == "big"  # FIFO head served first when enough arrives
-
-    def test_store_get_cancel(self, env):
-        store = Store(env)
-        g = store.get()
-        g.cancel()
-        store.put("x")
-        env.run()
-        assert store.items == ["x"]  # cancelled get never consumed it
-
-    def test_resource_with_interrupted_waiter(self, env):
-        res = Resource(env, capacity=1)
-        got = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def waiter(env):
-            req = res.request()
-            try:
-                yield req
-                got.append("acquired")
-            except Interrupt:
-                req.cancel()
-                got.append("gave up")
-
-        env.process(holder(env))
-        w = env.process(waiter(env))
-
-        def interrupter(env):
-            yield env.timeout(5)
-            w.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert got == ["gave up"]
-        assert res.count == 0  # fully released at the end
-
-
 class TestEnvironmentMisc:
-    def test_initial_time_offsets_everything(self):
-        env = Environment(initial_time=1000)
-        fired = []
-        t = env.timeout(5)
-        t.callbacks.append(lambda e: fired.append(env.now))
-        env.run()
-        assert fired == [1005]
-
-    def test_schedule_on_fired_event_rejected(self, env):
-        ev = env.timeout(1)
-        env.run()
-        with pytest.raises(SimulationError):
-            env.schedule(ev)
-
     def test_negative_schedule_delay_rejected(self, env):
-        ev = env.event()
+        env.call_at(5, lambda: None)
+        env.run()
+        seq = env.schedule_seq
         with pytest.raises(ValueError):
-            env.schedule(ev, delay=-1)
+            env.call_at(env.now - 1, lambda: None)
+        assert env.schedule_seq == seq  # a rejected call consumes no sequence
+        assert env.pending_count == 0

@@ -1,9 +1,10 @@
 """Unit tests for the Environment event loop (repro.sim.environment)."""
 
+import random
+
 import pytest
 
 from repro.sim import Environment, SimulationError
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -11,71 +12,65 @@ def env():
     return Environment()
 
 
+def noop():
+    pass
+
+
 class TestClock:
     def test_initial_time(self):
-        assert Environment().now == 0
-        assert Environment(initial_time=100).now == 100
-
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(7)
-        env.timeout(3)
-        assert env.peek() == 3
+        now = Environment().now
+        assert now == 0
+        assert type(now) is int
 
     def test_clock_jumps_to_event_times(self, env):
         times = []
-        for d in (2, 9):
-            t = env.timeout(d)
-            t.callbacks.append(lambda e: times.append(env.now))
+        for t in (2, 9):
+            env.call_at(t, lambda: times.append(env.now))
         env.run()
         assert times == [2, 9]
+
+    def test_run_until_leaves_int_clock(self, env):
+        env.run(until=10)
+        assert env.now == 10
+        assert type(env.now) is int
 
 
 class TestRun:
     def test_run_until_time_sets_clock(self, env):
-        env.timeout(100)
+        env.call_at(100, noop)
         env.run(until=50)
         assert env.now == 50
-        assert env.peek() == 100  # event still queued
+        assert env.pending_count == 1  # event still queued
+        env.run()
+        assert env.now == 100
+
+    def test_run_until_fires_events_at_the_boundary(self, env):
+        fired = []
+        env.call_at(50, lambda: fired.append(env.now))
+        env.run(until=50)
+        assert fired == [50]
+
+    @pytest.mark.parametrize("until", [10.0, 7.5, False])
+    def test_run_rejects_non_int_until(self, env, until):
+        with pytest.raises(TypeError):
+            env.run(until=until)
 
     def test_run_until_past_raises(self, env):
-        env.timeout(5)
+        env.call_at(5, noop)
         env.run()
         with pytest.raises(ValueError):
             env.run(until=1)
-
-    def test_run_until_event_returns_its_value(self, env):
-        t = env.timeout(4, value="payload")
-        assert env.run(until=t) == "payload"
-        assert env.now == 4
-
-    def test_run_until_unreachable_event_raises(self, env):
-        ev = env.event()  # never triggered
-        env.timeout(1)
-        with pytest.raises(SimulationError):
-            env.run(until=ev)
 
     def test_step_on_empty_queue_raises(self, env):
         with pytest.raises(SimulationError):
             env.step()
 
     def test_events_processed_counter(self, env):
-        for d in range(5):
-            env.timeout(d)
+        for t in range(5):
+            env.call_at(t, noop)
         env.run()
         assert env.events_processed == 5
-
-    def test_run_all_respects_limit(self, env):
-        def chain():
-            # self-perpetuating event chain
-            ev = env.timeout(1)
-            ev.callbacks.append(lambda e: chain())
-
-        chain()
-        with pytest.raises(SimulationError):
-            env.run_all(limit=10)
+        assert env.schedule_seq == 5
 
 
 class TestCallAt:
@@ -86,10 +81,10 @@ class TestCallAt:
         assert seen == [12]
 
     def test_call_at_past_raises(self, env):
-        env.timeout(5)
+        env.call_at(5, noop)
         env.run()
         with pytest.raises(ValueError):
-            env.call_at(2, lambda: None)
+            env.call_at(2, noop)
 
     def test_call_at_now_is_allowed(self, env):
         seen = []
@@ -100,30 +95,43 @@ class TestCallAt:
 
 class TestDeterminism:
     def _run_program(self):
-        env = Environment(tracer=Tracer())
-        import random
-
+        env = Environment()
+        fired = []
         rnd = random.Random(99)
-        for _ in range(200):
-            env.timeout(rnd.randint(0, 50))
+        for i in range(200):
+            env.call_at(rnd.randint(0, 50), lambda i=i: fired.append((env.now, i)))
         env.run()
-        return env.tracer.fire_times()
+        return fired
 
     def test_identical_programs_replay_identically(self):
         assert self._run_program() == self._run_program()
 
     def test_fire_times_nondecreasing(self):
-        times = self._run_program()
-        assert times == sorted(times)
+        fired = self._run_program()
+        assert fired == sorted(fired)  # by time, then by insertion order
 
 
-class TestExit:
-    def test_exit_stops_run_with_value(self, env):
-        def proc(env):
-            yield env.timeout(3)
-            env.exit("early")
-            yield env.timeout(100)  # pragma: no cover - never reached
+class TestSnapshot:
+    def test_export_restore_round_trip_keeps_order(self, env):
+        fired = []
+        for t, name in ((4, "b"), (1, "a"), (4, "c")):
+            env.call_at(t, lambda n=name: fired.append(n), tag=(name,))
+        env.step()
+        records = env.export_pending()
+        assert records == [(4, 1, 1, ("b",)), (4, 1, 3, ("c",))]
+        fresh = Environment()
+        fresh.restore_pending(
+            records,
+            lambda tag: lambda: fired.append(tag[0]),
+            now=env.now,
+            seq=env.schedule_seq,
+            event_count=env.events_processed,
+        )
+        fresh.run()
+        assert fired == ["a", "b", "c"]
+        assert (fresh.now, fresh.events_processed) == (4, 3)
 
-        env.process(proc(env))
-        assert env.run() == "early"
-        assert env.now == 3
+    def test_untagged_event_is_not_exportable(self, env):
+        env.call_at(3, noop)
+        with pytest.raises(SimulationError):
+            env.export_pending()

@@ -1,107 +1,87 @@
-"""TickDriver tests, including equivalence with event-driven execution.
+"""Timetick semantics of the event kernel.
 
 The paper's simulator advances tick-by-tick (Eq. 5); the reproduction's
-kernel is event-driven.  These tests prove the two drivers visit identical
-state transitions for integer-timed models.
+kernel jumps from event to event.  Driving it one tick at a time with
+``run(until=t)`` must visit identical state transitions at identical ticks —
+the property the windowed service mode relies on.
 """
 
 import random
 
 import pytest
 
-from repro.sim import Environment, SimulationError, TickDriver
-from repro.sim.trace import Tracer
+from repro.sim import Environment
 
 
 def make_program(env, seed=7, n=100):
-    """Schedule a reproducible batch of timeouts with follow-up chains."""
+    """Schedule a reproducible batch of calls with zero-delay follow-ups."""
     rnd = random.Random(seed)
     fired = []
-    for i in range(n):
-        t = env.timeout(rnd.randint(0, 60), value=i)
-        t.callbacks.append(lambda e: fired.append((env.now, e.value)))
+
+    def fire(i):
+        fired.append((env.now, i))
         if i % 7 == 0:
-            # chained zero-delay follow-up
-            t.callbacks.append(lambda e: env.timeout(0, value=("chain", e.value)))
+            env.call_at(env.now, lambda: fired.append((env.now, ("chain", i))))
+
+    for i in range(n):
+        env.call_at(rnd.randint(0, 60), lambda i=i: fire(i))
     return fired
+
+
+def run_tick_by_tick(env):
+    """Advance one tick per window until the queue drains."""
+    tick = env.now
+    while env.pending_count:
+        tick += 1
+        env.run(until=tick, idle_advance=False)
 
 
 class TestTickDriver:
     def test_tick_advances_one_unit(self):
         env = Environment()
-        driver = TickDriver(env)
-        env.timeout(3)
-        assert driver.tick() == 1
-        assert driver.tick() == 2
+        env.call_at(3, lambda: None)
+        env.run(until=1)
+        assert env.now == 1
+        env.run(until=2)
         assert env.now == 2
+        assert env.pending_count == 1
 
     def test_events_fire_on_their_tick(self):
         env = Environment()
         fired = []
-        t = env.timeout(4)
-        t.callbacks.append(lambda e: fired.append(env.now))
-        driver = TickDriver(env)
-        driver.run(until_tick=10, stop_when_idle=False)
+        env.call_at(4, lambda: fired.append(env.now))
+        for tick in range(1, 11):
+            env.run(until=tick)
+            assert env.now == tick
         assert fired == [4]
-        assert env.now == 10
 
     def test_run_until_idle_stops_at_last_event(self):
         env = Environment()
-        env.timeout(5)
-        driver = TickDriver(env)
-        driver.run_until_idle()
+        env.call_at(5, lambda: None)
+        env.run(until=20, idle_advance=False)
         assert env.now == 5
 
     def test_non_integer_event_rejected(self):
         env = Environment()
-        env.timeout(1.5)
-        driver = TickDriver(env)
-        with pytest.raises(SimulationError):
-            driver.run_until_idle()
-
-    def test_on_tick_hook_called_every_tick(self):
-        env = Environment()
-        env.timeout(5)
-        ticks = []
-        driver = TickDriver(env, on_tick=ticks.append)
-        driver.run_until_idle()
-        assert ticks == [1, 2, 3, 4, 5]
+        for when in (1.5, 2.0, True, None):
+            with pytest.raises(TypeError):
+                env.call_at(when, lambda: None)
+        assert env.pending_count == 0
+        assert env.schedule_seq == 0
 
 
 class TestEquivalence:
     def test_fire_sequences_identical(self):
-        env_e = Environment(tracer=Tracer())
+        env_e = Environment()
         fired_e = make_program(env_e, seed=11)
         env_e.run()
 
-        env_t = Environment(tracer=Tracer())
+        env_t = Environment()
         fired_t = make_program(env_t, seed=11)
-        TickDriver(env_t).run_until_idle()
+        run_tick_by_tick(env_t)
 
         assert fired_e == fired_t
-        assert env_e.tracer.fire_times() == env_t.tracer.fire_times()
-
-    def test_process_model_equivalent_under_both_drivers(self):
-        def program(env, log):
-            def worker(env, name, period, count):
-                for _ in range(count):
-                    yield env.timeout(period)
-                    log.append((env.now, name))
-
-            env.process(worker(env, "fast", 2, 10))
-            env.process(worker(env, "slow", 5, 4))
-
-        log_e = []
-        env_e = Environment()
-        program(env_e, log_e)
-        env_e.run()
-
-        log_t = []
-        env_t = Environment()
-        program(env_t, log_t)
-        TickDriver(env_t).run_until_idle()
-
-        assert log_e == log_t
+        assert env_e.events_processed == env_t.events_processed
 
     def test_final_clock_matches(self):
         env_e = Environment()
@@ -110,6 +90,6 @@ class TestEquivalence:
 
         env_t = Environment()
         make_program(env_t, seed=23)
-        TickDriver(env_t).run_until_idle()
+        run_tick_by_tick(env_t)
 
         assert env_e.now == env_t.now

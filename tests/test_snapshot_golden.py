@@ -16,6 +16,7 @@ import pytest
 from tests.snapshot_harness import SEU, resume_to_end
 
 from repro.service.snapshot import SNAPSHOT_VERSION, Snapshot, SnapshotError
+from repro.sim import SimulationError
 from repro.trace.bus import read_jsonl
 
 GOLDEN = Path(__file__).parent / "golden" / "snapshot_n20_t200_s42"
@@ -69,3 +70,46 @@ def test_legacy_indexed_provenance_still_loads(tmp_path):
     for backend in ("array", "scan"):
         digest, _report = resume_to_end(snap, prefix, SEU, backend)
         assert digest == expected["expected_final_digest"], backend
+
+
+def _resume_mutated_env(mutate):
+    """Apply ``mutate`` to the golden snapshot's kernel state, then resume."""
+    data = json.loads((GOLDEN / "snapshot.json").read_text())
+    mutate(data["sim"]["env"])
+    snap = Snapshot.from_json(json.dumps(data))
+    prefix = read_jsonl(GOLDEN / "prefix.jsonl")
+    return resume_to_end(snap, prefix, SEU, "array")
+
+
+@pytest.mark.parametrize("field", ["now", "seq", "event_count"])
+def test_golden_non_int_kernel_counter_rejected(field):
+    def mutate(env):
+        env[field] = env[field] + 0.5
+
+    with pytest.raises(SimulationError, match=field):
+        _resume_mutated_env(mutate)
+
+
+@pytest.mark.parametrize("column", [0, 2], ids=["when", "seq"])
+def test_golden_non_int_pending_record_rejected(column):
+    def mutate(env):
+        env["pending"][5][column] = float(env["pending"][5][column])
+
+    with pytest.raises(SimulationError, match="non-int"):
+        _resume_mutated_env(mutate)
+
+
+def test_golden_pending_priority_other_than_one_rejected():
+    def mutate(env):
+        env["pending"][5][1] = 0
+
+    with pytest.raises(SimulationError, match="priority"):
+        _resume_mutated_env(mutate)
+
+
+def test_golden_pending_record_before_now_rejected():
+    def mutate(env):
+        env["pending"][0][0] = env["now"] - 1
+
+    with pytest.raises(SimulationError, match="earlier than now"):
+        _resume_mutated_env(mutate)

@@ -280,7 +280,7 @@ def test_mid_sweep_kill_then_resume(tmp_path) -> None:
     # Kill as soon as some (but not all) entries are published.
     deadline = time.time() + 60
     while time.time() < deadline:
-        entries = list(cache_dir.glob("*/*.payload"))
+        entries = list(cache_dir.glob("*/[!.]*.payload"))
         if entries:
             break
         if proc.poll() is not None:
@@ -289,7 +289,9 @@ def test_mid_sweep_kill_then_resume(tmp_path) -> None:
     proc.send_signal(signal.SIGKILL)
     proc.wait()
     specs = spec_list(count=8)
-    surviving = len(list(cache_dir.glob("*/*.payload")))
+    # Published entries only: a kill between mkstemp and the rename leaves a
+    # ``.tmp-*.payload`` behind, which pathlib's ``*`` would also match.
+    surviving = len(list(cache_dir.glob("*/[!.]*.payload")))
     cache = ResultCache(cache_dir)
     resumed = run_specs(specs, jobs=1, cache=cache)
     assert cache.stats.hits == surviving
