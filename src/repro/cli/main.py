@@ -30,18 +30,16 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.asciiplot import ascii_plot, series_table
-from repro.analysis.compare import check_claims, scorecard
-from repro.analysis.figures import FIGURES, build_figure
-from repro.analysis.paperconfig import (
-    DEFAULT_SEED,
-    DEFAULT_TASK_SWEEP,
-    PAPER_TASK_SWEEP,
-)
-from repro.analysis.runner import run_sweep
 from repro.framework.report import write_report_xml
-from repro.lint.cli import add_lint_arguments, run_from_args as run_lint_from_args
 from repro.resources import BACKENDS, resolve_backend
+
+# The parser's defaults from repro.analysis (paperconfig's DEFAULT_SEED and
+# DEFAULT_TASK_SWEEP, the FIGURES ids), spelled out so that building the
+# parser imports neither repro.analysis nor repro.lint: each subcommand
+# imports what it needs in its handler.  tests/test_cli.py checks they agree.
+DEFAULT_SEED = 20120521
+DEFAULT_TASK_SWEEP = (1_000, 2_000, 5_000, 10_000, 15_000, 20_000)
+FIGURE_IDS = ("fig10", "fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "fig9a", "fig9b")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figures", help="regenerate the paper's figures")
     fig_p.add_argument(
-        "--figure", choices=sorted(FIGURES) + ["all"], default="all"
+        "--figure", choices=[*FIGURE_IDS, "all"], default="all"
     )
     fig_p.add_argument(
         "--paper-scale", action="store_true",
@@ -381,11 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(graph_p)
 
-    lint_p = sub.add_parser(
+    # The lint flags are parsed by cmd_lint (see main), so that building
+    # this parser does not import repro.lint.
+    sub.add_parser(
         "lint",
         help="run dreamlint, the determinism & accounting linter",
+        add_help=False,
     )
-    add_lint_arguments(lint_p)
 
     return parser
 
@@ -577,6 +577,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if digest_sink is not None and getattr(args, "trace_digest", False):
         print(f"trace digest: {digest_sink.hexdigest()}")
     if args.timeline:
+        from repro.analysis.asciiplot import ascii_plot
+
         for series in (result.monitor.busy_nodes, result.monitor.queue_length):
             if len(series) > 1:
                 r = series.resample(64)
@@ -744,6 +746,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``dreamsim sweep``: one metric across a task-count sweep."""
+    from repro.analysis.asciiplot import series_table
+    from repro.analysis.runner import run_sweep
+
     sweep = run_sweep(
         args.nodes, args.tasks, args.seed,
         progress=lambda m: print(m, file=sys.stderr),
@@ -766,6 +771,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     """``dreamsim figures``: regenerate paper figures, check shapes."""
     from pathlib import Path
+
+    from repro.analysis.asciiplot import ascii_plot, series_table
+    from repro.analysis.figures import FIGURES, build_figure
+    from repro.analysis.paperconfig import PAPER_TASK_SWEEP
+    from repro.analysis.runner import run_sweep
 
     task_counts = args.tasks or (
         list(PAPER_TASK_SWEEP) if args.paper_scale else list(DEFAULT_TASK_SWEEP)
@@ -849,6 +859,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_claims(args: argparse.Namespace) -> int:
     """``dreamsim claims``: evaluate the §VI-A scorecard."""
+    from repro.analysis.compare import check_claims, scorecard
+
     checks = check_claims(
         args.tasks,
         args.seed,
@@ -897,12 +909,24 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """``dreamsim lint``: dreamlint over the installed package or paths."""
-    return run_lint_from_args(args)
+    from repro.lint.cli import add_lint_arguments, run_from_args
+
+    parser = argparse.ArgumentParser(
+        prog="dreamsim lint",
+        description="run dreamlint, the determinism & accounting linter",
+    )
+    add_lint_arguments(parser)
+    return run_from_args(parser.parse_args(args.lint_argv))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {
         "run": cmd_run,
         "serve": cmd_serve,

@@ -22,14 +22,15 @@ only engages for configurations whose behaviour it replicates completely
 
 * array backend (``ArrayRIM`` + ``ArraySuspensionQueue``), homogeneous;
 * the paper's MIN_AREA placement policy and a ``FixedDelayModel`` network;
-* no trace bus attached, *or* a digest-capable bus — one whose sinks all
-  accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``):
-  the loop then builds each canonical line inline with the exact stamps the
-  generic path's ``TraceBus.emit`` would produce, so the digest stays
-  byte-identical while the bus's per-event dict/object machinery is
-  bypassed (the <50 % digest-overhead row in ``BENCH_perf.json``).  A bus
-  with a ``MemorySink``/``JsonlSink`` keeps the generic path, which is
-  also how golden traces stay backend-identical;
+* no trace bus attached, *or* a line-only bus — one whose sinks all
+  accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``,
+  ``JsonlSink``): the loop then builds each canonical line inline with the
+  exact stamps the generic path's ``TraceBus.emit`` would produce, so the
+  digest and the JSONL file stay byte-identical while the bus's per-event
+  dict machinery is bypassed (the <50 % digest-overhead row in
+  ``BENCH_perf.json``).  A bus with an event sink (``MemorySink``,
+  ``TraceReplayer``) keeps the generic path, which is also how golden
+  traces stay backend-identical;
 * no GPP pool, no armed failure injector (no pending env events, no
   quarantine hooks, all nodes in service), no debug invariant checking.
 
@@ -73,10 +74,11 @@ def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
     """True when the hot loop can feed ``trace`` inline.
 
     Requires a plain :class:`TraceBus` (no subclassed ``emit``), stamped
-    from the simulator's own counters, whose sinks all consume pre-encoded
-    canonical lines (``write_lines``) — every component must share the one
-    bus (the constructor wires it that way) so suppressing the component
-    emissions and emitting inline is a pure reordering of the same code.
+    from the simulator's own counters, on its line-only path (every sink
+    consumes pre-encoded canonical lines) — every component must share the
+    one bus (the constructor wires it that way) so suppressing the
+    component emissions and emitting inline is a pure reordering of the
+    same code.
     """
     if trace is None:
         return True
@@ -87,7 +89,7 @@ def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
         and sim.rim.trace is trace
         and sim.susqueue.trace is trace
         and sim.monitor.trace is trace
-        and all(callable(getattr(s, "write_lines", None)) for s in trace._sinks)
+        and trace.line_only
     )
 
 
@@ -291,16 +293,15 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     waste_samples = sim._system_waste_samples
     placed = sim._placed_count
 
-    # -- inline trace emission (digest-capable bus only) -----------------
-    # The generic path builds a TraceEvent + field dict per event and calls
-    # ``canonical()`` (a json.dumps) per sink write; at 200n/20k that is the
-    # whole 490 % digest overhead.  Here each event is formatted as its
-    # canonical line directly — an f-string whose keys are spelled in the
-    # sorted order json.dumps(sort_keys=True) would produce, with the same
-    # ``ss``/``hk`` stamps the bus would read from the counters at that
-    # point — and batched into ``tr_buf``; the batch is joined, encoded
-    # once, and handed to every sink's ``write_lines``.  The caller
-    # (DReAMSim.run) detaches ``rim.trace`` for the duration so
+    # -- inline trace emission (line-only bus only) ----------------------
+    # The generic path's line-only ``TraceBus.emit`` still builds a field
+    # dict and looks up the event type's encoder per event.  Here each
+    # event is formatted as its canonical line directly — an f-string whose
+    # keys are spelled in the sorted order json.dumps(sort_keys=True) would
+    # produce, with the same ``ss``/``hk`` stamps the bus would read from
+    # the counters at that point — and batched into ``tr_buf``; the batch
+    # is joined, encoded once, and handed to every sink's ``write_lines``.
+    # The caller (DReAMSim.run) detaches ``rim.trace`` for the duration so
     # configure_node/evict_entries do not also emit through the bus.
     tb = sim.trace
     trace_on = tb is not None

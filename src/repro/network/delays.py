@@ -23,12 +23,14 @@ Two implementations:
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.model.config import Configuration
 from repro.model.node import Node
 from repro.model.task import Task
-from repro.network.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.network.topology import Topology
 
 
 class NetworkModel(abc.ABC):

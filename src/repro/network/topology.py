@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-import networkx as nx
-
 from repro.model.node import Node
 from repro.network.links import Link, LinkClass, transfer_time
 
@@ -22,6 +20,8 @@ class Topology:
     """A latency-weighted interconnect graph rooted at the RMS."""
 
     def __init__(self) -> None:
+        import networkx as nx  # optional dependency (the ``graphs`` extra)
+
         self._g = nx.Graph()
         self._g.add_node(RMS)
         self._path_cache: dict[int, list[Link]] = {}
@@ -84,6 +84,8 @@ class Topology:
             return self._path_cache[node_no]
         if node_no not in self._g:
             raise KeyError(f"node {node_no} not in topology")
+        import networkx as nx
+
         try:
             vertices = nx.shortest_path(self._g, RMS, node_no, weight="weight")
         except nx.NetworkXNoPath:

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
 from repro.model.config import Configuration
 from repro.rng import RNG
 
@@ -42,6 +40,8 @@ class TaskGraph:
     """A validated DAG of :class:`GraphTask` vertices."""
 
     def __init__(self) -> None:
+        import networkx as nx  # optional dependency (the ``graphs`` extra)
+
         self._g = nx.DiGraph()
         self._next_gid = 0
 
@@ -67,6 +67,8 @@ class TaskGraph:
             raise ValueError("both endpoints must be tasks of this graph")
         if comm < 0:
             raise ValueError("comm must be non-negative")
+        import networkx as nx
+
         self._g.add_edge(src, dst, comm=comm)
         if not nx.is_directed_acyclic_graph(self._g):
             self._g.remove_edge(src, dst)
@@ -107,6 +109,8 @@ class TaskGraph:
 
     def topological_order(self) -> list[GraphTask]:
         """Any dependency-respecting linear order of the tasks."""
+        import networkx as nx
+
         return list(nx.topological_sort(self._g))
 
     def critical_path_length(self) -> int:
@@ -122,6 +126,8 @@ class TaskGraph:
 
     def validate(self) -> None:
         """Assert acyclicity (defence-in-depth; edges are checked on add)."""
+        import networkx as nx
+
         if not nx.is_directed_acyclic_graph(self._g):  # pragma: no cover - guarded
             raise ValueError("task graph contains a cycle")
 

@@ -15,7 +15,7 @@ When a bus is attached it stamps each event with
 * the cumulative search-step counters (``ss``/``hk``) when a
   :class:`~repro.resources.counters.SearchCounters` is attached,
 
-then fans the event out to its sinks:
+then hands it to its sinks:
 
 * :class:`MemorySink` — keeps events in a list (tests, batch replay);
 * :class:`JsonlSink` — streams canonical JSON lines to a file;
@@ -27,6 +27,14 @@ then fans the event out to its sinks:
 Because the first three consume the same canonical line, the digest of a
 live run, of its JSONL file, and of the events re-read from that file are
 identical.
+
+When every attached sink accepts pre-encoded lines (``write_lines``:
+:class:`DigestSink` and :class:`JsonlSink`), the bus takes its *line-only*
+path: it encodes each event's canonical line once
+(:func:`~repro.trace.events.canonical_line`) and hands the same bytes to
+every sink, never building a :class:`TraceEvent`.  One sink that needs
+events (``MemorySink``, ``TraceReplayer``) puts the whole bus on the event
+path; :meth:`TraceBus.attach` re-decides after every attachment.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import (
     Union,
 )
 
-from repro.trace.events import TraceEvent
+from repro.trace.events import TraceEvent, canonical_line
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resources.counters import SearchCounters
@@ -144,6 +152,14 @@ class JsonlSink:
         self._fh.write(event.canonical())
         self._fh.write("\n")
 
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Write ``count`` pre-encoded canonical lines (newline-terminated).
+
+        The handle stays a text handle (a caller may pass any ``IO[str]``),
+        so the UTF-8 bytes are decoded back to text.
+        """
+        self._fh.write(data.decode("utf-8"))
+
     def close(self) -> None:
         """Close the underlying file if this sink opened it."""
         if self._owns:
@@ -162,7 +178,8 @@ class TraceBus:
     Parameters
     ----------
     *sinks:
-        Any objects with a ``write(event)`` method.
+        Any objects with a ``write(event)`` method; sinks that also have
+        ``write_lines(data, count)`` can put the bus on its line-only path.
     clock:
         Zero-argument callable returning the current simulation time; the
         simulator sets this to its environment clock.  Defaults to 0 (useful
@@ -171,7 +188,7 @@ class TraceBus:
         When attached, every event carries cumulative ``ss``/``hk`` stamps.
     """
 
-    __slots__ = ("clock", "counters", "_sinks", "_seq")
+    __slots__ = ("clock", "counters", "_sinks", "_seq", "_line_writers")
 
     def __init__(
         self,
@@ -179,14 +196,24 @@ class TraceBus:
         clock: Optional[Callable[[], int]] = None,
         counters: Optional["SearchCounters"] = None,
     ) -> None:
-        self._sinks: list[TraceSink] = list(sinks)
+        self._sinks: list[TraceSink] = []
+        self._line_writers: Optional[list[Callable[[bytes, int], None]]] = []
         self.clock = clock
         self.counters = counters
         self._seq = 0
+        for sink in sinks:
+            self.attach(sink)
 
     def attach(self, sink: TraceSink) -> None:
         """Add a sink; it sees only events emitted after attachment."""
         self._sinks.append(sink)
+        writers = [getattr(s, "write_lines", None) for s in self._sinks]
+        self._line_writers = writers if all(map(callable, writers)) else None  # type: ignore[assignment]
+
+    @property
+    def line_only(self) -> bool:
+        """True when every sink takes pre-encoded lines (see the module doc)."""
+        return self._line_writers is not None
 
     @property
     def events_emitted(self) -> int:
@@ -211,8 +238,16 @@ class TraceBus:
         if c is not None:
             fields["ss"] = c.scheduling_steps
             fields["hk"] = c.housekeeping_steps
-        event = TraceEvent(seq=self._seq, time=t, type=ev_type, fields=fields)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        writers = self._line_writers
+        if writers is not None:
+            if writers:
+                data = (canonical_line(seq, t, ev_type, fields) + "\n").encode("utf-8")
+                for write_lines in writers:
+                    write_lines(data, 1)
+            return
+        event = TraceEvent(seq=seq, time=t, type=ev_type, fields=fields)
         for sink in self._sinks:
             sink.write(event)
 

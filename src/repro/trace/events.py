@@ -15,6 +15,13 @@ Field values are restricted to JSON scalars (ints, bools, strings, ``None``)
 and lists thereof — never floats — so the canonical serialisation, and hence
 the run digest, is platform- and version-stable.
 
+The canonical line of an event is ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))`` of ``{"seq", "t", "ev"} ∪ fields``.  That call is
+the specification; :func:`canonical_line` produces the same string from a
+table of per-type encoders compiled from :data:`EVENT_FIELDS` (keys in
+sorted order with ``ev`` baked in, ints formatted directly), falling back
+to ``json.dumps`` itself for any shape or value the table does not cover.
+
 Every event also carries the cumulative search-step counters at emission
 time (``ss`` = scheduling steps, ``hk`` = housekeeping steps, stamped by the
 bus when a :class:`~repro.resources.counters.SearchCounters` is attached).
@@ -27,7 +34,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from functools import lru_cache
+from typing import Any, Callable, Mapping
 
 # -- event types (the taxonomy) -----------------------------------------------
 
@@ -79,6 +87,135 @@ EVENT_TYPES = frozenset(
 # line is an event field.
 _RESERVED = ("seq", "t", "ev")
 
+# -- canonical-line encoders ---------------------------------------------------
+
+# Value kinds of a payload field.  An encoder formats its line directly only
+# when every value has its field's kind; anything else (a bool in an int
+# field, a float, a dict, ...) takes the ``json.dumps`` line.
+INT = "int"
+BOOL = "bool"
+STR = "str"
+INT_OR_NONE = "int|None"
+INT_LIST = "list[int]"
+
+#: The payload each emitter passes, per event type: field name -> kind.
+#: Every shape is encoded with the bus's ``ss``/``hk`` stamps added.
+#: ``Placed`` has a second shape: a GPP offload reports no node area
+#: (``avail``) or system waste (``sw``), and its ``node`` is ``None``.
+EVENT_FIELDS: tuple[tuple[str, dict[str, str]], ...] = (
+    (RUN_STARTED, {"nodes": INT, "configs": INT, "partial": BOOL, "sample_system": BOOL}),
+    (RUN_FINISHED, {"final": INT}),
+    (TASK_ARRIVED, {"task": INT, "pref": INT, "req": INT}),
+    (PLACED, {"task": INT, "kind": STR, "node": INT, "cfg": INT, "ctime": INT,
+              "avail": INT, "sw": INT, "closest": BOOL}),
+    (PLACED, {"task": INT, "kind": STR, "node": INT_OR_NONE, "cfg": INT, "ctime": INT,
+              "closest": BOOL}),
+    (SUSPENDED, {"task": INT, "qlen": INT}),
+    (RESUMED, {"task": INT, "retry": INT}),
+    (DISCARDED, {"task": INT, "reason": STR}),
+    (COMPLETED, {"task": INT, "node": INT_OR_NONE, "wait": INT, "run": INT, "closest": BOOL}),
+    (TASK_INTERRUPTED, {"task": INT, "node": INT, "cls": STR}),
+    (CONFIG_LOADED, {"node": INT, "cfg": INT, "ctime": INT}),
+    (CONFIG_EVICTED, {"node": INT, "cfgs": INT_LIST, "area": INT}),
+    (NODE_FAILED, {"node": INT, "interrupted": INT, "lost": INT, "cls": STR}),
+    (NODE_REPAIRED, {"node": INT}),
+    (MONITOR_SAMPLED, {"busy": INT, "queued": INT, "waste": INT, "running": INT}),
+    (CONFIG_FAULT, {"node": INT, "cfg": INT, "interrupted": INT_OR_NONE, "scrub": INT}),
+    (TASK_RETRY, {"task": INT, "attempt": INT, "delay": INT, "at": INT}),
+    (NODE_QUARANTINED, {"node": INT, "until": INT, "score": INT}),
+    (NODE_PROBATION, {"node": INT, "reason": STR}),
+)
+
+# Per kind: the guard a value must pass, its conversion in the line's ``%``
+# template, and the expression that renders it ({v} is the value's name).
+_KINDS: dict[str, tuple[str, str, str]] = {
+    INT: ("type({v}) is int", "%d", "{v}"),
+    BOOL: ("type({v}) is bool", "%s", '"true" if {v} else "false"'),
+    STR: ("type({v}) is str", "%s", "_json_str({v})"),
+    INT_OR_NONE: ("({v} is None or type({v}) is int)", "%s", '"null" if {v} is None else {v}'),
+    INT_LIST: (
+        "type({v}) is list and all(type(x) is int for x in {v})",
+        "%s",
+        '"[" + ",".join(map(str, {v})) + "]"',
+    ),
+}
+
+Encoder = Callable[[int, int, Mapping[str, Any]], str]
+
+
+def json_line(seq: int, time: int, ev_type: str, fields: Mapping[str, Any]) -> str:
+    """The canonical line by definition: ``json.dumps`` of the whole event."""
+    doc: dict[str, Any] = {"seq": seq, "t": time, "ev": ev_type}
+    doc.update(fields)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# String values come from a handful of literals ("configuration",
+# "retries", "crash", ...), so their JSON form is memoised.
+_json_str = lru_cache(maxsize=1024)(json.dumps)
+
+
+def _compile(ev_type: str, spec: Mapping[str, str]) -> Encoder:
+    """Build the encoder for one payload shape (``spec`` plus ``ss``/``hk``).
+
+    The generated function reads each field, checks every value's kind in
+    one guard, and fills one ``%`` template whose keys are spelled in the
+    order ``sort_keys=True`` puts them (``%d`` of an exact ``int`` is its
+    JSON form).  A missing field (another shape with the same field count)
+    or a failed guard returns :func:`json_line`.
+    """
+    kinds = {"seq": INT, "t": INT, "ss": INT, "hk": INT, **spec}
+    names = {"seq": "seq", "t": "t"}
+    reads = []
+    for i, key in enumerate(sorted(spec.keys() | {"ss", "hk"})):
+        names[key] = f"v{i}"
+        reads.append(f"v{i} = f[{key!r}]")
+    template = []
+    guards = []
+    values = []
+    for key in sorted(kinds.keys() | {"ev"}):
+        if key == "ev":
+            template.append(f'"ev":{json.dumps(ev_type)}')
+            continue
+        guard, conversion, render = _KINDS[kinds[key]]
+        template.append(f'"{key}":{conversion}')
+        guards.append(guard.format(v=names[key]))
+        values.append(render.format(v=names[key]))
+    line = "{" + ",".join(template) + "}"
+    src = (
+        "def encode(seq, t, f):\n"
+        "    try:\n"
+        f"        {'; '.join(reads)}\n"
+        "    except KeyError:\n"
+        "        return json_line(seq, t, ev_type, f)\n"
+        f"    if {' and '.join(guards)}:\n"
+        f"        return {line!r} % ({', '.join(values)})\n"
+        "    return json_line(seq, t, ev_type, f)\n"
+    )
+    scope: dict[str, Any] = {"json_line": json_line, "_json_str": _json_str, "ev_type": ev_type}
+    exec(src, scope)
+    encoder: Encoder = scope["encode"]
+    return encoder
+
+
+# Encoders by event type, then by field count (the ss/hk stamps included):
+# the count separates the two Placed shapes without hashing the field
+# names; an encoder handed another shape of the same count finds a field
+# missing and falls back to json_line.
+_ENCODERS: dict[str, dict[int, Encoder]] = {}
+for _ev_type, _spec in EVENT_FIELDS:
+    _ENCODERS.setdefault(_ev_type, {})[len(_spec) + 2] = _compile(_ev_type, _spec)
+
+
+def canonical_line(seq: int, time: int, ev_type: str, fields: Mapping[str, Any]) -> str:
+    """The canonical JSON line of one event; equal to :func:`json_line`."""
+    by_count = _ENCODERS.get(ev_type)
+    if by_count is not None:
+        encoder = by_count.get(len(fields))
+        if encoder is not None:
+            return encoder(seq, time, fields)
+    return json_line(seq, time, ev_type, fields)
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -95,9 +232,7 @@ class TraceEvent:
         This exact string is what the JSONL sink writes and what the digest
         hashes, so ``digest(file) == digest(live stream)`` by construction.
         """
-        doc = {"seq": self.seq, "t": self.time, "ev": self.type}
-        doc.update(self.fields)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return canonical_line(self.seq, self.time, self.type, self.fields)
 
     @classmethod
     def from_json_line(cls, line: str) -> "TraceEvent":
@@ -114,6 +249,9 @@ class TraceEvent:
 __all__ = [
     "TraceEvent",
     "EVENT_TYPES",
+    "EVENT_FIELDS",
+    "canonical_line",
+    "json_line",
     "RUN_STARTED",
     "RUN_FINISHED",
     "TASK_ARRIVED",

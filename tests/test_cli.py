@@ -1,5 +1,10 @@
 """Tests for the dreamsim CLI."""
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -67,6 +72,31 @@ class TestRunCommand:
         rc = main(base + ["--backend", "scan", "--trace-digest"])
         assert rc == 0
         assert f"trace digest: {digest}" in capsys.readouterr().out
+
+    def test_trace_path_stays_on_the_hot_loop(self, tmp_path, capsys, monkeypatch):
+        import repro.framework.simulator as simulator
+        from repro.framework.campaign import FaultCampaignSpec, build_campaign
+        from repro.framework.hotloop import hot_eligible
+        from repro.trace import DigestSink, JsonlSink, TraceBus
+
+        with JsonlSink(tmp_path / "probe.jsonl") as jsonl:
+            sim, _ = build_campaign(
+                FaultCampaignSpec(nodes=8, configs=5, tasks=40, seed=1),
+                trace=TraceBus(DigestSink(), jsonl),
+            )
+            assert hot_eligible(sim)
+
+        hot_runs = []
+        run_hot = simulator.run_hot
+        monkeypatch.setattr(simulator, "run_hot", lambda s: hot_runs.append(run_hot(s)))
+        path = tmp_path / "run.jsonl"
+        rc = main(["run", "--nodes", "8", "--tasks", "40", "--configs", "5", "--seed", "1",
+                   "--trace", str(path), "--trace-digest"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(hot_runs) == 1
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+        assert f"trace digest: {digest}" in out
 
     @pytest.mark.parametrize(
         "argv", [["--no-indexed"], ["--backend", "indexed"]], ids=["flag", "choice"]
@@ -330,3 +360,74 @@ class TestSeedSweep:
         rc = main(self.BASE + ["--seeds", "0"])
         assert rc == 2
         assert "--seeds" in capsys.readouterr().err
+
+
+class TestLintCommand:
+    def test_lint_flags_reach_dreamlint(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        assert "DL001" in capsys.readouterr().out
+
+    def test_unknown_flag_outside_lint_is_an_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--list-rules"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --list-rules" in capsys.readouterr().err
+
+
+# A fresh interpreter with networkx unimportable, as on a core install.
+_BLOCK_NETWORKX = """
+import sys
+from importlib.abc import MetaPathFinder
+
+class BlockNetworkx(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "networkx" or name.startswith("networkx."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockNetworkx())
+"""
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(code):
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": _SRC, "PATH": ""},
+    )
+
+
+class TestImports:
+    def test_import_and_run_without_networkx(self):
+        proc = _python(
+            _BLOCK_NETWORKX
+            + "import repro\n"
+            + "from repro.cli.main import main\n"
+            + "sys.exit(main(['run', '--tasks', '200', '--trace-digest']))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "trace digest: " in proc.stdout
+
+    def test_run_loads_no_optional_or_subcommand_packages(self):
+        proc = _python(
+            "import contextlib, io, sys\n"
+            "from repro.cli.main import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['run', '--tasks', '200', '--trace-digest'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
+            " or m.startswith(('repro.lint', 'repro.analysis'))))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_parser_defaults_match_the_analysis_harness(self):
+        from repro.analysis.figures import FIGURES
+        from repro.analysis.paperconfig import DEFAULT_SEED, DEFAULT_TASK_SWEEP
+        from repro.cli.main import DEFAULT_SEED as parser_seed
+        from repro.cli.main import DEFAULT_TASK_SWEEP as parser_sweep
+        from repro.cli.main import FIGURE_IDS
+
+        assert parser_seed == DEFAULT_SEED
+        assert parser_sweep == DEFAULT_TASK_SWEEP
+        assert FIGURE_IDS == tuple(sorted(FIGURES))
