@@ -24,11 +24,11 @@ only engages for configurations whose behaviour it replicates completely
 * the paper's MIN_AREA placement policy and a ``FixedDelayModel`` network;
 * no trace bus attached, *or* a line-only bus — one whose sinks all
   accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``,
-  ``JsonlSink``): the loop then builds each canonical line inline with the
-  exact stamps the generic path's ``TraceBus.emit`` would produce, so the
-  digest and the JSONL file stay byte-identical while the bus's per-event
-  dict machinery is bypassed (the <50 % digest-overhead row in
-  ``BENCH_perf.json``).  A bus with an event sink (``MemorySink``,
+  ``JsonlSink``): the loop then formats each line through the table's
+  positional encoders (``repro.trace.events.line_encoder``) with the exact
+  stamps the generic path's ``TraceBus.emit`` would produce, so the digest
+  and the JSONL file stay byte-identical while the bus's per-event dict
+  machinery is bypassed.  A bus with an event sink (``MemorySink``,
   ``TraceReplayer``) keeps the generic path, which is also how golden
   traces stay backend-identical;
 * no GPP pool, no armed failure injector (no pending env events, no
@@ -64,6 +64,7 @@ from repro.resources.arraycore import (
     ArraySuspensionQueue,
 )
 from repro.resources.susqueue import NO_KEY
+from repro.trace import events as ev
 from repro.trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -294,21 +295,27 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     placed = sim._placed_count
 
     # -- inline trace emission (line-only bus only) ----------------------
-    # The generic path's line-only ``TraceBus.emit`` still builds a field
-    # dict and looks up the event type's encoder per event.  Here each
-    # event is formatted as its canonical line directly — an f-string whose
-    # keys are spelled in the sorted order json.dumps(sort_keys=True) would
-    # produce, with the same ``ss``/``hk`` stamps the bus would read from
-    # the counters at that point — and batched into ``tr_buf``; the batch
-    # is joined, encoded once, and handed to every sink's ``write_lines``.
+    # Each event type's positional line function is looked up once, by its
+    # field names, and called with the ``ss``/``hk`` stamps the bus would
+    # read from the counters at that point; the lines are batched in
+    # ``tr_buf`` and handed, encoded once, to the bus's ``write_lines``.
     # The caller (DReAMSim.run) detaches ``rim.trace`` for the duration so
     # configure_node/evict_entries do not also emit through the bus.
     tb = sim.trace
     trace_on = tb is not None
     tr_buf: list = []
     tr_app = tr_buf.append
-    tr_seq = tb._seq if tb is not None else 0
-    tr_sinks = tb._sinks if tb is not None else []
+    tr_seq = tb.events_emitted if tb is not None else 0
+    line_of = ev.line_encoder
+    arrived_line = line_of(ev.TASK_ARRIVED, "task", "pref", "req")
+    placed_line = line_of(ev.PLACED, "task", "kind", "node", "cfg", "ctime", "avail", "sw", "closest")
+    suspended_line = line_of(ev.SUSPENDED, "task", "qlen")
+    resumed_line = line_of(ev.RESUMED, "task", "retry")
+    discarded_line = line_of(ev.DISCARDED, "task", "reason")
+    completed_line = line_of(ev.COMPLETED, "task", "node", "wait", "run", "closest")
+    loaded_line = line_of(ev.CONFIG_LOADED, "node", "cfg", "ctime")
+    evicted_line = line_of(ev.CONFIG_EVICTED, "node", "cfgs", "area")
+    sampled_line = line_of(ev.MONITOR_SAMPLED, "busy", "queued", "waste", "running")
 
     created_s = TaskStatus.CREATED
     running_s = TaskStatus.RUNNING
@@ -342,6 +349,35 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             memo[tno] = cfg
         return cfg.config_no if cfg is not None else None
 
+    def sample(now: int) -> None:
+        # Monitor.sample for the placement and completion sites (direct
+        # item stores into the fresh instance dict — no display dict).
+        nonlocal mon_last, tr_seq
+        qlen = len(sq_order)
+        ms = ms_new(MonitorSample)
+        dd = ms.__dict__
+        dd["time"] = now
+        dd["busy_nodes"] = sc_busy
+        dd["idle_nodes"] = sc_idle
+        dd["blank_nodes"] = sc_blank
+        dd["running_tasks"] = running_count
+        dd["suspended_tasks"] = qlen
+        dd["configured_area"] = conf_total
+        dd["wasted_area"] = wasted_total
+        mon_samples.append(ms)
+        mb_t.append(now)
+        mb_v.append(sc_busy)
+        mq_t.append(now)
+        mq_v.append(qlen)
+        mw_t.append(now)
+        mw_v.append(wasted_total)
+        mr_t.append(now)
+        mr_v.append(running_count)
+        mon_last = now
+        if trace_on:
+            tr_app(sampled_line(tr_seq, now, sched_steps, hk_steps, sc_busy, qlen, wasted_total, running_count))
+            tr_seq += 1
+
     def submit(task: Task, now: int) -> int:
         """One ``DreamScheduler.schedule`` + framework follow-up, inlined.
 
@@ -357,7 +393,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         nonlocal sched_steps, hk_steps
         nonlocal st_scheduled, st_suspended, st_discarded
         nonlocal st_closest, st_cfg_paid, st_evicted
-        nonlocal sc_busy, sc_idle, sc_blank, mon_last
+        nonlocal sc_busy, sc_idle, sc_blank
         nonlocal tr_seq
         steps0 = sched_steps
 
@@ -379,7 +415,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 task.scheduling_steps += ss
                 st_discarded += 1
                 if trace_on:
-                    tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"no_config","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                    tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, task.task_no, "no_config"))
                     tr_seq += 1
                 return 2
             config = configs_list[cfg_keys[i] & pos_mask]
@@ -440,8 +476,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                         sc_blank = state_counts["blank"]
                         kind = "partial_reconfiguration"
                         if trace_on and evict:
-                            cfgs = ",".join([str(e.config.config_no) for e in evict])
-                            tr_app(f'{{"area":{evicted},"cfgs":[{cfgs}],"ev":"ConfigEvicted","hk":{hk_steps},"node":{node.node_no},"seq":{tr_seq},"ss":{steps0 + ss},"t":{now}}}\n')
+                            cfgs = [e.config.config_no for e in evict]
+                            tr_app(evicted_line(tr_seq, now, steps0 + ss, hk_steps, node.node_no, cfgs, evicted))
                             tr_seq += 1
             if node is None:
                 # Last resort: suspend if any busy node could ever host it.
@@ -505,7 +541,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                         task.scheduling_steps += ss
                         st_suspended += 1
                         if trace_on:
-                            tr_app(f'{{"ev":"Suspended","hk":{hk_steps},"qlen":{len(sq_order)},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                            tr_app(suspended_line(tr_seq, now, sched_steps, hk_steps, task.task_no, len(sq_order)))
                             tr_seq += 1
                         return 1
                 # Queue full or nothing can ever host it: discard.  (The
@@ -518,7 +554,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 st_discarded += 1
                 if trace_on:
                     reason = "queue_full" if exists else "no_placement"
-                    tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"{reason}","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                    tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, task.task_no, reason))
                     tr_seq += 1
                 return 2
             counters.housekeeping_steps = hk_steps
@@ -536,7 +572,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             wasted_total = rim._wasted_total
             conf_total = rim._configured_total
             if trace_on:
-                tr_app(f'{{"cfg":{cno},"ctime":{config_time},"ev":"ConfigLoaded","hk":{hk_steps},"node":{node.node_no},"seq":{tr_seq},"ss":{steps0 + ss},"t":{now}}}\n')
+                tr_app(loaded_line(tr_seq, now, steps0 + ss, hk_steps, node.node_no, cno, config_time))
                 tr_seq += 1
 
         # DreamScheduler._start + DReAMSim._submit/_record_placement.
@@ -599,7 +635,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         sched_steps = steps0 + ss
         task.scheduling_steps += ss
         if trace_on:
-            tr_app(f'{{"avail":{node._available_area},"cfg":{cno},"closest":{"true" if used_closest else "false"},"ctime":{config_time},"ev":"Placed","hk":{hk_steps},"kind":"{kind}","node":{node.node_no},"seq":{tr_seq},"ss":{sched_steps},"sw":{wasted_total},"t":{now},"task":{task.task_no}}}\n')
+            tr_app(placed_line(tr_seq, now, sched_steps, hk_steps, task.task_no, kind, node.node_no,
+                               cno, config_time, node._available_area, wasted_total, used_closest))
             tr_seq += 1
         st_scheduled += 1
         by_kind[kind] = by_kind.get(kind, 0) + 1
@@ -621,33 +658,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         if sample_system:
             sys_waste += wasted_total
             waste_samples += 1
-        # Monitor.sample, inlined (direct item stores into the fresh
-        # instance dict — no intermediate display dict).
         if mon_last is None or now - mon_last >= ml:
-            qlen = len(sq_order)
-            ms = ms_new(MonitorSample)
-            dd = ms.__dict__
-            dd["time"] = now
-            dd["busy_nodes"] = sc_busy
-            dd["idle_nodes"] = sc_idle
-            dd["blank_nodes"] = sc_blank
-            dd["running_tasks"] = running_count
-            dd["suspended_tasks"] = qlen
-            dd["configured_area"] = conf_total
-            dd["wasted_area"] = wasted_total
-            mon_samples.append(ms)
-            mb_t.append(now)
-            mb_v.append(sc_busy)
-            mq_t.append(now)
-            mq_v.append(qlen)
-            mw_t.append(now)
-            mw_v.append(wasted_total)
-            mr_t.append(now)
-            mr_v.append(running_count)
-            mon_last = now
-            if trace_on:
-                tr_app(f'{{"busy":{sc_busy},"ev":"MonitorSampled","hk":{hk_steps},"queued":{qlen},"running":{running_count},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"waste":{wasted_total}}}\n')
-                tr_seq += 1
+            sample(now)
         placed += 1
         seq += 1
         hpush(
@@ -667,6 +679,9 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         hpush(heap, (at if at > 0 else 0, seq, arrival.task, None, None))
 
     while heap:
+        if trace_on and len(tr_buf) >= 1024:
+            tb.write_lines(("\n".join(tr_buf) + "\n").encode("utf-8"), len(tr_buf))
+            tr_buf.clear()
         now, _s, task, cnode, centry = hpop(heap)
         events += 1
         if now > last_hk:
@@ -679,13 +694,9 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             task._history.append((now, created_s))
             tasks_append(task)
             if trace_on:
-                tr_app(f'{{"ev":"TaskArrived","hk":{hk_steps},"pref":{task.pref_config.config_no},"req":{task.required_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no}}}\n')
+                tr_app(arrived_line(tr_seq, now, sched_steps, hk_steps, task.task_no,
+                                    task.pref_config.config_no, task.required_time))
                 tr_seq += 1
-                if len(tr_buf) >= 1024:
-                    data = "".join(tr_buf).encode("utf-8")
-                    for _sink in tr_sinks:
-                        _sink.write_lines(data, len(tr_buf))
-                    tr_buf.clear()
             submit(task, now)
             arrival = next(arr_iter, None)
             if arrival is None:
@@ -700,13 +711,9 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             task._history.append((now, completed_s))
             task.completion_time = now
             if trace_on:
-                tr_app(f'{{"closest":{"true" if task.used_closest_match else "false"},"ev":"Completed","hk":{hk_steps},"node":{cnode.node_no},"run":{task.running_time},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{task.task_no},"wait":{task.waiting_time}}}\n')
+                tr_app(completed_line(tr_seq, now, sched_steps, hk_steps, task.task_no, cnode.node_no,
+                                      task.waiting_time, task.running_time, task.used_closest_match))
                 tr_seq += 1
-                if len(tr_buf) >= 1024:
-                    data = "".join(tr_buf).encode("utf-8")
-                    for _sink in tr_sinks:
-                        _sink.write_lines(data, len(tr_buf))
-                    tr_buf.clear()
             # ArrayRIM.complete_task (incl. Node.remove_task), inlined: the
             # event carries the busy entry, so no per-node scan; liveness
             # branch drops out as in assign.
@@ -755,32 +762,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             ins(ie[cno], akey)
             hk_steps += 1
 
-            # Monitor.sample, inlined (same form as the submit site).
             if mon_last is None or now - mon_last >= ml:
-                qlen = len(sq_order)
-                ms = ms_new(MonitorSample)
-                dd = ms.__dict__
-                dd["time"] = now
-                dd["busy_nodes"] = sc_busy
-                dd["idle_nodes"] = sc_idle
-                dd["blank_nodes"] = sc_blank
-                dd["running_tasks"] = running_count
-                dd["suspended_tasks"] = qlen
-                dd["configured_area"] = conf_total
-                dd["wasted_area"] = wasted_total
-                mon_samples.append(ms)
-                mb_t.append(now)
-                mb_v.append(sc_busy)
-                mq_t.append(now)
-                mq_v.append(qlen)
-                mw_t.append(now)
-                mw_v.append(wasted_total)
-                mr_t.append(now)
-                mr_v.append(running_count)
-                mon_last = now
-                if trace_on:
-                    tr_app(f'{{"busy":{sc_busy},"ev":"MonitorSampled","hk":{hk_steps},"queued":{qlen},"running":{running_count},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"waste":{wasted_total}}}\n')
-                    tr_seq += 1
+                sample(now)
             # LoadBalancer.observe, inlined (fast_queries O(1) aggregates).
             s1 = load_sum_i / load_den
             s2 = load_sumsq_i / load_den_sq
@@ -851,7 +834,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 hk_steps += 1
                 rtask.sus_retry += 1
                 if trace_on:
-                    tr_app(f'{{"ev":"Resumed","hk":{hk_steps},"retry":{rtask.sus_retry},"seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{rtask.task_no}}}\n')
+                    tr_app(resumed_line(tr_seq, now, sched_steps, hk_steps, rtask.task_no, rtask.sus_retry))
                     tr_seq += 1
                 if submit(rtask, now) != 0:
                     break
@@ -861,16 +844,13 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                     ex._history.append((now, discarded_s))
                     st_discarded += 1
                     if trace_on:
-                        tr_app(f'{{"ev":"Discarded","hk":{hk_steps},"reason":"retries","seq":{tr_seq},"ss":{sched_steps},"t":{now},"task":{ex.task_no}}}\n')
+                        tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, ex.task_no, "retries"))
                         tr_seq += 1
 
     # -- write back state the generic loop keeps on the objects ------------
     if trace_on:
         if tr_buf:
-            data = "".join(tr_buf).encode("utf-8")
-            for _sink in tr_sinks:
-                _sink.write_lines(data, len(tr_buf))
-            tr_buf.clear()
+            tb.write_lines(("\n".join(tr_buf) + "\n").encode("utf-8"), len(tr_buf))
         tb.resume_at(tr_seq)
     counters.scheduling_steps = sched_steps
     counters.housekeeping_steps = hk_steps

@@ -230,6 +230,12 @@ class TraceBus:
             raise ValueError(f"sequence number must be >= 0, got {seq}")
         self._seq = seq
 
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Hand ``count`` pre-encoded lines, stamped by the caller (who then
+        calls :meth:`resume_at`), to every sink of a line-only bus."""
+        for write_lines in self._line_writers:  # type: ignore[union-attr]
+            write_lines(data, count)
+
     def emit(self, ev_type: str, **fields: Any) -> None:
         """Stamp and fan out one event (callers guard the ``None`` check)."""
         clock = self.clock

@@ -21,6 +21,8 @@ the specification; :func:`canonical_line` produces the same string from a
 table of per-type encoders compiled from :data:`EVENT_FIELDS` (keys in
 sorted order with ``ev`` baked in, ints formatted directly), falling back
 to ``json.dumps`` itself for any shape or value the table does not cover.
+:func:`line_encoder` hands out the same encoders with positional fields,
+for the array hot loop.  This module is the only one that spells a line.
 
 Every event also carries the cumulative search-step counters at emission
 time (``ss`` = scheduling steps, ``hk`` = housekeeping steps, stamped by the
@@ -83,10 +85,6 @@ EVENT_TYPES = frozenset(
     }
 )
 
-# Reserved top-level keys of the JSONL representation; everything else in a
-# line is an event field.
-_RESERVED = ("seq", "t", "ev")
-
 # -- canonical-line encoders ---------------------------------------------------
 
 # Value kinds of a payload field.  An encoder formats its line directly only
@@ -141,6 +139,8 @@ _KINDS: dict[str, tuple[str, str, str]] = {
 }
 
 Encoder = Callable[[int, int, Mapping[str, Any]], str]
+#: ``(seq, t, ss, hk, *values in EVENT_FIELDS order) -> line``.
+LineEncoder = Callable[..., str]
 
 
 def json_line(seq: int, time: int, ev_type: str, fields: Mapping[str, Any]) -> str:
@@ -155,21 +155,19 @@ def json_line(seq: int, time: int, ev_type: str, fields: Mapping[str, Any]) -> s
 _json_str = lru_cache(maxsize=1024)(json.dumps)
 
 
-def _compile(ev_type: str, spec: Mapping[str, str]) -> Encoder:
-    """Build the encoder for one payload shape (``spec`` plus ``ss``/``hk``).
+def _compile(ev_type: str, spec: Mapping[str, str]) -> tuple[Encoder, LineEncoder]:
+    """Build the encoders for one payload shape (``spec`` plus ``ss``/``hk``).
 
-    The generated function reads each field, checks every value's kind in
-    one guard, and fills one ``%`` template whose keys are spelled in the
-    order ``sort_keys=True`` puts them (``%d`` of an exact ``int`` is its
-    JSON form).  A missing field (another shape with the same field count)
-    or a failed guard returns :func:`json_line`.
+    ``line(seq, t, ss, hk, *values in spec order)`` checks every value's
+    kind in one guard and fills one ``%`` template whose keys are spelled in
+    the order ``sort_keys=True`` puts them (``%d`` of an exact ``int`` is
+    its JSON form).  ``encode(seq, t, fields)`` reads the values from the
+    dict for ``line``.  A failed guard or a missing field (another shape
+    with the same field count) returns :func:`json_line`.
     """
+    keys = ("ss", "hk", *spec)
     kinds = {"seq": INT, "t": INT, "ss": INT, "hk": INT, **spec}
-    names = {"seq": "seq", "t": "t"}
-    reads = []
-    for i, key in enumerate(sorted(spec.keys() | {"ss", "hk"})):
-        names[key] = f"v{i}"
-        reads.append(f"v{i} = f[{key!r}]")
+    names = {"seq": "seq", "t": "t", **{key: f"v{i}" for i, key in enumerate(keys)}}
     template = []
     guards = []
     values = []
@@ -183,28 +181,40 @@ def _compile(ev_type: str, spec: Mapping[str, str]) -> Encoder:
         values.append(render.format(v=names[key]))
     line = "{" + ",".join(template) + "}"
     src = (
-        "def encode(seq, t, f):\n"
-        "    try:\n"
-        f"        {'; '.join(reads)}\n"
-        "    except KeyError:\n"
-        "        return json_line(seq, t, ev_type, f)\n"
+        f"def line(seq, t, {', '.join(names[key] for key in keys)}):\n"
         f"    if {' and '.join(guards)}:\n"
         f"        return {line!r} % ({', '.join(values)})\n"
-        "    return json_line(seq, t, ev_type, f)\n"
+        f"    return json_line(seq, t, ev_type, {{{', '.join(f'{k!r}: {names[k]}' for k in keys)}}})\n"
+        "def encode(seq, t, f):\n"
+        "    try:\n"
+        f"        args = {', '.join(f'f[{key!r}]' for key in keys)}\n"
+        "    except KeyError:\n"
+        "        return json_line(seq, t, ev_type, f)\n"
+        "    return line(seq, t, *args)\n"
     )
     scope: dict[str, Any] = {"json_line": json_line, "_json_str": _json_str, "ev_type": ev_type}
     exec(src, scope)
-    encoder: Encoder = scope["encode"]
-    return encoder
+    return scope["encode"], scope["line"]
 
 
 # Encoders by event type, then by field count (the ss/hk stamps included):
 # the count separates the two Placed shapes without hashing the field
 # names; an encoder handed another shape of the same count finds a field
-# missing and falls back to json_line.
+# missing and falls back to json_line.  Line functions by type and fields.
 _ENCODERS: dict[str, dict[int, Encoder]] = {}
+_LINES: dict[tuple[str, tuple[str, ...]], LineEncoder] = {}
 for _ev_type, _spec in EVENT_FIELDS:
-    _ENCODERS.setdefault(_ev_type, {})[len(_spec) + 2] = _compile(_ev_type, _spec)
+    _encode, _LINES[_ev_type, tuple(_spec)] = _compile(_ev_type, _spec)
+    _ENCODERS.setdefault(_ev_type, {})[len(_spec) + 2] = _encode
+
+
+def line_encoder(ev_type: str, *names: str) -> LineEncoder:
+    """The ``line`` function of the :data:`EVENT_FIELDS` shape of ``ev_type``
+    whose fields are ``names``, in spec order; :class:`ValueError` if none."""
+    try:
+        return _LINES[ev_type, names]
+    except KeyError:
+        raise ValueError(f"no {ev_type} shape in EVENT_FIELDS has fields {names}") from None
 
 
 def canonical_line(seq: int, time: int, ev_type: str, fields: Mapping[str, Any]) -> str:
@@ -252,6 +262,7 @@ __all__ = [
     "EVENT_FIELDS",
     "canonical_line",
     "json_line",
+    "line_encoder",
     "RUN_STARTED",
     "RUN_FINISHED",
     "TASK_ARRIVED",

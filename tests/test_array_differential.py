@@ -15,9 +15,10 @@ Four layers of evidence:
    resilience reports and BLAKE2b trace digests must match byte for byte.
 2. **Hot-vs-generic differential** — the specialized clean-run hot loop
    (:func:`repro.framework.hotloop.run_hot`) against the generic event
-   loop on the same array backend, field by field (the generic path is
-   forced by an unreachable ``debug_invariants_every`` threshold, which
-   makes ``hot_eligible`` decline without ever running the checker).
+   loop on the same array backend, field by field and by trace digest
+   (the generic path is forced by an unreachable ``debug_invariants_every``
+   threshold, which makes ``hot_eligible`` decline without ever running
+   the checker).
 3. **Property-based free-list interleavings** — random add/remove/expired
    scripts against :class:`~repro.resources.arraycore.ArraySuspensionQueue`,
    twinned with the reference queue and cross-checked by
@@ -36,13 +37,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro import quick_simulation
+from repro import RNG, ConfigSpec, DReAMSim, NodeSpec, TaskSpec
 from repro.framework.campaign import FaultCampaignSpec, run_campaign
+from repro.framework.hotloop import hot_eligible
 from repro.model import Configuration, Node, Task
 from repro.resources import BACKENDS, check_invariants, create_manager
 from repro.resources.arraycore import ArraySuspensionQueue
 from repro.resources.susqueue import SuspensionQueue
+from repro.rng.distributions import UniformInt
 from repro.trace import DigestSink, TraceBus
+from repro.workload.generator import generate_configs, generate_nodes, generate_task_stream
 
 #: The three implementations of one semantics.  On a clean run "array" is
 #: the flat-table hot loop; an unreachable invariant-check threshold makes
@@ -173,18 +177,45 @@ HOT_CASES = [
     dict(nodes=15, tasks=300, seed=3, partial=True, queue_order="area"),
     dict(nodes=25, tasks=300, seed=99, partial=True, monitor_min_interval=50),
     dict(nodes=25, tasks=300, seed=99, partial=False, per_tick_housekeeping=0),
+    # Suspended tasks run out of retries: 193 Discarded(reason="retries").
+    dict(nodes=10, tasks=400, seed=5, partial=False, max_retries=1),
+    # Nodes smaller than most configurations, so nothing can ever host
+    # those tasks: 201 Discarded(reason="no_placement").
+    dict(nodes=10, tasks=300, seed=3, partial=True, node_area=(200, 800)),
 ]
+
+
+def build_sim(nodes, tasks, seed, partial, node_area=None, **sim_kwargs):
+    """``quick_simulation``'s workload as an unrun :class:`DReAMSim`, with
+    the node-area range optionally narrowed to ``node_area``."""
+    rng = RNG(seed=seed)
+    spec = NodeSpec(count=nodes)
+    if node_area is not None:
+        spec = NodeSpec(count=nodes, total_area=UniformInt(*node_area))
+    node_list = generate_nodes(spec, rng)
+    config_list = generate_configs(ConfigSpec(count=50), rng)
+    stream = generate_task_stream(TaskSpec(count=tasks), config_list, rng)
+    return DReAMSim(node_list, config_list, stream, partial=partial, **sim_kwargs)
 
 
 @pytest.mark.parametrize(
     "case", HOT_CASES, ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items())
 )
 def test_hot_loop_matches_generic_loop(case):
-    hot = quick_simulation(backend="array", **case)
+    """Every observable and the trace digest: the hot loop's canonical
+    lines must equal the ones the generic path's bus encodes."""
+    hot_digest, generic_digest = DigestSink(), DigestSink()
+    hot = build_sim(backend="array", trace=TraceBus(hot_digest), **case)
+    assert hot_eligible(hot)
     # An unreachable invariant-check threshold makes hot_eligible decline,
     # forcing the generic event loop without ever running the checker.
-    generic = quick_simulation(backend="array", debug_invariants_every=10**9, **case)
-    assert full_fingerprint(hot) == full_fingerprint(generic)
+    generic = build_sim(
+        backend="array", trace=TraceBus(generic_digest), debug_invariants_every=10**9, **case
+    )
+    assert not hot_eligible(generic)
+    assert full_fingerprint(hot.run()) == full_fingerprint(generic.run())
+    assert hot_digest.hexdigest() == generic_digest.hexdigest()
+    assert hot_digest.count == generic_digest.count > 0
 
 
 # -- 3. property-based free-list interleavings ---------------------------------

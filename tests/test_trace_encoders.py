@@ -2,13 +2,16 @@
 
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` defines the
 canonical line (:func:`repro.trace.events.json_line`).  The compiled
-per-type encoders behind :func:`~repro.trace.events.canonical_line` must
-reproduce it exactly for every value — directly where the values have the
-spec's kinds, through the fallback everywhere else — and a bus on its
-line-only path must digest a campaign exactly as an event-path bus does.
+per-type encoders behind :func:`~repro.trace.events.canonical_line` and
+their positional twins (:func:`~repro.trace.events.line_encoder`, the hot
+loop's) must reproduce it exactly for every value — directly where the
+values have the spec's kinds, through the fallback everywhere else — and a
+bus on its line-only path must digest a campaign exactly as an event-path
+bus does.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
 from repro.trace import DigestSink, JsonlSink, MemorySink, TraceBus, TraceEvent, digest_of
 from repro.trace import events as ev
-from repro.trace.events import EVENT_FIELDS, canonical_line, json_line
+from repro.trace.events import EVENT_FIELDS, canonical_line, json_line, line_encoder
 
 # -- the oracle ------------------------------------------------------------------
 
@@ -50,6 +53,13 @@ def _payload(spec, values):
     return st.fixed_dictionaries({key: values(kind) for key, kind in spec.items()})
 
 
+def _positional_line(seq, t, ev_type, spec, fields):
+    """The shape's positional line function, fed ``fields`` in spec order."""
+    names = [key for key in spec if key not in ("ss", "hk")]
+    line = line_encoder(ev_type, *names)
+    return line(seq, t, fields["ss"], fields["hk"], *(fields[key] for key in names))
+
+
 def test_every_event_type_has_an_encoder():
     assert {ev_type for ev_type, _ in EVENT_FIELDS} == ev.EVENT_TYPES
 
@@ -65,7 +75,8 @@ def test_encoder_matches_json_dumps_on_spec_kinds(ev_type, spec, data, monkeypat
     with monkeypatch.context() as m:
         m.setattr(json, "dumps", None)
         line = canonical_line(seq, t, ev_type, fields)
-    assert line == expected
+        positional = _positional_line(seq, t, ev_type, spec, fields)
+    assert line == positional == expected
     assert json.loads(line) == {"seq": seq, "t": t, "ev": ev_type, **fields}
 
 
@@ -78,7 +89,37 @@ def test_encoder_matches_json_dumps_on_any_values(ev_type, spec, data):
     )
     seq = data.draw(st.one_of(st.integers(), st.booleans()))
     t = data.draw(st.one_of(st.integers(), st.booleans()))
-    assert canonical_line(seq, t, ev_type, fields) == json_line(seq, t, ev_type, fields)
+    expected = json_line(seq, t, ev_type, fields)
+    assert canonical_line(seq, t, ev_type, fields) == expected
+    assert _positional_line(seq, t, ev_type, spec, fields) == expected
+
+
+@pytest.mark.parametrize(
+    "ev_type, names",
+    [
+        ("NotAnEvent", ("task",)),
+        (ev.DISCARDED, ("task",)),
+        (ev.DISCARDED, ("reason", "task")),
+        (ev.DISCARDED, ("task", "reason", "ss", "hk")),
+        (ev.PLACED, ("task", "kind", "node", "cfg", "ctime", "avail", "closest")),
+    ],
+    ids=["unknown-type", "missing-field", "out-of-order", "named-stamps", "no-such-placed"],
+)
+def test_line_encoder_rejects_unknown_shapes(ev_type, names):
+    with pytest.raises(ValueError, match="no .* shape"):
+        line_encoder(ev_type, *names)
+
+
+def test_no_second_canonical_line_encoder():
+    """Only ``trace/events.py`` spells a canonical line: any other module
+    that writes the ``"ev":`` key is a second encoder to keep in sync."""
+    src = Path(ev.__file__).resolve().parents[1]
+    spelled = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if '"ev":' in path.read_text(encoding="utf-8")
+    ]
+    assert spelled == [str(Path("trace", "events.py"))]
 
 
 @_ORACLE
