@@ -362,7 +362,7 @@ class FailureInjector:
         self.log.failures.append((now, cls, -1))
         if self.quarantine_enabled:
             assert self.health_half_life is not None
-            score = sim.rim.bump_health(node, now, self.health_half_life)
+            score = node.bump_health(now, self.health_half_life)
             if score >= self.quarantine_threshold:  # type: ignore[operator]
                 self._quarantine_due.add(node.node_no)
         # Fail-restart: interrupted tasks drop their stale completion events

@@ -144,8 +144,9 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     paths.
 
     The bodies of ``ArrayRIM.assign_task`` / ``complete_task`` (including
-    ``Node.add_task`` / ``remove_task`` and ``_apply_load_delta``) are
-    inlined below rather than called: every transition in the clean
+    ``Node.add_task`` / ``remove_task`` and the ``_busy_shift`` node-table
+    transition) are inlined below rather than called — the only inlined
+    copies of a manager transition in the tree: every transition in the clean
     envelope is legal by construction, the completion event carries its
     busy entry (so no per-node task scan), and all nodes stay live (no
     injector), which lets the ``t_live`` branches drop out.  The inlined

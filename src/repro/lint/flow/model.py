@@ -81,7 +81,7 @@ class ClassInfo:
 
         Depth 1 (the default, used by DL010) covers the hook itself and its
         direct helpers — deep enough to credit index-rebuild helpers such
-        as the manager's ``_node_add``, shallow enough that event handlers
+        as the array manager's ``_derive_tables``, shallow enough that event handlers
         reachable through restore-time resolvers don't dilute the check.
         """
         seen: dict[str, FunctionInfo] = {}

@@ -279,8 +279,8 @@ class SnapshotFieldCoverage(Rule):
 
 #: Manager methods that must bill simulated steps on every non-exceptional
 #: return path.  Peek/read-side views (peek_*, config_with_no, load_stats,
-#: node_count_by_state, total_configured_area, bump_health, quarantine
-#: predicates) are deliberately uncharged O(1) observability surfaces;
+#: node_count_by_state, total_configured_area, quarantine predicates) are
+#: deliberately uncharged O(1) observability surfaces;
 #: total_wasted_area charges only when the caller opts in (charge=True);
 #: export/restore are out-of-band service machinery.
 MANAGER_CHARGED = frozenset(

@@ -59,8 +59,10 @@ DL005_OWNERS = frozenset({"resources/manager.py", "resources/arraycore.py"})
 
 #: Manager-owned chain/index/aggregate attributes (DL005): mutating any of
 #: these outside the manager implementations (:data:`DL005_OWNERS`) bypasses
-#: the ``_track`` guard that keeps the §IV-B redundant views and the I9/I10
-#: aggregates exact.
+#: the transitions that keep the §IV-B redundant views and the I9/I10
+#: aggregates exact — the scan manager's ``_track`` guard and the array
+#: manager's ``_busy_shift`` / ``_regions_shift``.  The hot loop's inlined
+#: copies of those transitions carry per-line suppressions.
 GUARDED_ATTRS = frozenset(
     {
         "_idle",
@@ -499,8 +501,9 @@ class GuardedMutation(Rule):
     rationale = (
         "The redundant §IV-B views stay consistent because every mutation "
         "runs inside a manager implementation's guarded methods (the scan "
-        "manager's _track, the array manager's column updates); ad-hoc "
-        "writes from other modules drift the I9/I10 aggregates."
+        "manager's _track, the array manager's _busy_shift and "
+        "_regions_shift); ad-hoc writes from other modules drift the I9/I10 "
+        "aggregates."
     )
 
     def check_file(self, f: SourceFile) -> Iterator[Finding]:

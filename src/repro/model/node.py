@@ -77,8 +77,8 @@ class Node:
     in_service: bool = True  # False while failed (failure-injection studies)
     failure_count: int = 0  # lifetime failures suffered
     # Recent-failure health score in integer milli-units (1000 per failure,
-    # dyadic decay), maintained by the resource manager's bump_health — kept
-    # integral so quarantine decisions are platform-deterministic.
+    # dyadic decay), maintained by bump_health — kept integral so quarantine
+    # decisions are platform-deterministic.
     health_milli: int = 0
     health_updated: int = 0  # tick of the last health-score update
 
@@ -184,6 +184,24 @@ class Node:
     def has_capability(self, cap: Capability) -> bool:
         """Does this node advertise the given Eq. 1 capability?"""
         return cap in self.caps
+
+    # -- health score ------------------------------------------------------------------
+
+    def bump_health(self, now: int, half_life: int) -> int:
+        """Record one failure on the recent-failure score; returns it.
+
+        The score is an exponentially decayed failure count in integer
+        milli-units: 1000 per failure, halved for every ``half_life`` ticks
+        elapsed since the last update (dyadic integer decay — no floats, so
+        quarantine decisions are bit-identical across platforms and across
+        backends).
+        """
+        elapsed = now - self.health_updated
+        score = self.health_milli >> min(63, max(0, elapsed // max(1, half_life)))
+        score += 1000
+        self.health_milli = score
+        self.health_updated = now
+        return score
 
     # -- mutations (the paper's Node methods) ----------------------------------------
 

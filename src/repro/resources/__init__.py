@@ -19,7 +19,14 @@ Implements §IV-B's "dynamic data structures for resource management":
   per Table I.
 * :class:`~repro.resources.arraycore.ArrayRIM` — the flat-table backend
   (``backend="array"``): same queries, charges and trace events served from
-  packed integer arrays (see the module docstring for the layout).
+  packed integer arrays (see the module docstring for the layout).  Its
+  mutators change the node table through two transitions only,
+  ``_busy_shift`` (regions turning busy or idle) and ``_regions_shift``
+  (regions loaded or freed), and ``_derive_tables`` builds the same tables
+  from the nodes for construction, restore and the invariant check.  Both
+  managers share one node-record snapshot codec
+  (:func:`~repro.resources.manager.export_node_records` /
+  :func:`~repro.resources.manager.restore_node_records`).
 * :class:`~repro.resources.susqueue.SuspensionQueue` — the ``SusList`` of
   Fig. 4 (bounded-retry FIFO of suspended tasks), plus its array twin
   :class:`~repro.resources.arraycore.ArraySuspensionQueue`.

@@ -25,7 +25,7 @@ keeps the serialization honest as internals evolve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -90,6 +90,10 @@ class Snapshot:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SnapshotError(f"snapshot is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise SnapshotError(
+                f"snapshot must be a JSON object, not {type(data).__name__}"
+            )
         version = data.get("version")
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(
@@ -97,16 +101,11 @@ class Snapshot:
                 f"(expected {SNAPSHOT_VERSION}); re-create the checkpoint with "
                 "a matching version"
             )
-        return cls(
-            version=version,
-            key=data["key"],
-            backend=data["backend"],
-            partial=data["partial"],
-            trace_seq=data["trace_seq"],
-            trace_digest=data["trace_digest"],
-            sim=data["sim"],
-            injector=data["injector"],
-        )
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in data]
+        if missing:
+            raise SnapshotError(f"snapshot lacks required key(s): {', '.join(missing)}")
+        return cls(**{name: data[name] for name in names})
 
     def write(self, path: Union[str, Path]) -> Path:
         """Write the snapshot to a file; returns the path."""

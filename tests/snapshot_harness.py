@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
+from repro.resources import check_invariants
 from repro.service.snapshot import Snapshot, restore_snapshot, snapshot_of
 from repro.trace.bus import DigestSink, MemorySink, TraceBus
 from repro.trace.events import TraceEvent
@@ -155,6 +156,9 @@ def resume_to_end(
         bus.resume_at(snap.trace_seq)
     sim, injector = build_campaign(spec, backend=backend, trace=bus, arm=False)
     restore_snapshot(snap, sim, injector)
+    # The restored manager's derived tables, checked directly rather than
+    # only through the final digest.
+    check_invariants(sim.rim)
     result = sim.run_to_end()
     return dig.hexdigest(), result.report
 

@@ -24,9 +24,9 @@ Four layers of evidence:
    twinned with the reference queue and cross-checked by
    ``validate_index()`` after every operation.
 4. **Operation-level round trips** — scripted manager histories (fail /
-   repair, eviction, blanking) and the Alg. 1 ``FindAnyIdleNode`` charging
-   branches, replayed on both managers with the invariant checker after
-   each step.
+   repair, eviction, blanking, SEU upsets and scrubs) and the Alg. 1
+   ``FindAnyIdleNode`` charging branches, replayed on both managers with
+   the invariant checker after each step.
 
 The whole-run observables differential (per-task ``SL``, monitor and load
 series at 100–200 nodes, with and without failures) is
@@ -426,6 +426,60 @@ def test_fail_repair_invariants_stepwise(backend):
     assert nodes[0].in_service
     # The repaired node is discoverable again through the blank-node query.
     assert rim.find_best_blank_node(configs[0]) is not None
+
+
+def scrub_task(task_no, entry):
+    """A scrub placeholder bound to ``entry``'s configuration, as the
+    failure injector builds one."""
+    t = Task(task_no=task_no, required_time=20, pref_config=entry.config, data="scrub")
+    t.mark_created(0)
+    t.mark_started(0, entry.config)
+    return t
+
+
+def drive_scrubs(rim):
+    """SEU upsets and scrubs one manager call at a time, checking every
+    invariant after each call; returns the per-call observables."""
+    nodes, configs = rim.nodes, rim.configs
+    trail = []
+
+    def observe(result):
+        check_invariants(rim)
+        trail.append((summarize([result]), rim.counters.snapshot()))
+
+    idle = rim.configure_node(nodes[0], configs[0])
+    observe(idle)
+    busy = rim.configure_node(nodes[0], configs[1])
+    observe(busy)
+    victim = start_task(rim, 0, nodes[0], busy)
+    observe(victim.task_no)
+    # Idle-region upset: the region turns busy under its scrub task.
+    scrub_idle = scrub_task(1000, idle)
+    observe(rim.seu_corrupt(nodes[0], idle, scrub_idle))
+    # Busy-region upset: the victim is detached, the scrub takes its place.
+    scrub_busy = scrub_task(1001, busy)
+    assert rim.seu_corrupt(nodes[0], busy, scrub_busy) is victim
+    observe(victim.task_no)
+    observe(rim.finish_scrub(nodes[0], idle, scrub_idle))
+    assert nodes[0] not in list(rim.blank_chain)
+    # Scrubbing the node's last region puts it back on the blank chain.
+    observe(rim.finish_scrub(nodes[0], busy, scrub_busy))
+    assert nodes[0].is_blank and nodes[0] in list(rim.blank_chain)
+    # A crash with a scrub pending interrupts the scrub placeholder and
+    # keeps the failed node off the blank chain.
+    entry = rim.configure_node(nodes[1], configs[0])
+    observe(entry)
+    pending = scrub_task(1002, entry)
+    observe(rim.seu_corrupt(nodes[1], entry, pending))
+    assert rim.fail_node(nodes[1]) == [pending]
+    observe(None)
+    assert nodes[1] not in list(rim.blank_chain)
+    return trail, rim.export_state()
+
+
+def test_seu_scrub_stepwise_identical_and_invariant():
+    runs = [drive_scrubs(build_rim(b, [2000, 2000, 1500], [400, 600])) for b in BACKENDS]
+    assert runs[0] == runs[1]
 
 
 class TestFindAnyIdleNodeCharging:
