@@ -20,7 +20,7 @@ and a generic run of the same inputs are bit-identical
 only engages for configurations whose behaviour it replicates completely
 (:func:`hot_eligible`):
 
-* array backend (``ArrayRIM`` + ``ArraySuspensionQueue``), homogeneous;
+* array backend (``ArrayRIM``), homogeneous;
 * the paper's MIN_AREA placement policy and a ``FixedDelayModel`` network;
 * no trace bus attached, *or* a line-only bus — one whose sinks all
   accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``,
@@ -61,7 +61,6 @@ from repro.resources.arraycore import (
     _SEQ_BITS,
     _SEQ_MASK,
     ArrayRIM,
-    ArraySuspensionQueue,
 )
 from repro.resources.susqueue import NO_KEY
 from repro.trace import events as ev
@@ -110,7 +109,6 @@ def hot_eligible(sim: "DReAMSim") -> bool:
     key_fn = susq.key_fn
     return (
         type(rim) is ArrayRIM
-        and type(susq) is ArraySuspensionQueue
         and _digest_capable(sim.trace, sim)
         and sim.gpp is None
         and sched.gpp_pool is None
@@ -494,7 +492,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                             break
                 if exists:
                     if max_len is None or len(sq_order) < max_len:
-                        # ArraySuspensionQueue.add, inlined.
+                        # SuspensionQueue.add, inlined.
                         task.status = suspended_s
                         task._history.append((now, suspended_s))
                         susq._seq += 1
@@ -820,7 +818,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                         break
                     hk_steps += bl(sq_order, best) + 1
                     rec = best[2]
-                # ArraySuspensionQueue.remove, inlined.
+                # SuspensionQueue.remove, inlined.
                 rtask = sq_task[rec]
                 triple = (sq_rank_c[rec], sq_seq_c[rec], rec)
                 del sq_order[bl(sq_order, triple)]

@@ -35,9 +35,8 @@ from repro.model.config import Configuration
 from repro.model.node import Node
 from repro.model.task import Task, export_task, restore_task
 from repro.resources import create_manager, resolve_backend
-from repro.resources.arraycore import ArraySuspensionQueue
 from repro.resources.counters import SearchCounters
-from repro.resources.invariants import check_invariants
+from repro.resources.invariants import InvariantViolation, check_invariants
 from repro.resources.susqueue import SuspensionQueue
 from repro.sim.core import Event
 from repro.sim.environment import Environment
@@ -114,17 +113,18 @@ class DReAMSim:
         Suspension-queue bounds (both unbounded by default, as in the paper's
         parameter set where discards arise only from impossible areas).
     debug_invariants_every:
-        If set, run the full invariant checker every N placements (slow;
+        If set, every N placements run the full invariant checker, the
+        suspension queue's index check and an integer-clock check (slow;
         testing/diagnosis only).
     sample_system_waste:
         Sample Eq. 6 at every placement (O(nodes) each; on by default).
     backend:
         Resource-manager backend: ``"array"`` (the default, also for
-        ``None``: :class:`repro.resources.arraycore.ArrayRIM` plus the array
-        suspension queue, and the flat-table hot loop on clean runs) or
-        ``"scan"`` (the reference linear-scan manager, the differential
-        baseline).  A heterogeneous (device-family) system runs on the scan
-        manager either way.
+        ``None``: :class:`repro.resources.arraycore.ArrayRIM`, and the
+        flat-table hot loop on clean runs) or ``"scan"`` (the reference
+        linear-scan manager, the differential baseline).  Both share one
+        :class:`~repro.resources.susqueue.SuspensionQueue`.  A heterogeneous
+        (device-family) system runs on the scan manager either way.
     trace:
         Optional :class:`repro.trace.TraceBus`.  The simulator wires its
         clock and counters onto the bus and hands it to every subsystem, so
@@ -163,8 +163,7 @@ class DReAMSim:
             list(nodes), list(configs), self.counters,
             backend=self.backend, trace=trace,
         )
-        queue_cls = ArraySuspensionQueue if self.rim.fast_queries else SuspensionQueue
-        self.susqueue = queue_cls(
+        self.susqueue = SuspensionQueue(
             self.counters,
             max_retries=max_retries,
             max_length=max_queue_length,
@@ -553,6 +552,11 @@ class DReAMSim:
         self._placed_count += 1
         if self._debug_every and self._placed_count % self._debug_every == 0:
             check_invariants(self.rim)
+            self.susqueue.validate_index()
+            if type(self.env.now) is not int:
+                raise InvariantViolation(
+                    f"simulation clock {self.env.now!r} is not an int"
+                )
 
     def _on_complete(self, task: Task, expected_placement: Optional[Placement] = None) -> None:
         now = self.env.now

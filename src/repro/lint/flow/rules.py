@@ -127,13 +127,6 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
         "max_retries": _CONSTRUCTION,
         "max_length": _CONSTRUCTION,
         "order": _CONSTRUCTION,
-    },
-    "resources/arraycore.py::ArraySuspensionQueue": {
-        "counters": _CONSTRUCTION,
-        "trace": _CONSTRUCTION,
-        "max_retries": _CONSTRUCTION,
-        "max_length": _CONSTRUCTION,
-        "order": _CONSTRUCTION,
         "_free": (
             "slot free-list: restore rebuilds the columns compactly, so the "
             "free list is empty by construction after a restore"
@@ -306,10 +299,9 @@ MANAGER_CHARGED = frozenset(
     }
 )
 
-#: Suspension-queue methods with the same obligation.  first_with_key and
-#: collect_suitable delegate the charging decision to the caller by
-#: contract (the scheduler bills the enclosing scan); expired and
-#: record_for_task are uncharged bookkeeping reads.
+#: Suspension-queue methods with the same obligation.  first_with_key
+#: delegates the charging decision to the caller by contract (the scheduler
+#: bills the enclosing scan); expired is uncharged bookkeeping.
 SUSQUEUE_CHARGED = frozenset(
     {"add", "remove", "search", "charge_full_scan", "first_matching_key"}
 )
@@ -319,7 +311,6 @@ DL011_METHODS: dict[tuple[str, str], frozenset[str]] = {
     ("resources/manager.py", "ResourceInformationManager"): MANAGER_CHARGED,
     ("resources/arraycore.py", "ArrayRIM"): MANAGER_CHARGED,
     ("resources/susqueue.py", "SuspensionQueue"): SUSQUEUE_CHARGED,
-    ("resources/arraycore.py", "ArraySuspensionQueue"): SUSQUEUE_CHARGED,
 }
 
 
@@ -470,10 +461,6 @@ DL013_PAIRS: tuple[tuple[tuple[str, str], tuple[str, str]], ...] = (
         ("resources/manager.py", "ResourceInformationManager"),
         ("resources/arraycore.py", "ArrayRIM"),
     ),
-    (
-        ("resources/susqueue.py", "SuspensionQueue"),
-        ("resources/arraycore.py", "ArraySuspensionQueue"),
-    ),
 )
 
 #: Sanctioned asymmetries, keyed by (reference, substitute) class names.
@@ -488,12 +475,6 @@ DL013_ALLOW: dict[tuple[str, str], dict[str, str]] = {
             "differential suite; never called through the manager protocol"
         ),
     },
-    ("SuspensionQueue", "ArraySuspensionQueue"): {
-        "task_of": (
-            "array-backend-only accessor resolving its integer slot handles "
-            "to tasks; the reference queue's records carry the task directly"
-        ),
-    },
 }
 
 
@@ -501,8 +482,8 @@ def _signature(fn: FunctionInfo) -> tuple[tuple[str, str, bool], ...]:
     """Comparable signature: (name, kind, has_default) per parameter.
 
     Annotations and default *values* are excluded on purpose — return
-    types legitimately differ (records vs integer slots) and defaults are
-    compared by presence, not value, since create_manager() supplies them.
+    types may legitimately differ and defaults are compared by presence,
+    not value, since create_manager() supplies them.
     """
     a = fn.node.args
     out: list[tuple[str, str, bool]] = []
@@ -530,7 +511,7 @@ class BackendParity(Rule):
     """DL013: interchangeable backends expose identical public signatures."""
 
     id = "DL013"
-    title = "manager/susqueue backends must expose identical public APIs"
+    title = "manager backends must expose identical public APIs"
     suppress_scope = "function"
     rationale = (
         "create_manager(backend=...) substitutes these classes for each "

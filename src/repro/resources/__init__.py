@@ -28,8 +28,8 @@ Implements §IV-B's "dynamic data structures for resource management":
   (:func:`~repro.resources.manager.export_node_records` /
   :func:`~repro.resources.manager.restore_node_records`).
 * :class:`~repro.resources.susqueue.SuspensionQueue` — the ``SusList`` of
-  Fig. 4 (bounded-retry FIFO of suspended tasks), plus its array twin
-  :class:`~repro.resources.arraycore.ArraySuspensionQueue`.
+  Fig. 4 (bounded-retry FIFO of suspended tasks in slot columns), the one
+  queue both backends and the array hot loop use.
 * :mod:`~repro.resources.invariants` — a full-state consistency checker used
   by the tests and by the simulator's optional debug mode.
 
@@ -43,12 +43,12 @@ from typing import Optional, Sequence
 
 from repro.model.config import Configuration
 from repro.model.node import Node
-from repro.resources.arraycore import ArrayRIM, ArraySuspensionQueue
+from repro.resources.arraycore import ArrayRIM
 from repro.resources.chains import ChainError, IntrusiveChain
 from repro.resources.counters import SearchCounters
 from repro.resources.invariants import InvariantViolation, check_invariants
 from repro.resources.manager import ResourceInformationManager
-from repro.resources.susqueue import SuspendedTask, SuspensionQueue
+from repro.resources.susqueue import SuspensionQueue
 from repro.trace.bus import TraceBus
 
 #: Valid ``backend=`` selectors: the production backend first, then the spec.
@@ -89,14 +89,12 @@ def create_manager(
 
 __all__ = [
     "ArrayRIM",
-    "ArraySuspensionQueue",
     "BACKENDS",
     "ChainError",
     "IntrusiveChain",
     "InvariantViolation",
     "ResourceInformationManager",
     "SearchCounters",
-    "SuspendedTask",
     "SuspensionQueue",
     "check_invariants",
     "create_manager",

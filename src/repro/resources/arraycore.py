@@ -27,10 +27,10 @@ query state lives in flat integer tables instead of object graphs:
   =============  ======================================  ======================
 
 * **load aggregates** — exact big-int sums (``Σ busy·w`` over the lcm
-  denominator) plus one sorted list of ``(load, pos)`` pairs for the max;
-* **suspension queue** — :class:`ArraySuspensionQueue` stores records in
-  parallel columns with free-list slot recycling; the record handle is the
-  (truthy, ≥ 1) slot integer.
+  denominator) plus one sorted list of ``(load, pos)`` pairs for the max.
+
+The suspension queue is not part of this module: both backends share
+:class:`repro.resources.susqueue.SuspensionQueue`.
 
 Node/entry objects remain the authoritative per-region state (they are
 mutated through the same :class:`~repro.model.node.Node` methods), so the
@@ -55,7 +55,7 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_left, insort
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.model.config import Configuration
 from repro.model.errors import ConfigurationError
@@ -70,7 +70,6 @@ from repro.resources.manager import (
     quarantine_records,
     restore_node_records,
 )
-from repro.resources.susqueue import _DISCIPLINES, NO_KEY
 from repro.trace.bus import TraceBus
 from repro.trace.events import (
     CONFIG_EVICTED,
@@ -80,7 +79,6 @@ from repro.trace.events import (
     NODE_PROBATION,
     NODE_QUARANTINED,
     NODE_REPAIRED,
-    RESUMED,
 )
 
 # Key packings: area << bits | tie-break.  Positions are table indexes
@@ -1055,337 +1053,4 @@ class ArrayRIM:
                     raise InvariantViolation(f"entry {entry!r} filed under C{cno}")
 
 
-class ArraySuspensionQueue:
-    """Flat-column suspension queue with free-list slot recycling.
-
-    API, charging and :data:`~repro.trace.events.RESUMED` emission behaviour
-    match :class:`repro.resources.susqueue.SuspensionQueue`; the record
-    handle returned by :meth:`add` (and accepted by :meth:`remove`) is the
-    record's *slot number* — a truthy integer ≥ 1 (slot 0 is reserved), so
-    the scheduler's ``if susqueue.add(...):`` idiom keeps working.  Columns:
-
-    * ``_task``  — the suspended task (``None`` marks a free slot);
-    * ``_seq_c`` — arrival sequence numbers;
-    * ``_key_c`` — the caller's record keys (``NO_KEY`` for ``None``);
-    * ``_rank_c`` — service-discipline ranks.
-
-    ``_order`` is the service-order list of ``(rank, seq, slot)`` triples
-    (plain-tuple bisect, no record objects), ``_by_key`` the per-key
-    secondary index over the same triples, and ``_free`` the recycled-slot
-    stack exercised by the property-based fail/repair interleaving tests.
-    """
-
-    def __init__(
-        self,
-        counters: Optional[SearchCounters] = None,
-        max_retries: Optional[int] = None,
-        max_length: Optional[int] = None,
-        key_fn: Optional[Callable[[Task], Hashable]] = None,
-        order: str = "fifo",
-        trace: Optional[TraceBus] = None,
-    ) -> None:
-        if order not in _DISCIPLINES:
-            raise ValueError(
-                f"unknown queue discipline {order!r}; options: {sorted(_DISCIPLINES)}"
-            )
-        self.counters = counters if counters is not None else SearchCounters()
-        self.trace = trace
-        self.max_retries = max_retries
-        self.max_length = max_length
-        self.key_fn = key_fn
-        self.order = order
-        self._rank_fn = _DISCIPLINES[order]
-        self._task: list[Optional[Task]] = [None]  # slot 0 reserved (falsy handle)
-        self._seq_c: list[int] = [0]
-        self._key_c: list[Hashable] = [None]
-        self._rank_c: list[float] = [0.0]  # dreamlint: disable=DL002 (rank keys, ordering only)
-        self._free: list[int] = []
-        self._order: list[tuple[float, int, int]] = []
-        self._by_key: dict[Hashable, list[tuple[float, int, int]]] = {}
-        self._seq = 0
-        self.total_suspended = 0  # lifetime additions (statistics)
-
-    # -- container protocol ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __bool__(self) -> bool:
-        return bool(self._order)
-
-    def __iter__(self) -> Iterator[int]:
-        """Yield live record handles (slots) in service order."""
-        return (slot for _rank, _seq, slot in list(self._order))
-
-    def __contains__(self, rec: int) -> bool:
-        return 0 < rec < len(self._task) and self._task[rec] is not None
-
-    @property
-    def head(self) -> Optional[int]:
-        return self._order[0][2] if self._order else None
-
-    def task_of(self, rec: int) -> Task:
-        """The task held by a live record handle (test/inspection hook)."""
-        task = self._task[rec]
-        if task is None:
-            raise KeyError(f"slot {rec} is free")
-        return task
-
-    # -- mutations ---------------------------------------------------------------
-
-    def add(self, task: Task, now: int) -> Optional[int]:
-        """``AddTaskToSusQueue``: append unless the queue is full.
-
-        Returns the record's slot handle (truthy int), or ``None`` when
-        ``max_length`` would be exceeded (caller discards the task).
-        """
-        if self.max_length is not None and len(self._order) >= self.max_length:
-            # dreamlint: disable=DL011 (full-queue rejection is a constant-time refusal the reference never bills; charging would shift every golden digest)
-            return None
-        task.mark_suspended(now)
-        self._seq += 1
-        seq = self._seq
-        key = self.key_fn(task) if self.key_fn is not None else None
-        if key is None:
-            key = NO_KEY
-        rank = self._rank_fn(task)
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._task[slot] = task
-            self._seq_c[slot] = seq
-            self._key_c[slot] = key
-            self._rank_c[slot] = rank
-        else:
-            slot = len(self._task)
-            self._task.append(task)
-            self._seq_c.append(seq)
-            self._key_c.append(key)
-            self._rank_c.append(rank)
-        triple = (rank, seq, slot)
-        insort(self._order, triple)
-        insort(self._by_key.setdefault(key, []), triple)
-        self.counters.housekeeping_steps += 1
-        self.total_suspended += 1
-        return slot
-
-    def _unlink(self, slot: int) -> Task:
-        """Remove a slot from every structure and recycle it (uncharged)."""
-        task = self._task[slot]
-        if task is None:
-            raise KeyError(f"slot {slot} is already free")
-        triple = (self._rank_c[slot], self._seq_c[slot], slot)
-        order = self._order
-        i = bisect_left(order, triple)
-        del order[i]
-        key = self._key_c[slot]
-        bucket = self._by_key[key]
-        j = bisect_left(bucket, triple)
-        del bucket[j]
-        if not bucket:
-            del self._by_key[key]
-        self._task[slot] = None
-        self._key_c[slot] = None
-        self._free.append(slot)
-        return task
-
-    def remove(self, rec: int) -> Task:
-        """``RemoveTaskFromSusQueue``: unlink a record for re-dispatch.
-
-        Increments the task's retry counter.
-        """
-        task = self._unlink(rec)
-        self.counters.housekeeping_steps += 1
-        task.sus_retry += 1
-        if self.trace is not None:
-            self.trace.emit(RESUMED, task=task.task_no, retry=task.sus_retry)
-        return task
-
-    # -- queries ----------------------------------------------------------------------
-
-    def first_with_key(self, keys: Iterable[Hashable]) -> Optional[int]:
-        """Earliest queued record whose key is in ``keys`` (service order)."""
-        by_key = self._by_key
-        best: Optional[tuple[float, int, int]] = None
-        for key in keys:
-            bucket = by_key.get(key)
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        return best[2] if best is not None else None
-
-    def charge_full_scan(self) -> int:
-        """Bill one scheduling step per queued record (reference traversal)."""
-        n = len(self._order)
-        self.counters.scheduling_steps += n
-        return n
-
-    def first_matching_key(self, key_pred: Callable[[Hashable], bool]) -> Optional[int]:
-        """Earliest record whose *key* satisfies ``key_pred``; exact charging."""
-        best: Optional[tuple[float, int, int]] = None
-        for key, bucket in self._by_key.items():
-            if key is NO_KEY or not key_pred(key):
-                continue
-            head = bucket[0]
-            if best is None or head < best:
-                best = head
-        if best is None:
-            self.counters.housekeeping_steps += len(self._order)
-            return None
-        self.counters.housekeeping_steps += bisect_left(self._order, best) + 1
-        return best[2]
-
-    def search(self, predicate: Callable[[Task], bool]) -> Optional[int]:
-        """``SearchSusQueue``: first record whose task satisfies ``predicate``."""
-        tasks = self._task
-        counters = self.counters
-        for _rank, _seq, slot in self._order:
-            counters.housekeeping_steps += 1
-            task = tasks[slot]
-            assert task is not None
-            if predicate(task):
-                return slot
-        return None
-
-    def collect_suitable(
-        self, predicate: Callable[[Task], bool], charge: str = "scheduling"
-    ) -> list[int]:
-        """Full-queue suitability scan; returns matching slots in service order."""
-        if charge == "scheduling":
-            bill = self.counters.charge_scheduling
-        elif charge == "housekeeping":
-            bill = self.counters.charge_housekeeping
-        elif charge == "none":
-            bill = None
-        else:
-            raise ValueError(f"unknown charge mode {charge!r}")
-        tasks = self._task
-        out: list[int] = []
-        for _rank, _seq, slot in self._order:
-            if bill is not None:
-                bill()
-            task = tasks[slot]
-            assert task is not None
-            if predicate(task):
-                out.append(slot)
-        return out
-
-    def expired(self) -> list[Task]:
-        """Remove and return tasks that exhausted their retry budget."""
-        if self.max_retries is None:
-            return []
-        tasks = self._task
-        budget = self.max_retries
-        hits = [
-            slot
-            for _rank, _seq, slot in self._order
-            if tasks[slot].sus_retry >= budget  # type: ignore[union-attr]
-        ]
-        return [self._unlink(slot) for slot in hits]
-
-    # -- snapshot support --------------------------------------------------------
-
-    def record_for_task(self, task_no: int) -> Optional[int]:
-        """The live record handle holding ``task_no`` (restore path; uncharged)."""
-        tasks = self._task
-        for _rank, _seq, slot in self._order:
-            task = tasks[slot]
-            if task is not None and task.task_no == task_no:
-                return slot
-        return None
-
-    def export_state(self) -> dict:
-        """Backend-neutral queue state: records in service order.
-
-        Suspension timestamps are read back off each task's public history
-        (``mark_suspended`` recorded them); keys and ranks are recomputed on
-        restore from the same deterministic functions that produced them.
-        """
-        from repro.model.task import TaskStatus
-
-        tasks = self._task
-        items = []
-        for _rank, seq, slot in self._order:
-            task = tasks[slot]
-            assert task is not None
-            suspended_at = next(
-                t for t, s in reversed(task.history) if s is TaskStatus.SUSPENDED
-            )
-            items.append([task.task_no, suspended_at, seq])
-        return {
-            "seq": self._seq,
-            "total_suspended": self.total_suspended,
-            "items": items,
-        }
-
-    def restore_state(self, state: dict, task_of: Callable[[int], Task]) -> None:
-        """Rebuild from :meth:`export_state` output (same format as the
-        object queue's).  Slots are renumbered 1..N — service order is fully
-        determined by ``(rank, seq)``, which is unique, so slot numbers are
-        unobservable.  No charging, no task mutation."""
-        if self._order or len(self._task) > 1:
-            raise ValueError("restore_state requires an empty suspension queue")
-        self._seq = state["seq"]
-        self.total_suspended = state["total_suspended"]
-        for task_no, _suspended_at, seq in state["items"]:
-            task = task_of(task_no)
-            key = self.key_fn(task) if self.key_fn is not None else None
-            if key is None:
-                key = NO_KEY
-            rank = self._rank_fn(task)
-            slot = len(self._task)
-            self._task.append(task)
-            self._seq_c.append(seq)
-            self._key_c.append(key)
-            self._rank_c.append(rank)
-            triple = (rank, seq, slot)
-            insort(self._order, triple)
-            insort(self._by_key.setdefault(key, []), triple)
-
-    def drain(self) -> list[Task]:
-        """Empty the queue (end of simulation); returns the leftover tasks."""
-        tasks = self._task
-        out = []
-        for _rank, _seq, slot in self._order:
-            task = tasks[slot]
-            assert task is not None
-            out.append(task)
-        self._task = [None]
-        self._seq_c = [0]
-        self._key_c = [None]
-        self._rank_c = [0.0]  # dreamlint: disable=DL002 (rank keys are floats, ordering only)
-        self._free = []
-        self._order = []
-        self._by_key = {}
-        return out
-
-    def validate_index(self) -> None:
-        """Cross-check columns, free list, order list and key index (test hook)."""
-        live = {
-            slot
-            for slot in range(1, len(self._task))
-            if self._task[slot] is not None
-        }
-        order_slots = [slot for _rank, _seq, slot in self._order]
-        if sorted(order_slots) != sorted(live):
-            raise AssertionError("service-order list out of sync with slot columns")
-        if self._order != sorted(self._order):
-            raise AssertionError("queue not in service order")
-        bucketed = sorted(t for bucket in self._by_key.values() for t in bucket)
-        if bucketed != sorted(self._order):
-            raise AssertionError("suspension-queue index out of sync with order list")
-        for key, bucket in self._by_key.items():
-            if bucket != sorted(bucket):
-                raise AssertionError(f"bucket {key!r} not in service order")
-            for _rank, _seq, slot in bucket:
-                if self._key_c[slot] != key:
-                    raise AssertionError(f"record filed under wrong key {key!r}")
-        free = set(self._free)
-        if len(free) != len(self._free):
-            raise AssertionError("duplicate slots on the free list")
-        if free & live:
-            raise AssertionError("free list holds live slots")
-        if free | live | {0} != set(range(len(self._task))):
-            raise AssertionError("slots leaked: neither live nor free")
-
-
-__all__ = ["ArrayRIM", "ArraySuspensionQueue"]
+__all__ = ["ArrayRIM"]

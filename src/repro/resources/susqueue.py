@@ -13,7 +13,14 @@ cost but answers the common query ("earliest record whose matched
 configuration is one of these") from a per-key index, so wall-clock cost
 stays O(1) per lookup while the simulated counters match the reference
 traversal.  Callers provide the key function (the scheduler keys records by
-matched configuration number).
+matched configuration number).  :meth:`SuspensionQueue.search` keeps the
+reference walk itself, predicate by predicate; the scan backend's scheduler
+uses it, and the backend differentials hold the indexed
+:meth:`~SuspensionQueue.first_matching_key` to it.
+
+Records live in parallel columns with free-list slot recycling; the record
+handle is the (truthy, ≥ 1) slot integer, so both backends and the array
+hot loop (which inlines ``add``/``remove``) share one queue.
 
 Beyond the paper, the queue supports alternative service *disciplines*
 (``order=``): ``"sjf"`` serves shortest required time first, ``"area"``
@@ -25,11 +32,12 @@ charging semantics are identical.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Optional
 
-from repro.model.task import Task
+from repro.model.errors import ConfigurationError
+from repro.model.task import Task, TaskStatus
 from repro.resources.counters import SearchCounters
+from repro.resources.invariants import InvariantViolation
 from repro.trace.bus import TraceBus
 from repro.trace.events import RESUMED
 
@@ -42,29 +50,24 @@ _DISCIPLINES: dict[str, Callable[[Task], float]] = {
 }
 
 
-@dataclass(eq=False)
-class SuspendedTask:
-    """Queue record: the task plus suspension bookkeeping."""
-
-    task: Task
-    suspended_at: int
-    seq: int = field(default=0, compare=False)
-    key: Hashable = field(default=None, compare=False)
-    rank: float = field(default=0.0, compare=False)  # dreamlint: disable=DL002 (rank key, ordering only)
-    # (discipline rank, arrival sequence) — the queue's service order.
-    # Precomputed: rank and seq are immutable after construction, and the
-    # bisect-based queue operations compare records heavily.
-    order_key: tuple[float, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.order_key = (self.rank, self.seq)
-
-    def __lt__(self, other: "SuspendedTask") -> bool:
-        return self.order_key < other.order_key
-
-
 class SuspensionQueue:
-    """Bounded FIFO of suspended tasks with a per-key secondary index."""
+    """Bounded suspension queue with a per-key secondary index.
+
+    The record handle returned by :meth:`add` (and accepted by
+    :meth:`remove`) is the record's *slot number* — a truthy integer ≥ 1
+    (slot 0 is reserved), so the scheduler's ``if susqueue.add(...):``
+    idiom works; :meth:`task_of` resolves a handle to its task.  Columns:
+
+    * ``_task``  — the suspended task (``None`` marks a free slot);
+    * ``_seq_c`` — arrival sequence numbers;
+    * ``_key_c`` — the caller's record keys (``NO_KEY`` for ``None``);
+    * ``_rank_c`` — service-discipline ranks.
+
+    ``_order`` is the service-order list of ``(rank, seq, slot)`` triples
+    (plain-tuple bisect, no record objects), ``_by_key`` the per-key
+    secondary index over the same triples, and ``_free`` the recycled-slot
+    stack exercised by the property-based fail/repair interleaving tests.
+    """
 
     def __init__(
         self,
@@ -86,136 +89,142 @@ class SuspensionQueue:
         self.key_fn = key_fn
         self.order = order
         self._rank_fn = _DISCIPLINES[order]
-        self._items: list[SuspendedTask] = []
-        # Parallel list of order keys: bisect on plain tuples compares at C
-        # speed instead of bouncing through SuspendedTask.__lt__.
-        self._order_keys: list[tuple[float, int]] = []
-        self._by_key: dict[Hashable, list[SuspendedTask]] = {}
+        self._task: list[Optional[Task]] = [None]  # slot 0 reserved (falsy handle)
+        self._seq_c: list[int] = [0]
+        self._key_c: list[Hashable] = [None]
+        self._rank_c: list[float] = [0.0]  # dreamlint: disable=DL002 (rank keys, ordering only)
+        self._free: list[int] = []
+        self._order: list[tuple[float, int, int]] = []
+        self._by_key: dict[Hashable, list[tuple[float, int, int]]] = {}
         self._seq = 0
         self.total_suspended = 0  # lifetime additions (statistics)
 
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._order)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._order)
 
-    def __iter__(self) -> Iterator[SuspendedTask]:
-        return iter(self._items)
+    def __iter__(self) -> Iterator[int]:
+        """Yield live record handles (slots) in service order."""
+        return (slot for _rank, _seq, slot in list(self._order))
 
-    def __contains__(self, rec: SuspendedTask) -> bool:
-        return rec in self._items
+    def __contains__(self, rec: int) -> bool:
+        return 0 < rec < len(self._task) and self._task[rec] is not None
 
     @property
-    def head(self) -> Optional[SuspendedTask]:
-        return self._items[0] if self._items else None
+    def head(self) -> Optional[int]:
+        return self._order[0][2] if self._order else None
+
+    def task_of(self, rec: int) -> Task:
+        """The task held by a live record handle (test/inspection hook)."""
+        task = self._task[rec]
+        if task is None:
+            raise KeyError(f"slot {rec} is free")
+        return task
 
     # -- mutations ---------------------------------------------------------------
 
-    def add(self, task: Task, now: int) -> Optional[SuspendedTask]:
+    def add(self, task: Task, now: int) -> Optional[int]:
         """``AddTaskToSusQueue``: append unless the queue is full.
 
-        Returns the created :class:`SuspendedTask` record (truthy) so callers
-        holding the task — e.g. the failure injector's suspend/resume
-        round-trip — can unlink it again without re-scanning the queue, or
-        ``None`` (falsy; caller should discard the task) when ``max_length``
-        would be exceeded.
+        Returns the record's slot handle (truthy int), or ``None`` when
+        ``max_length`` would be exceeded (caller discards the task).
         """
-        if self.max_length is not None and len(self._items) >= self.max_length:
+        if self.max_length is not None and len(self._order) >= self.max_length:
             # dreamlint: disable=DL011 (full-queue rejection is a constant-time refusal the reference never bills; charging would shift every golden digest)
             return None
         task.mark_suspended(now)
         self._seq += 1
+        slot = self._insert(task, self._seq)
+        self.counters.housekeeping_steps += 1
+        self.total_suspended += 1
+        return slot
+
+    def _insert(self, task: Task, seq: int) -> int:
+        """File ``task`` under ``seq`` in a slot and both indexes (uncharged)."""
         key = self.key_fn(task) if self.key_fn is not None else None
         if key is None:
             key = NO_KEY
-        rec = SuspendedTask(
-            task=task,
-            suspended_at=now,
-            seq=self._seq,
-            key=key,
-            rank=self._rank_fn(task),
-        )
-        i = bisect_left(self._order_keys, rec.order_key)
-        self._order_keys.insert(i, rec.order_key)
-        self._items.insert(i, rec)
-        insort(self._by_key.setdefault(key, []), rec)
-        self.counters.charge_housekeeping()
-        self.total_suspended += 1
-        return rec
+        rank = self._rank_fn(task)
+        free = self._free
+        if free:
+            slot = free.pop()
+            self._task[slot] = task
+            self._seq_c[slot] = seq
+            self._key_c[slot] = key
+            self._rank_c[slot] = rank
+        else:
+            slot = len(self._task)
+            self._task.append(task)
+            self._seq_c.append(seq)
+            self._key_c.append(key)
+            self._rank_c.append(rank)
+        triple = (rank, seq, slot)
+        insort(self._order, triple)
+        insort(self._by_key.setdefault(key, []), triple)
+        return slot
 
-    def remove(self, rec: SuspendedTask) -> Task:
+    def _unlink(self, slot: int) -> Task:
+        """Remove a slot from every structure and recycle it (uncharged)."""
+        task = self._task[slot]
+        if task is None:
+            raise KeyError(f"slot {slot} is already free")
+        triple = (self._rank_c[slot], self._seq_c[slot], slot)
+        order = self._order
+        i = bisect_left(order, triple)
+        del order[i]
+        key = self._key_c[slot]
+        bucket = self._by_key[key]
+        j = bisect_left(bucket, triple)
+        del bucket[j]
+        if not bucket:
+            del self._by_key[key]
+        self._task[slot] = None
+        self._key_c[slot] = None
+        self._free.append(slot)
+        return task
+
+    def remove(self, rec: int) -> Task:
         """``RemoveTaskFromSusQueue``: unlink a record for re-dispatch.
 
         Increments the task's retry counter.
         """
-        self._remove_main(rec)
-        bucket = self._by_key.get(rec.key)
-        if bucket is not None:
-            self._remove_sorted(bucket, rec)
-            if not bucket:
-                del self._by_key[rec.key]
-        self.counters.charge_housekeeping()
-        rec.task.sus_retry += 1
+        task = self._unlink(rec)
+        self.counters.housekeeping_steps += 1
+        task.sus_retry += 1
         if self.trace is not None:
-            self.trace.emit(
-                RESUMED, task=rec.task.task_no, retry=rec.task.sus_retry
-            )
-        return rec.task
-
-    def _remove_main(self, rec: SuspendedTask) -> None:
-        """O(log n) locate + O(n) memmove removal from the service-order list.
-
-        Order keys are unique (the sequence component), so bisect on the
-        parallel key list lands on the record itself; ``list.remove`` would
-        rescan from the front comparing whole records.
-        """
-        i = bisect_left(self._order_keys, rec.order_key)
-        if i < len(self._items) and self._items[i] is rec:
-            del self._order_keys[i]
-            del self._items[i]
-        else:  # pragma: no cover - defensive (foreign or already-removed rec)
-            self._items.remove(rec)
-            self._order_keys = [r.order_key for r in self._items]
-
-    @staticmethod
-    def _remove_sorted(items: list[SuspendedTask], rec: SuspendedTask) -> None:
-        """Bisect-based removal from a service-ordered record list (buckets)."""
-        i = bisect_left(items, rec)
-        if i < len(items) and items[i] is rec:
-            del items[i]
-        else:  # pragma: no cover - defensive (foreign or already-removed rec)
-            items.remove(rec)
+            self.trace.emit(RESUMED, task=task.task_no, retry=task.sus_retry)
+        return task
 
     # -- queries ----------------------------------------------------------------------
 
-    def first_with_key(self, keys: Iterable[Hashable]) -> Optional[SuspendedTask]:
-        """Earliest queued record whose key is in ``keys`` (queue order).
+    def first_with_key(self, keys: Iterable[Hashable]) -> Optional[int]:
+        """Earliest queued record whose key is in ``keys`` (service order).
 
         Answered from the index in O(|keys|); the caller is responsible for
         charging the simulated traversal cost (see
         :meth:`charge_full_scan`).
         """
-        best: Optional[SuspendedTask] = None
+        by_key = self._by_key
+        best: Optional[tuple[float, int, int]] = None
         for key in keys:
-            bucket = self._by_key.get(key)
-            if bucket and (best is None or bucket[0].order_key < best.order_key):
+            bucket = by_key.get(key)
+            if bucket and (best is None or bucket[0] < best):
                 best = bucket[0]
-        return best
+        return best[2] if best is not None else None
 
     def charge_full_scan(self) -> int:
         """Bill one scheduling step per queued record — the simulated cost of
         the reference's linear ``SearchSusQueue`` traversal.  Returns the
         number of steps charged."""
-        n = len(self._items)
-        self.counters.charge_scheduling(n)
+        n = len(self._order)
+        self.counters.scheduling_steps += n
         return n
 
-    def first_matching_key(
-        self, key_pred: Callable[[Hashable], bool]
-    ) -> Optional[SuspendedTask]:
+    def first_matching_key(self, key_pred: Callable[[Hashable], bool]) -> Optional[int]:
         """Earliest record (service order) whose *key* satisfies ``key_pred``.
 
         Indexed counterpart of :meth:`search` for predicates that depend only
@@ -228,150 +237,152 @@ class SuspensionQueue:
         one housekeeping step per record up to and including the hit, or the
         whole queue on a miss.
         """
-        best: Optional[SuspendedTask] = None
+        best: Optional[tuple[float, int, int]] = None
         for key, bucket in self._by_key.items():
             if key is NO_KEY or not key_pred(key):
                 continue
-            rec = bucket[0]
-            if best is None or rec.order_key < best.order_key:
-                best = rec
+            head = bucket[0]
+            if best is None or head < best:
+                best = head
         if best is None:
-            self.counters.charge_housekeeping_many(len(self._items))
+            self.counters.housekeeping_steps += len(self._order)
             return None
-        self.counters.charge_housekeeping_many(
-            bisect_left(self._order_keys, best.order_key) + 1
-        )
-        return best
+        self.counters.housekeeping_steps += bisect_left(self._order, best) + 1
+        return best[2]
 
-    def search(self, predicate: Callable[[Task], bool]) -> Optional[SuspendedTask]:
+    def search(self, predicate: Callable[[Task], bool]) -> Optional[int]:
         """``SearchSusQueue``: first record whose task satisfies ``predicate``.
 
         Linear walk charging one housekeeping step per record examined.
         """
-        for rec in self._items:
-            self.counters.charge_housekeeping()
-            if predicate(rec.task):
-                return rec
+        tasks = self._task
+        counters = self.counters
+        for _rank, _seq, slot in self._order:
+            counters.housekeeping_steps += 1
+            task = tasks[slot]
+            assert task is not None
+            if predicate(task):
+                return slot
         return None
-
-    def collect_suitable(
-        self, predicate: Callable[[Task], bool], charge: str = "scheduling"
-    ) -> list[SuspendedTask]:
-        """Full-queue suitability scan; returns matches in queue order.
-
-        ``charge`` selects which counter the traversal bills
-        (``"scheduling"``, ``"housekeeping"`` or ``"none"``).  Records are
-        NOT removed.
-        """
-        if charge == "scheduling":
-            bill = self.counters.charge_scheduling
-        elif charge == "housekeeping":
-            bill = self.counters.charge_housekeeping
-        elif charge == "none":
-            bill = None
-        else:
-            raise ValueError(f"unknown charge mode {charge!r}")
-        out: list[SuspendedTask] = []
-        for rec in self._items:
-            if bill is not None:
-                bill()
-            if predicate(rec.task):
-                out.append(rec)
-        return out
 
     def expired(self) -> list[Task]:
         """Remove and return tasks that exhausted their retry budget."""
         if self.max_retries is None:
             return []
-        out: list[Task] = []
-        for rec in [r for r in self._items if r.task.sus_retry >= self.max_retries]:
-            self._remove_main(rec)
-            bucket = self._by_key.get(rec.key)
-            if bucket is not None:
-                self._remove_sorted(bucket, rec)
-                if not bucket:
-                    del self._by_key[rec.key]
-            out.append(rec.task)
-        return out
+        tasks = self._task
+        budget = self.max_retries
+        hits = [
+            slot
+            for _rank, _seq, slot in self._order
+            if tasks[slot].sus_retry >= budget  # type: ignore[union-attr]
+        ]
+        return [self._unlink(slot) for slot in hits]
 
     # -- snapshot support --------------------------------------------------------
-
-    def record_for_task(self, task_no: int) -> Optional[SuspendedTask]:
-        """The live record holding ``task_no`` (restore path; uncharged)."""
-        for rec in self._items:
-            if rec.task.task_no == task_no:
-                return rec
-        return None
 
     def export_state(self) -> dict:
         """Backend-neutral queue state: records in service order.
 
-        Keys and ranks are recomputed on restore from the same deterministic
-        ``key_fn``/discipline that produced them, so only the identifying
-        triple travels.
+        Suspension timestamps are read back off each task's public history
+        (``mark_suspended`` recorded them); keys and ranks are recomputed on
+        restore from the same deterministic functions that produced them, so
+        only the identifying triple travels.
         """
+        tasks = self._task
+        items = []
+        for _rank, seq, slot in self._order:
+            task = tasks[slot]
+            assert task is not None
+            suspended_at = next(
+                t for t, s in reversed(task.history) if s is TaskStatus.SUSPENDED
+            )
+            items.append([task.task_no, suspended_at, seq])
         return {
             "seq": self._seq,
             "total_suspended": self.total_suspended,
-            "items": [
-                [rec.task.task_no, rec.suspended_at, rec.seq]
-                for rec in self._items
-            ],
+            "items": items,
         }
 
     def restore_state(self, state: dict, task_of: Callable[[int], Task]) -> None:
-        """Rebuild from :meth:`export_state` output (shared format with
-        :class:`repro.resources.arraycore.ArraySuspensionQueue`).  No
-        charging, no task mutation — restored tasks already carry their
-        SUSPENDED status."""
-        if self._items:
-            raise ValueError("restore_state requires an empty suspension queue")
-        self._seq = state["seq"]
-        self.total_suspended = state["total_suspended"]
-        for task_no, suspended_at, seq in state["items"]:
-            task = task_of(task_no)
-            key = self.key_fn(task) if self.key_fn is not None else None
-            if key is None:
-                key = NO_KEY
-            rec = SuspendedTask(
-                task=task,
-                suspended_at=suspended_at,
-                seq=seq,
-                key=key,
-                rank=self._rank_fn(task),
-            )
-            i = bisect_left(self._order_keys, rec.order_key)
-            self._order_keys.insert(i, rec.order_key)
-            self._items.insert(i, rec)
-            insort(self._by_key.setdefault(key, []), rec)
+        """Rebuild from :meth:`export_state` output.  Slots are renumbered
+        1..N — service order is fully determined by ``(rank, seq)``, which
+        is unique, so slot numbers are unobservable.  No charging, no task
+        mutation — restored tasks already carry their SUSPENDED status.
 
-    def drain(self) -> list[Task]:
-        """Empty the queue (end of simulation); returns the leftover tasks."""
-        tasks = [rec.task for rec in self._items]
-        self._items.clear()
-        self._order_keys.clear()
-        self._by_key.clear()
-        return tasks
+        Raises :class:`ConfigurationError` for a record naming an unknown or
+        non-suspended task, a task or sequence number seen twice, or a
+        sequence number outside ``1..state["seq"]``.
+        """
+        if self._order or len(self._task) > 1:
+            raise ValueError("restore_state requires an empty suspension queue")
+        top = state["seq"]
+        seen_tasks: set[int] = set()
+        seen_seqs: set[int] = set()
+        for task_no, _suspended_at, seq in state["items"]:
+            if type(task_no) is not int or type(seq) is not int:
+                raise ConfigurationError(
+                    f"snapshot queue record [{task_no!r}, seq {seq!r}] "
+                    "must carry integers"
+                )
+            try:
+                task = task_of(task_no)
+            except KeyError:
+                raise ConfigurationError(
+                    f"snapshot queue record names unknown task {task_no}"
+                ) from None
+            if task.status is not TaskStatus.SUSPENDED:
+                raise ConfigurationError(
+                    f"snapshot queue record names task {task_no}, which is "
+                    f"{task.status.name}, not SUSPENDED"
+                )
+            if task_no in seen_tasks or seq in seen_seqs:
+                raise ConfigurationError(
+                    f"snapshot queue record [{task_no}, seq {seq}] repeats "
+                    "a task or sequence number"
+                )
+            if not 1 <= seq <= top:
+                raise ConfigurationError(
+                    f"snapshot queue record seq {seq} is outside 1..{top}"
+                )
+            seen_tasks.add(task_no)
+            seen_seqs.add(seq)
+            self._insert(task, seq)
+        self._seq = top
+        self.total_suspended = state["total_suspended"]
 
     def validate_index(self) -> None:
-        """Cross-check the key index against the FIFO list (test hook)."""
-        bucketed = sorted(
-            (rec.seq for bucket in self._by_key.values() for rec in bucket)
-        )
-        listed = sorted(rec.seq for rec in self._items)
-        if bucketed != listed:
-            raise AssertionError("suspension-queue index out of sync with FIFO list")
+        """Cross-check columns, free list, order list and key index.
+
+        Raises :class:`~repro.resources.invariants.InvariantViolation`; the
+        simulator's debug invariant mode runs it alongside the manager
+        checks.
+        """
+        live = {
+            slot
+            for slot in range(1, len(self._task))
+            if self._task[slot] is not None
+        }
+        order_slots = [slot for _rank, _seq, slot in self._order]
+        if sorted(order_slots) != sorted(live):
+            raise InvariantViolation("service-order list out of sync with slot columns")
+        if self._order != sorted(self._order):
+            raise InvariantViolation("queue not in service order")
+        bucketed = sorted(t for bucket in self._by_key.values() for t in bucket)
+        if bucketed != sorted(self._order):
+            raise InvariantViolation("suspension-queue index out of sync with order list")
         for key, bucket in self._by_key.items():
-            if any(rec.key != key for rec in bucket):
-                raise AssertionError(f"record filed under wrong key {key!r}")
-            order = [r.order_key for r in bucket]
-            if order != sorted(order):
-                raise AssertionError(f"bucket {key!r} not in service order")
-        main_order = [r.order_key for r in self._items]
-        if main_order != sorted(main_order):
-            raise AssertionError("queue not in service order")
-        if main_order != self._order_keys:
-            raise AssertionError("parallel order-key list out of sync with queue")
+            if bucket != sorted(bucket):
+                raise InvariantViolation(f"bucket {key!r} not in service order")
+            for _rank, _seq, slot in bucket:
+                if self._key_c[slot] != key:
+                    raise InvariantViolation(f"record filed under wrong key {key!r}")
+        free = set(self._free)
+        if len(free) != len(self._free):
+            raise InvariantViolation("duplicate slots on the free list")
+        if free & live:
+            raise InvariantViolation("free list holds live slots")
+        if free | live | {0} != set(range(len(self._task))):
+            raise InvariantViolation("slots leaked: neither live nor free")
 
 
-__all__ = ["SuspensionQueue", "SuspendedTask", "NO_KEY"]
+__all__ = ["SuspensionQueue", "NO_KEY"]

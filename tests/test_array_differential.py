@@ -20,9 +20,9 @@ Four layers of evidence:
    threshold, which makes ``hot_eligible`` decline without ever running
    the checker).
 3. **Property-based free-list interleavings** — random add/remove/expired
-   scripts against :class:`~repro.resources.arraycore.ArraySuspensionQueue`,
-   twinned with the reference queue and cross-checked by
-   ``validate_index()`` after every operation.
+   scripts against :class:`~repro.resources.susqueue.SuspensionQueue`,
+   twinned with a linear-list model of the paper's ``SusList`` and
+   cross-checked by ``validate_index()`` after every operation.
 4. **Operation-level round trips** — scripted manager histories (fail /
    repair, eviction, blanking, SEU upsets and scrubs) and the Alg. 1
    ``FindAnyIdleNode`` charging branches, replayed on both managers with
@@ -42,7 +42,7 @@ from repro.framework.campaign import FaultCampaignSpec, run_campaign
 from repro.framework.hotloop import hot_eligible
 from repro.model import Configuration, Node, Task
 from repro.resources import BACKENDS, check_invariants, create_manager
-from repro.resources.arraycore import ArraySuspensionQueue
+from repro.resources.counters import SearchCounters
 from repro.resources.susqueue import SuspensionQueue
 from repro.rng.distributions import UniformInt
 from repro.trace import DigestSink, TraceBus
@@ -230,9 +230,71 @@ def make_task(no, required=50, retries=0):
     return t
 
 
+class SusListModel:
+    """The paper's ``SusList`` as a plain Python list, walked linearly.
+
+    Records are ``[task, rank, seq, key]`` lists kept in service order;
+    every pick walks the list from the front and bills one housekeeping
+    step per record visited, which is the cost the indexed queue reproduces
+    without walking.
+    """
+
+    RANKS = {
+        "fifo": lambda t: 0,
+        "sjf": lambda t: t.required_time,
+        "area": lambda t: -t.needed_area,
+    }
+
+    def __init__(self, max_retries, max_length, key_fn, order):
+        self.counters = SearchCounters()
+        self.max_retries = max_retries
+        self.max_length = max_length
+        self.key_fn = key_fn
+        self.rank = self.RANKS[order]
+        self.items = []
+        self.seq = 0
+        self.total_suspended = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def add(self, task, now):
+        if len(self.items) >= self.max_length:
+            return None
+        task.mark_suspended(now)
+        self.seq += 1
+        rec = [task, self.rank(task), self.seq, self.key_fn(task)]
+        i = 0
+        while i < len(self.items) and self.items[i][1] <= rec[1]:
+            i += 1  # equal ranks stay in arrival order
+        self.items.insert(i, rec)
+        self.counters.housekeeping_steps += 1
+        self.total_suspended += 1
+        return rec
+
+    def remove(self, rec):
+        self.items.remove(rec)
+        self.counters.housekeeping_steps += 1
+        rec[0].sus_retry += 1
+        return rec[0]
+
+    def search_key(self, key_pred):
+        for rec in self.items:
+            self.counters.housekeeping_steps += 1
+            if key_pred(rec[3]):
+                return rec
+        return None
+
+    def expired(self):
+        gone = [r for r in self.items if r[0].sus_retry >= self.max_retries]
+        for rec in gone:
+            self.items.remove(rec)
+        return [r[0] for r in gone]
+
+
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove", "head_remove", "expired", "bump"]),
+        st.sampled_from(["add", "remove", "head_remove", "match", "expired", "bump"]),
         st.integers(0, 7),  # operand selector (task sizing / victim index)
     ),
     max_size=60,
@@ -245,65 +307,70 @@ def test_array_susqueue_free_list_interleavings(ops, order, max_retries):
     """Random fail/repair-shaped add/remove/expired scripts leave the flat
     columns, service-order list, key index and free list consistent after
     every single operation — and the queue behaves exactly like the
-    reference :class:`SuspensionQueue` throughout."""
+    linear-list :class:`SusListModel` throughout, step charges included."""
     key_fn = lambda t: t.task_no % 3  # noqa: E731 - small keyed buckets
-    array = ArraySuspensionQueue(
+    queue = SuspensionQueue(
         max_retries=max_retries, max_length=12, key_fn=key_fn, order=order
     )
-    ref = SuspensionQueue(
-        max_retries=max_retries, max_length=12, key_fn=key_fn, order=order
-    )
-    live = []  # (array_slot, ref_record) pairs for targeted removals
+    model = SusListModel(max_retries, 12, key_fn, order)
+    live = []  # (slot, model_record) pairs for targeted removals
     next_no = 0
     now = 0
     for op, idx in ops:
         now += 1
         if op == "add":
-            ta = make_task(next_no, required=10 + 7 * idx)
-            tr = make_task(next_no, required=10 + 7 * idx)
+            tq = make_task(next_no, required=10 + 7 * idx)
+            tm = make_task(next_no, required=10 + 7 * idx)
             next_no += 1
-            slot = array.add(ta, now)
-            rec = ref.add(tr, now)
+            slot = queue.add(tq, now)
+            rec = model.add(tm, now)
             assert (slot is None) == (rec is None)
             if slot is not None:
                 assert slot >= 1  # slot 0 reserved: handles stay truthy
                 live.append((slot, rec))
         elif op == "remove" and live:
             slot, rec = live.pop(idx % len(live))
-            ta = array.remove(slot)
-            tr = ref.remove(rec)
-            assert ta.task_no == tr.task_no and ta.sus_retry == tr.sus_retry
-        elif op == "head_remove" and array:
-            slot, rec = array.head, ref.head
-            assert array.task_of(slot).task_no == rec.task.task_no
+            tq = queue.remove(slot)
+            tm = model.remove(rec)
+            assert tq.task_no == tm.task_no and tq.sus_retry == tm.sus_retry
+        elif op == "head_remove" and queue:
+            slot, rec = queue.head, model.items[0]
+            assert queue.task_of(slot).task_no == rec[0].task_no
             live = [(s, r) for s, r in live if s != slot]
-            assert array.remove(slot).task_no == ref.remove(rec).task_no
+            assert queue.remove(slot).task_no == model.remove(rec).task_no
+        elif op == "match":
+            # The indexed key query against the model's walk, charges included.
+            wanted = {idx % 3, (idx + 1) % 3} if idx % 2 else {idx % 3}
+            slot = queue.first_matching_key(wanted.__contains__)
+            rec = model.search_key(wanted.__contains__)
+            assert (slot is None) == (rec is None)
+            if slot is not None:
+                assert queue.task_of(slot).task_no == rec[0].task_no
         elif op == "bump" and live:
             # Age a queued task toward its retry budget (fail/repair churn).
             slot, rec = live[idx % len(live)]
-            array.task_of(slot).sus_retry += 1
-            rec.task.sus_retry += 1
+            queue.task_of(slot).sus_retry += 1
+            rec[0].sus_retry += 1
         elif op == "expired":
-            gone_a = array.expired()
-            gone_r = ref.expired()
-            assert [t.task_no for t in gone_a] == [t.task_no for t in gone_r]
-            dropped = {t.task_no for t in gone_a}
-            live = [
-                (s, r) for s, r in live if r.task.task_no not in dropped
-            ]
-        array.validate_index()
-        # Observable state tracks the reference exactly.
-        assert len(array) == len(ref)
-        assert [array.task_of(s).task_no for s in array] == [
-            r.task.task_no for r in ref
+            gone_q = queue.expired()
+            gone_m = model.expired()
+            assert [t.task_no for t in gone_q] == [t.task_no for t in gone_m]
+            dropped = {t.task_no for t in gone_q}
+            live = [(s, r) for s, r in live if r[0].task_no not in dropped]
+        queue.validate_index()
+        # Observable state tracks the model exactly.
+        assert len(queue) == len(model)
+        assert [queue.task_of(s).task_no for s in queue] == [
+            r[0].task_no for r in model.items
         ]
-        assert array.counters.snapshot() == ref.counters.snapshot()
-        assert array.total_suspended == ref.total_suspended
-    leftover_a = array.drain()
-    leftover_r = ref.drain()
-    assert [t.task_no for t in leftover_a] == [t.task_no for t in leftover_r]
-    array.validate_index()
-    assert len(array) == 0 and not array._free
+        assert queue.counters.snapshot() == model.counters.snapshot()
+        assert queue.total_suspended == model.total_suspended
+    leftover_q = [queue.remove(queue.head).task_no for _ in range(len(queue))]
+    leftover_m = [model.remove(model.items[0]).task_no for _ in range(len(model))]
+    assert leftover_q == leftover_m
+    queue.validate_index()
+    assert len(queue) == 0
+    assert sorted(queue._free) == list(range(1, len(queue._task)))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -313,7 +380,7 @@ def test_array_susqueue_free_list_interleavings(ops, order, max_retries):
 )
 def test_array_susqueue_slot_recycling(adds, removals):
     """Freed slots are recycled LIFO and never collide with live records."""
-    q = ArraySuspensionQueue()
+    q = SuspensionQueue()
     slots = [q.add(make_task(i), i) for i in range(adds)]
     for r in removals:
         if r < adds and q._task[slots[r]] is not None:

@@ -3,9 +3,10 @@ cross-checks between independent metric computations."""
 
 import pytest
 
-from repro import quick_simulation
+from repro import ConfigSpec, DReAMSim, NodeSpec, RNG, TaskSpec, quick_simulation
 from repro.model import TaskStatus
-from repro.resources import check_invariants
+from repro.resources import InvariantViolation, check_invariants
+from repro.workload.generator import generate_configs, generate_nodes, generate_task_stream
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,32 @@ class TestRunSemantics:
             nodes=8, configs=5, tasks=60, seed=5, debug_invariants_every=10
         )
         assert result.report.total_completed_tasks > 0
+
+    @pytest.mark.parametrize("backend", ["array", "scan"])
+    def test_debug_invariants_mode_catches_queue_index_drift(self, backend):
+        # A stray key bucket appears right after the first suspension; the
+        # queue stays usable, so only the debug check can notice the drift.
+        rng = RNG(seed=5)
+        configs = generate_configs(ConfigSpec(count=5), rng)
+        sim = DReAMSim(
+            generate_nodes(NodeSpec(count=4), rng),
+            configs,
+            generate_task_stream(TaskSpec(count=80), configs, rng),
+            backend=backend,
+            debug_invariants_every=1,
+        )
+        queue = sim.susqueue
+        add = queue.add
+
+        def add_then_drift(task, now):
+            queue.add = add
+            queue._by_key["stale"] = [(0.0, 0, 0)]
+            return add(task, now)
+
+        queue.add = add_then_drift
+        with pytest.raises(InvariantViolation, match="index out of sync"):
+            sim.run()
+        assert queue.add is add  # the drift was injected mid-run
 
     def test_monitor_collects_samples(self, small_partial):
         assert len(small_partial.monitor) > 0

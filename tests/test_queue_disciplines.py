@@ -23,14 +23,14 @@ class TestDisciplineOrdering:
         tasks = [make_task(i, t=100 - i) for i in range(5)]
         for t in tasks:
             q.add(t, 0)
-        assert [r.task for r in q] == tasks
+        assert [q.task_of(r) for r in q] == tasks
         q.validate_index()
 
     def test_sjf_orders_by_required_time(self):
         q = SuspensionQueue(order="sjf")
         for no, t in ((0, 500), (1, 100), (2, 300)):
             q.add(make_task(no, t=t), 0)
-        assert [r.task.required_time for r in q] == [100, 300, 500]
+        assert [q.task_of(r).required_time for r in q] == [100, 300, 500]
         q.validate_index()
 
     def test_sjf_ties_fifo(self):
@@ -38,13 +38,13 @@ class TestDisciplineOrdering:
         a, b = make_task(0, t=100), make_task(1, t=100)
         q.add(a, 0)
         q.add(b, 0)
-        assert [r.task for r in q] == [a, b]
+        assert [q.task_of(r) for r in q] == [a, b]
 
     def test_area_orders_largest_first(self):
         q = SuspensionQueue(order="area")
         for no, area in ((0, 300), (1, 900), (2, 600)):
             q.add(make_task(no, area=area), 0)
-        assert [r.task.needed_area for r in q] == [900, 600, 300]
+        assert [q.task_of(r).needed_area for r in q] == [900, 600, 300]
         q.validate_index()
 
     def test_unknown_discipline_rejected(self):
@@ -59,7 +59,7 @@ class TestDisciplineOrdering:
         fast = make_task(2, t=100)  # key 0
         q.add(slow, 0)
         q.add(fast, 0)
-        assert q.first_with_key({0}).task is fast
+        assert q.task_of(q.first_with_key({0})) is fast
 
     def test_remove_keeps_order(self):
         q = SuspensionQueue(order="sjf")
@@ -67,7 +67,7 @@ class TestDisciplineOrdering:
         for t in tasks:
             q.add(t, 0)
         q.remove(q.head)  # removes the t=100 task
-        assert [r.task.required_time for r in q] == [200, 300, 400]
+        assert [q.task_of(r).required_time for r in q] == [200, 300, 400]
         q.validate_index()
 
 

@@ -174,6 +174,64 @@ def test_golden_tampered_manager_state_rejected(backend, tamper):
         resume_to_end(snap, prefix, SEU, backend)
 
 
+def _queue_unknown_task(sim):
+    sim["susqueue"]["items"][0][0] = 99999
+
+
+def _queue_duplicate_record(sim):
+    items = sim["susqueue"]["items"]
+    items.append(list(items[0]))
+
+
+def _queue_task_not_suspended(sim):
+    running = next(t["no"] for t in sim["tasks"] if t["status"] == "RUNNING")
+    sim["susqueue"]["items"][0][0] = running
+
+
+def _queue_float_seq(sim):
+    sim["susqueue"]["items"][0][2] += 0.0
+
+
+def _queue_repeated_seq(sim):
+    items = sim["susqueue"]["items"]
+    items[1][2] = items[0][2]
+
+
+def _queue_seq_zero(sim):
+    sim["susqueue"]["items"][0][2] = 0
+
+
+def _queue_seq_past_counter(sim):
+    sim["susqueue"]["items"][-1][2] = sim["susqueue"]["seq"] + 1
+
+
+@pytest.mark.parametrize("backend", ["array", "scan"])
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _queue_unknown_task,
+        _queue_duplicate_record,
+        _queue_task_not_suspended,
+        _queue_float_seq,
+        _queue_repeated_seq,
+        _queue_seq_zero,
+        _queue_seq_past_counter,
+    ],
+    ids=lambda fn: fn.__name__.strip("_"),
+)
+def test_golden_tampered_queue_state_rejected(backend, tamper):
+    """A suspension-queue record naming an unknown, non-suspended or
+    repeated task, or carrying a bad sequence number, is a typed
+    ConfigurationError on either backend — not a KeyError, and not a
+    resumed run that crashes later on an illegal task transition."""
+    data = json.loads((GOLDEN / "snapshot.json").read_text())
+    tamper(data["sim"])
+    snap = Snapshot.from_json(json.dumps(data))
+    prefix = read_jsonl(GOLDEN / "prefix.jsonl")
+    with pytest.raises(ConfigurationError, match="snapshot"):
+        resume_to_end(snap, prefix, SEU, backend)
+
+
 @pytest.mark.parametrize(
     "text",
     ["[]", "3", '"snapshot"', "null", json.dumps({"version": SNAPSHOT_VERSION})],

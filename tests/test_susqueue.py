@@ -28,8 +28,8 @@ class TestAddRemove:
         tasks = [make_task(i, cfg(i)) for i in range(4)]
         for t in tasks:
             assert queue.add(t, now=5)
-        assert [rec.task for rec in queue] == tasks
-        assert queue.head.task is tasks[0]
+        assert [queue.task_of(rec) for rec in queue] == tasks
+        assert queue.task_of(queue.head) is tasks[0]
         queue.validate_index()
 
     def test_add_marks_suspended(self, queue):
@@ -45,12 +45,13 @@ class TestAddRemove:
         assert len(q) == 2
 
     def test_add_returns_the_record_for_reuse(self, queue):
-        """``add`` hands back the created record so callers (e.g. the failure
-        injector's suspend/resume round-trip) can unlink it without a scan."""
+        """``add`` hands back the record's slot handle so callers (e.g. the
+        failure injector's suspend/resume round-trip) can unlink it without
+        a scan."""
         t = make_task(0, cfg())
         rec = queue.add(t, now=3)
-        assert rec is not None
-        assert rec.task is t
+        assert rec  # slot handles are truthy
+        assert queue.task_of(rec) is t
         assert rec is queue.head
         assert queue.remove(rec) is t
         assert len(queue) == 0
@@ -81,9 +82,9 @@ class TestIndex:
         for t in (t_a1, t_b, t_a2):
             queue.add(t, 0)
         rec = queue.first_with_key({1, 2})
-        assert rec.task is t_a1  # earliest overall
+        assert queue.task_of(rec) is t_a1  # earliest overall
         rec2 = queue.first_with_key({2})
-        assert rec2.task is t_b
+        assert queue.task_of(rec2) is t_b
 
     def test_first_with_key_missing(self, queue):
         queue.add(make_task(0, cfg(no=1)), 0)
@@ -101,7 +102,7 @@ class TestIndex:
         # re-add (re-suspension path)
         queue.add(tasks[0], 1)
         queue.validate_index()
-        assert queue.first_with_key({0}).task is tasks[3]
+        assert queue.task_of(queue.first_with_key({0})) is tasks[3]
 
     def test_charge_full_scan_bills_len(self, queue):
         counters = queue.counters
@@ -119,27 +120,8 @@ class TestSearchAndCollect:
             queue.add(make_task(i, cfg(no=i)), 0)
         before = queue.counters.housekeeping_steps
         rec = queue.search(lambda t: t.pref_config.config_no == 2)
-        assert rec.task.task_no == 2
+        assert queue.task_of(rec).task_no == 2
         assert queue.counters.housekeeping_steps == before + 3  # stopped early
-
-    def test_collect_suitable_full_traversal(self, queue):
-        for i in range(6):
-            queue.add(make_task(i, cfg(no=i % 2)), 0)
-        before = queue.counters.scheduling_steps
-        found = queue.collect_suitable(lambda t: t.pref_config.config_no == 0)
-        assert [r.task.task_no for r in found] == [0, 2, 4]
-        assert queue.counters.scheduling_steps == before + 6  # full scan
-
-    def test_collect_charge_modes(self, queue):
-        queue.add(make_task(0, cfg()), 0)
-        h0 = queue.counters.housekeeping_steps
-        queue.collect_suitable(lambda t: True, charge="housekeeping")
-        assert queue.counters.housekeeping_steps == h0 + 1
-        s0 = queue.counters.scheduling_steps
-        queue.collect_suitable(lambda t: True, charge="none")
-        assert queue.counters.scheduling_steps == s0
-        with pytest.raises(ValueError):
-            queue.collect_suitable(lambda t: True, charge="bogus")
 
 
 class TestRetryBoundsAndDrain:
@@ -160,11 +142,3 @@ class TestRetryBoundsAndDrain:
         t.sus_retry = 100
         queue.add(t, 0)
         assert queue.expired() == []
-
-    def test_drain_empties_queue(self, queue):
-        tasks = [make_task(i, cfg()) for i in range(3)]
-        for t in tasks:
-            queue.add(t, 0)
-        assert queue.drain() == tasks
-        assert len(queue) == 0
-        queue.validate_index()
