@@ -42,12 +42,21 @@ from repro.model.node import Node
 from repro.model.task import Task
 from repro.resources.manager import ResourceInformationManager
 from repro.resources.susqueue import SuspensionQueue
-from repro.trace.events import DISCARDED, PLACED, SUSPENDED
+from repro.trace.events import DISCARDED, PLACED, SUSPENDED, line_encoder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.model.gpp import GppPool
     from repro.network.delays import NetworkModel
     from repro.trace.bus import TraceBus
+
+# Trace shapes (TraceBus.emit takes the values in this order).
+_PLACED = line_encoder(PLACED, "task", "kind", "node", "cfg", "ctime", "avail", "sw", "closest")
+_PLACED_GPP = line_encoder(PLACED, "task", "kind", "node", "cfg", "ctime", "closest")
+_SUSPENDED = line_encoder(SUSPENDED, "task", "qlen")
+_DISCARDED = line_encoder(DISCARDED, "task", "reason")
+
+# What the phases decide; schedule() wraps it in the ScheduleOutcome.
+_Decision = tuple[ScheduleResult, Optional[Placement]]
 
 
 class DreamScheduler:
@@ -97,6 +106,8 @@ class DreamScheduler:
         # static for a run, so a task's match never changes.
         self._match_memo: dict[int, Optional[Configuration]] = {}
         self._min_config_area = min((c.req_area for c in rim.configs), default=0)
+        # config_no -> req_area, for the redispatch fallback's key filter.
+        self._req_of: dict[int, int] = {c.config_no: c.req_area for c in rim.configs}
         if network is None:
             from repro.network.delays import FixedDelayModel
 
@@ -113,14 +124,11 @@ class DreamScheduler:
         ``SL``), also accumulated on ``task.scheduling_steps``.
         """
         steps_before = self.rim.counters.scheduling_steps
-        outcome = self._schedule_inner(task, now)
+        result, placement = self._schedule_inner(task, now)
         steps = self.rim.counters.scheduling_steps - steps_before
         task.scheduling_steps += steps
         outcome = ScheduleOutcome(
-            task=outcome.task,
-            result=outcome.result,
-            placement=outcome.placement,
-            search_steps=steps,
+            task=task, result=result, placement=placement, search_steps=steps
         )
         self.stats.record(outcome)
         return outcome
@@ -162,11 +170,7 @@ class DreamScheduler:
                 # configuration number), so the per-key index answers it
                 # without walking the queue; charging is identical to the
                 # reference walk below.
-                def fits_key(cno) -> bool:
-                    cfg = self.rim.config_with_no(cno)
-                    return cfg is not None and cfg.req_area <= reclaimable
-
-                rec = self.susqueue.first_matching_key(fits_key)
+                rec = self.susqueue.first_matching_key(self._req_of, reclaimable)
             else:
 
                 def fits(task: Task) -> bool:
@@ -205,7 +209,7 @@ class DreamScheduler:
 
     # -- the algorithm ------------------------------------------------------------
 
-    def _schedule_inner(self, task: Task, now: int) -> ScheduleOutcome:
+    def _schedule_inner(self, task: Task, now: int) -> _Decision:
         rim = self.rim
 
         # Phase 0: match the configuration (exact, then closest).
@@ -284,17 +288,15 @@ class DreamScheduler:
                 )
                 if self.trace is not None:
                     self.trace.emit(
-                        PLACED,
-                        task=task.task_no,
-                        kind=PlacementKind.GPP_OFFLOAD.value,
-                        node=None,
-                        cfg=GPP_CONFIG.config_no,
-                        ctime=0,
-                        closest=False,
+                        _PLACED_GPP,
+                        task.task_no,
+                        PlacementKind.GPP_OFFLOAD.value,
+                        None,
+                        GPP_CONFIG.config_no,
+                        0,
+                        False,
                     )
-                return ScheduleOutcome(
-                    task=task, result=ScheduleResult.SCHEDULED, placement=placement
-                )
+                return ScheduleResult.SCHEDULED, placement
 
         # Last resort: suspension if some busy node could ever host it.
         if self.rim.busy_candidate_exists(config):
@@ -304,10 +306,8 @@ class DreamScheduler:
                 # (Table I); the failure injector's transient add/remove
                 # round-trip is queue bookkeeping, not a suspension.
                 if self.trace is not None:
-                    self.trace.emit(
-                        SUSPENDED, task=task.task_no, qlen=len(self.susqueue)
-                    )
-                return ScheduleOutcome(task=task, result=ScheduleResult.SUSPENDED)
+                    self.trace.emit(_SUSPENDED, task.task_no, len(self.susqueue))
+                return ScheduleResult.SUSPENDED, None
             return self._rescue_or_discard(task, now, config, used_closest, "queue_full")
         return self._rescue_or_discard(task, now, config, used_closest, "no_placement")
 
@@ -320,7 +320,7 @@ class DreamScheduler:
         config: Configuration,
         used_closest: bool,
         reason: str,
-    ) -> ScheduleOutcome:
+    ) -> _Decision:
         """Graceful degradation's final rung: a quarantined node, else discard.
 
         The health policy's preference order — healthy idle, then healthy
@@ -354,7 +354,7 @@ class DreamScheduler:
         config_time: int,
         used_closest: bool,
         evicted_area: int = 0,
-    ) -> ScheduleOutcome:
+    ) -> _Decision:
         # Eq. 8 semantics: t_start is the dispatch tick; t_comm and t_config
         # are added on top of (t_start − t_create) when computing the wait.
         # Execution therefore occupies [now + comm + config, + t_required].
@@ -367,15 +367,15 @@ class DreamScheduler:
         self.rim.assign_task(task, node, entry)
         if self.trace is not None:
             self.trace.emit(
-                PLACED,
-                task=task.task_no,
-                kind=kind.value,
-                node=node.node_no,
-                cfg=config.config_no,
-                ctime=config_time,
-                avail=node.available_area,
-                sw=self.rim.total_wasted_area(),
-                closest=used_closest,
+                _PLACED,
+                task.task_no,
+                kind.value,
+                node.node_no,
+                config.config_no,
+                config_time,
+                node.available_area,
+                self.rim.total_wasted_area(),
+                used_closest,
             )
         placement = Placement(
             kind=kind,
@@ -387,13 +387,13 @@ class DreamScheduler:
             evicted_area=evicted_area,
             used_closest_match=used_closest,
         )
-        return ScheduleOutcome(task=task, result=ScheduleResult.SCHEDULED, placement=placement)
+        return ScheduleResult.SCHEDULED, placement
 
-    def _discard(self, task: Task, now: int, reason: str = "no_placement") -> ScheduleOutcome:
+    def _discard(self, task: Task, now: int, reason: str = "no_placement") -> _Decision:
         task.mark_discarded(now)
         if self.trace is not None:
-            self.trace.emit(DISCARDED, task=task.task_no, reason=reason)
-        return ScheduleOutcome(task=task, result=ScheduleResult.DISCARDED)
+            self.trace.emit(_DISCARDED, task.task_no, reason)
+        return ScheduleResult.DISCARDED, None
 
 
 __all__ = ["DreamScheduler"]

@@ -75,7 +75,12 @@ from repro.model.node import ConfigTaskEntry, Node
 from repro.model.task import Task, TaskStatus, export_task, restore_task
 from repro.rng import RNG
 from repro.rng.distributions import Distribution
-from repro.trace.events import DISCARDED, TASK_INTERRUPTED, TASK_RETRY
+from repro.trace.events import DISCARDED, TASK_INTERRUPTED, TASK_RETRY, line_encoder
+
+# Trace shapes (TraceBus.emit takes the values in this order).
+_TASK_INTERRUPTED = line_encoder(TASK_INTERRUPTED, "task", "node", "cls")
+_TASK_RETRY = line_encoder(TASK_RETRY, "task", "attempt", "delay", "at")
+_DISCARDED = line_encoder(DISCARDED, "task", "reason")
 
 # Synthetic scrub placeholders live far above any workload task number so
 # invariant I7 (task uniqueness) can never collide with real tasks.
@@ -433,7 +438,7 @@ class FailureInjector:
         now = sim.env.now
         if sim.workload_finished:
             return
-        configured = [n for n in sim.rim.nodes if n.in_service and n.entries]
+        configured = sim.rim.configured_in_service()
         if configured:
             node = self.rng.choice(configured)
             offset = self.rng.randint(0, node.total_area - 1)
@@ -499,9 +504,7 @@ class FailureInjector:
         self.tasks_interrupted += 1
         self.log.interrupts.append((task.task_no, cls))
         if sim.trace is not None:
-            sim.trace.emit(
-                TASK_INTERRUPTED, task=task.task_no, node=node.node_no, cls=cls
-            )
+            sim.trace.emit(_TASK_INTERRUPTED, task.task_no, node.node_no, cls)
         attempt = task.fault_retries
         task.fault_retries += 1
         if self.retry_budget is not None and attempt >= self.retry_budget:
@@ -509,7 +512,7 @@ class FailureInjector:
             sim.scheduler.stats.discarded += 1
             self.log.retry_discards += 1
             if sim.trace is not None:
-                sim.trace.emit(DISCARDED, task=task.task_no, reason="retry_budget")
+                sim.trace.emit(_DISCARDED, task.task_no, "retry_budget")
             return
         if self.backoff_base <= 0:
             self._resubmit_now(task, now)
@@ -520,13 +523,7 @@ class FailureInjector:
         task.mark_suspended(now)  # parked outside any queue until the retry tick
         self.log.retries.append((task.task_no, delay))
         if sim.trace is not None:
-            sim.trace.emit(
-                TASK_RETRY,
-                task=task.task_no,
-                attempt=attempt + 1,
-                delay=delay,
-                at=now + delay,
-            )
+            sim.trace.emit(_TASK_RETRY, task.task_no, attempt + 1, delay, now + delay)
         sim._pending_retries += 1
         sim.env.call_at(
             now + delay, lambda: self._retry(task), tag=("retry", task.task_no)
@@ -540,7 +537,7 @@ class FailureInjector:
             task.mark_discarded(now)
             sim.scheduler.stats.discarded += 1
             if sim.trace is not None:
-                sim.trace.emit(DISCARDED, task=task.task_no, reason="queue_full")
+                sim.trace.emit(_DISCARDED, task.task_no, "queue_full")
             return
         candidate = sim.susqueue.remove(rec)
         sim._submit(candidate, now)

@@ -51,8 +51,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.policies import PlacementPolicy, SelectionCriterion
 from repro.core.scheduler import DreamScheduler
-from repro.framework.loadbalance import LoadSnapshot
-from repro.framework.monitoring import MonitorSample
 from repro.model.task import Task, TaskStatus
 from repro.network.delays import FixedDelayModel
 from repro.resources.arraycore import (
@@ -255,26 +253,26 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
 
     memo = sched._match_memo
     min_cfg_area = sched._min_config_area
-    # config_no -> req_area for the redispatch fits-key filter (static).
+    # config_no -> req_area for the redispatch key filter (static).
     req_of = {no: hit[1].req_area for no, hit in config_by_no.items()}
 
-    # -- monitor / load series (column appends replicate TimeSeries.add:
-    #    event times are non-decreasing, so the guard never fires) --------
+    # -- monitor / load columns (the same appends Monitor.sample and
+    #    LoadBalancer.observe make; their series are views over these) ----
     ml = monitor.min_interval
     mon_last = monitor._last_time
-    mon_samples = monitor.samples
-    mb_t, mb_v = monitor.busy_nodes.times, monitor.busy_nodes.values
-    mq_t, mq_v = monitor.queue_length.times, monitor.queue_length.values
-    mw_t, mw_v = monitor.wasted_area.times, monitor.wasted_area.values
-    mr_t, mr_v = monitor.running_tasks.times, monitor.running_tasks.values
-    snapshots = load.snapshots
-    cv_t, cv_v = load.cv_series.times, load.cv_series.values
-    jn_t, jn_v = load.jain_series.times, load.jain_series.values
-    # Frozen-dataclass fast construction: __new__ + a one-display __dict__
-    # skips the per-field object.__setattr__ of the frozen __init__ while
-    # producing an indistinguishable instance (same fields, eq, repr).
-    ms_new = MonitorSample.__new__
-    ls_new = LoadSnapshot.__new__
+    m_time = monitor.times.append
+    m_busy = monitor.busy_col.append
+    m_idle = monitor.idle_col.append
+    m_blank = monitor.blank_col.append
+    m_running = monitor.running_col.append
+    m_queued = monitor.queued_col.append
+    m_configured = monitor.configured_col.append
+    m_waste = monitor.waste_col.append
+    l_time = load.times.append
+    l_mean = load.mean_col.append
+    l_cv = load.cv_col.append
+    l_jain = load.jain_col.append
+    l_max = load.max_col.append
 
     # RunningStats (Welford) locals for placement waste — written back at
     # the end; the identical op order keeps the floats bit-identical.
@@ -349,29 +347,17 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         return cfg.config_no if cfg is not None else None
 
     def sample(now: int) -> None:
-        # Monitor.sample for the placement and completion sites (direct
-        # item stores into the fresh instance dict — no display dict).
+        # Monitor.sample for the placement and completion sites.
         nonlocal mon_last, tr_seq
         qlen = len(sq_order)
-        ms = ms_new(MonitorSample)
-        dd = ms.__dict__
-        dd["time"] = now
-        dd["busy_nodes"] = sc_busy
-        dd["idle_nodes"] = sc_idle
-        dd["blank_nodes"] = sc_blank
-        dd["running_tasks"] = running_count
-        dd["suspended_tasks"] = qlen
-        dd["configured_area"] = conf_total
-        dd["wasted_area"] = wasted_total
-        mon_samples.append(ms)
-        mb_t.append(now)
-        mb_v.append(sc_busy)
-        mq_t.append(now)
-        mq_v.append(qlen)
-        mw_t.append(now)
-        mw_v.append(wasted_total)
-        mr_t.append(now)
-        mr_v.append(running_count)
+        m_time(now)
+        m_busy(sc_busy)
+        m_idle(sc_idle)
+        m_blank(sc_blank)
+        m_running(running_count)
+        m_queued(qlen)
+        m_configured(conf_total)
+        m_waste(wasted_total)
         mon_last = now
         if trace_on:
             tr_app(sampled_line(tr_seq, now, sched_steps, hk_steps, sc_busy, qlen, wasted_total, running_count))
@@ -774,18 +760,11 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 jain = min((s1 * s1) / (n_nodes * s2), 1.0) if s2 > 0.0 else 1.0
             else:
                 cv, jain = 0.0, 1.0
-            snap = ls_new(LoadSnapshot)
-            dd = snap.__dict__
-            dd["time"] = now
-            dd["mean_load"] = mean
-            dd["cv"] = cv
-            dd["jain"] = jain
-            dd["max_load"] = max_load
-            snapshots.append(snap)
-            cv_t.append(now)
-            cv_v.append(cv)
-            jn_t.append(now)
-            jn_v.append(jain)
+            l_time(now)
+            l_mean(mean)
+            l_cv(cv)
+            l_jain(jain)
+            l_max(max_load)
             # -- redispatch (DreamScheduler.next_redispatch loop) ---------
             while sq_order:
                 reclaimable = t_total[pos] - t_busy_area[pos]
@@ -805,7 +784,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 else:
                     if reclaimable < min_cfg_area:
                         break
-                    # first_matching_key(fits_key), inlined.
+                    # first_matching_key(req_of, reclaimable), inlined.
                     for key, bucket in by_key.items():
                         ra = req_of.get(key)
                         if ra is None or ra > reclaimable:

@@ -51,15 +51,25 @@ def node_load(node: Node) -> float:
 
 
 class LoadBalancer:
-    """Tracks load distribution across the node table over time."""
+    """Tracks load distribution across the node table over time.
+
+    Observations are stored column-wise: ``times`` plus one column per
+    :class:`LoadSnapshot` field; ``cv_series``/``jain_series`` are
+    :class:`TimeSeries` views over them and :attr:`snapshots` materialises
+    the records on request.
+    """
 
     def __init__(self, rim: "ResourceInformationManager") -> None:
         self.rim = rim
-        self.cv_series = TimeSeries("load_cv")
-        self.jain_series = TimeSeries("load_jain")
-        self.snapshots: list[LoadSnapshot] = []
+        self.times: list[float] = []
+        self.mean_col: list[float] = []
+        self.cv_col: list[float] = []
+        self.jain_col: list[float] = []
+        self.max_col: list[float] = []
+        self.cv_series = TimeSeries("load_cv", self.times, self.cv_col)
+        self.jain_series = TimeSeries("load_jain", self.times, self.jain_col)
 
-    def observe(self, now: int) -> LoadSnapshot:
+    def observe(self, now: int) -> None:
         """Sample the load distribution and record the imbalance summary.
 
         Runs once per task completion.  On a ``fast_queries`` manager (the
@@ -93,13 +103,19 @@ class LoadBalancer:
                 jain = (sum(loads) ** 2) / (n * sq) if sq > 0 else 1.0
             else:
                 cv, jain = 0.0, 1.0
-        snap = LoadSnapshot(
-            time=now, mean_load=mean, cv=cv, jain=jain, max_load=max_load,
-        )
-        self.snapshots.append(snap)
-        self.cv_series.add(now, cv)
-        self.jain_series.add(now, jain)
-        return snap
+        self.times.append(now)
+        self.mean_col.append(mean)
+        self.cv_col.append(cv)
+        self.jain_col.append(jain)
+        self.max_col.append(max_load)
+
+    @property
+    def snapshots(self) -> list[LoadSnapshot]:
+        """Every observation, oldest first (built from the columns)."""
+        return [
+            LoadSnapshot(*row)
+            for row in zip(self.times, self.mean_col, self.cv_col, self.jain_col, self.max_col)
+        ]
 
     @property
     def mean_cv(self) -> float:

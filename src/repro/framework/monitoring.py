@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.timeseries import TimeSeries
-from repro.trace.events import MONITOR_SAMPLED
+from repro.trace.events import MONITOR_SAMPLED, line_encoder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resources.manager import ResourceInformationManager
     from repro.resources.susqueue import SuspensionQueue
     from repro.trace.bus import TraceBus
+
+_MONITOR_SAMPLED = line_encoder(MONITOR_SAMPLED, "busy", "queued", "waste", "running")
 
 
 @dataclass(frozen=True)
@@ -41,16 +43,30 @@ class MonitorSample:
 
 
 class Monitor:
-    """Event-driven state sampler with optional rate limiting."""
+    """Event-driven state sampler with optional rate limiting.
+
+    Samples are stored column-wise: ``times`` plus one column per
+    :class:`MonitorSample` field.  The four published series are
+    :class:`TimeSeries` views over those columns (sharing ``times``), and
+    :attr:`samples` materialises the records on request.
+    """
 
     def __init__(self, min_interval: int = 0, trace: Optional["TraceBus"] = None) -> None:
         self.min_interval = min_interval
         self.trace = trace
-        self.samples: list[MonitorSample] = []
-        self.busy_nodes = TimeSeries("busy_nodes")
-        self.queue_length = TimeSeries("suspension_queue_length")
-        self.wasted_area = TimeSeries("wasted_area")
-        self.running_tasks = TimeSeries("running_tasks")
+        # Columns a TimeSeries shares carry its list[float] annotation.
+        self.times: list[float] = []
+        self.busy_col: list[float] = []
+        self.idle_col: list[int] = []
+        self.blank_col: list[int] = []
+        self.running_col: list[float] = []
+        self.queued_col: list[float] = []
+        self.configured_col: list[int] = []
+        self.waste_col: list[float] = []
+        self.busy_nodes = TimeSeries("busy_nodes", self.times, self.busy_col)
+        self.queue_length = TimeSeries("suspension_queue_length", self.times, self.queued_col)
+        self.wasted_area = TimeSeries("wasted_area", self.times, self.waste_col)
+        self.running_tasks = TimeSeries("running_tasks", self.times, self.running_col)
         self._last_time: Optional[int] = None
 
     def sample(
@@ -58,39 +74,44 @@ class Monitor:
         now: int,
         rim: "ResourceInformationManager",
         susqueue: "SuspensionQueue",
-    ) -> Optional[MonitorSample]:
-        """Record a snapshot unless rate-limited; returns it if recorded."""
+    ) -> None:
+        """Record a snapshot unless rate-limited (see :attr:`samples`)."""
         if self._last_time is not None and now - self._last_time < self.min_interval:
-            return None
+            return
         # All O(1): the manager maintains these aggregates incrementally.
         states = rim.node_count_by_state()
-        running = rim.running_tasks_count
+        busy = states["busy"]
+        queued = len(susqueue)
         wasted = rim.total_wasted_area()
-        snap = MonitorSample(
-            time=now,
-            busy_nodes=states["busy"],
-            idle_nodes=states["idle"],
-            blank_nodes=states["blank"],
-            running_tasks=running,
-            suspended_tasks=len(susqueue),
-            configured_area=rim.total_configured_area(),
-            wasted_area=wasted,
-        )
-        self.samples.append(snap)
-        self.busy_nodes.add(now, snap.busy_nodes)
-        self.queue_length.add(now, snap.suspended_tasks)
-        self.wasted_area.add(now, snap.wasted_area)
-        self.running_tasks.add(now, snap.running_tasks)
+        running = rim.running_tasks_count
+        self.times.append(now)
+        self.busy_col.append(busy)
+        self.idle_col.append(states["idle"])
+        self.blank_col.append(states["blank"])
+        self.running_col.append(running)
+        self.queued_col.append(queued)
+        self.configured_col.append(rim.total_configured_area())
+        self.waste_col.append(wasted)
         self._last_time = now
         if self.trace is not None:
-            self.trace.emit(
-                MONITOR_SAMPLED,
-                busy=snap.busy_nodes,
-                queued=snap.suspended_tasks,
-                waste=snap.wasted_area,
-                running=snap.running_tasks,
+            self.trace.emit(_MONITOR_SAMPLED, busy, queued, wasted, running)
+
+    @property
+    def samples(self) -> list[MonitorSample]:
+        """Every recorded snapshot, oldest first (built from the columns)."""
+        return [
+            MonitorSample(*row)
+            for row in zip(
+                self.times,
+                self.busy_col,
+                self.idle_col,
+                self.blank_col,
+                self.running_col,
+                self.queued_col,
+                self.configured_col,
+                self.waste_col,
             )
-        return snap
+        ]
 
     def export_state(self) -> dict:
         """Snapshot support: the rate-limit gate (series restart empty)."""
@@ -111,7 +132,7 @@ class Monitor:
         return int(self.running_tasks.max())
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
 
 __all__ = ["Monitor", "MonitorSample"]

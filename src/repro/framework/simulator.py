@@ -46,6 +46,7 @@ from repro.trace.events import (
     RUN_FINISHED,
     RUN_STARTED,
     TASK_ARRIVED,
+    line_encoder,
 )
 from repro.workload.generator import TaskArrival
 
@@ -57,6 +58,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.model.gpp import GppPool
     from repro.network.delays import NetworkModel
     from repro.trace.bus import TraceBus
+
+# Trace shapes (TraceBus.emit takes the values in this order).
+_RUN_STARTED = line_encoder(RUN_STARTED, "nodes", "configs", "partial", "sample_system")
+_RUN_FINISHED = line_encoder(RUN_FINISHED, "final")
+_TASK_ARRIVED = line_encoder(TASK_ARRIVED, "task", "pref", "req")
+_COMPLETED = line_encoder(COMPLETED, "task", "node", "wait", "run", "closest")
+_DISCARDED = line_encoder(DISCARDED, "task", "reason")
 
 
 class IngestError(ValueError):
@@ -78,7 +86,7 @@ class SimulationResult:
 
 @contextmanager
 def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector for a whole-run loop.
+    """Pause the cyclic collector for a whole-run loop (or one service window).
 
     Both run loops allocate heavily, and gen-0 scans of the growing
     task/sample lists otherwise cost >10% of the run.  Reference counting
@@ -253,13 +261,7 @@ class DReAMSim:
             # the bus.  run_hot pulls arrivals itself, so the feed must NOT
             # be primed (that is why the hot branch bypasses start()).
             if self.trace is not None:
-                self.trace.emit(
-                    RUN_STARTED,
-                    nodes=len(self.rim.nodes),
-                    configs=len(self.rim.configs),
-                    partial=self.partial,
-                    sample_system=self._sample_system,
-                )
+                self._emit_run_started()
             self._started = True
             rim_trace = self.rim.trace
             self.rim.trace = None
@@ -288,15 +290,19 @@ class DReAMSim:
         if self._started:
             raise RuntimeError("simulation already started")
         if self.trace is not None:
-            self.trace.emit(
-                RUN_STARTED,
-                nodes=len(self.rim.nodes),
-                configs=len(self.rim.configs),
-                partial=self.partial,
-                sample_system=self._sample_system,
-            )
+            self._emit_run_started()
         self._started = True
         self._feed_next_arrival()
+
+    def _emit_run_started(self) -> None:
+        assert self.trace is not None
+        self.trace.emit(
+            _RUN_STARTED,
+            len(self.rim.nodes),
+            len(self.rim.configs),
+            self.partial,
+            self._sample_system,
+        )
 
     def run_to_end(self) -> SimulationResult:
         """Drain every pending event, then seal a started run."""
@@ -315,7 +321,7 @@ class DReAMSim:
         self._final_value = final
         self._charge_tick_housekeeping(final)
         if self.trace is not None:
-            self.trace.emit(RUN_FINISHED, final=final)
+            self.trace.emit(_RUN_FINISHED, final)
         self._done = True
         report = self.make_report()
         return SimulationResult(
@@ -509,10 +515,7 @@ class DReAMSim:
         self.tasks.append(task)
         if self.trace is not None:
             self.trace.emit(
-                TASK_ARRIVED,
-                task=task.task_no,
-                pref=task.pref_config.config_no,
-                req=task.required_time,
+                _TASK_ARRIVED, task.task_no, task.pref_config.config_no, task.required_time
             )
         self._submit(task, now)
         self._feed_next_arrival()
@@ -569,12 +572,12 @@ class DReAMSim:
         placement = self._placements.pop(task.task_no)
         if self.trace is not None:
             self.trace.emit(
-                COMPLETED,
-                task=task.task_no,
-                node=placement.node.node_no if placement.node is not None else None,
-                wait=task.waiting_time,
-                run=task.running_time,
-                closest=task.used_closest_match,
+                _COMPLETED,
+                task.task_no,
+                placement.node.node_no if placement.node is not None else None,
+                task.waiting_time,
+                task.running_time,
+                task.used_closest_match,
             )
         if placement.node is None:
             # GPP completion: free the core and offer it to the queue head.
@@ -613,7 +616,7 @@ class DReAMSim:
             expired.mark_discarded(now)
             self.scheduler.stats.discarded += 1
             if self.trace is not None:
-                self.trace.emit(DISCARDED, task=expired.task_no, reason="retries")
+                self.trace.emit(_DISCARDED, expired.task_no, "retries")
 
     # -- snapshot support --------------------------------------------------------
 

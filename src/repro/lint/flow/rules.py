@@ -50,6 +50,7 @@ _OBSERVABILITY = (
     "per-run observability series, outside the restore contract — restarts "
     "empty on resume and never feeds trace digests or the Table I report"
 )
+_SERIES_COLUMN = "series restart empty on restore, as today"
 DL010_ALLOW: dict[str, dict[str, str]] = {
     "framework/failures.py::FailureInjector": {
         # export_state's docstring is explicit: "Parameters do NOT travel" —
@@ -76,11 +77,16 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
     "framework/monitoring.py::Monitor": {
         "min_interval": _CONSTRUCTION,
         "trace": _CONSTRUCTION,
-        "samples": _OBSERVABILITY,
         "busy_nodes": _OBSERVABILITY,
         "queue_length": _OBSERVABILITY,
         "wasted_area": _OBSERVABILITY,
         "running_tasks": _OBSERVABILITY,
+        # The columns behind the series above (and behind ``samples``).
+        **dict.fromkeys(
+            ("times", "busy_col", "idle_col", "blank_col", "running_col", "queued_col",
+             "configured_col", "waste_col"),
+            _SERIES_COLUMN,
+        ),
     },
     "framework/simulator.py::DReAMSim": {
         "backend": _CONSTRUCTION,
@@ -271,9 +277,9 @@ class SnapshotFieldCoverage(Rule):
 # -- DL011: charge-on-all-paths -----------------------------------------------
 
 #: Manager methods that must bill simulated steps on every non-exceptional
-#: return path.  Peek/read-side views (peek_*, config_with_no, load_stats,
-#: node_count_by_state, total_configured_area, quarantine predicates) are
-#: deliberately uncharged O(1) observability surfaces;
+#: return path.  Peek/read-side views (peek_*, load_stats,
+#: node_count_by_state, configured_in_service, total_configured_area,
+#: quarantine predicates) are deliberately uncharged observability surfaces;
 #: total_wasted_area charges only when the caller opts in (charge=True);
 #: export/restore are out-of-band service machinery.
 MANAGER_CHARGED = frozenset(
@@ -405,13 +411,22 @@ class FloatTaintContagion(Rule):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 attr = node.func.attr
                 if attr == "emit" and not exempt_emit:
-                    for kw in node.keywords:
-                        if kw.arg is not None and taint.expr_tainted(kw.value):
+                    # emit(shape, *values): every value after the shape.
+                    fields = [
+                        (f"value {i} ('{ast.unparse(arg)}')", arg)
+                        for i, arg in enumerate(node.args[1:], start=1)
+                    ] + [
+                        (f"field '{kw.arg}'", kw.value)
+                        for kw in node.keywords
+                        if kw.arg is not None
+                    ]
+                    for what, value in fields:
+                        if taint.expr_tainted(value):
                             yield self.finding(
                                 f,
-                                kw.value,
+                                value,
                                 f"float-tainted value flows into trace-event "
-                                f"field '{kw.arg}' of {owner}.{fn.name} — "
+                                f"{what} of {owner}.{fn.name} — "
                                 "convert with int()/round() or persist via "
                                 ".hex()",
                             )

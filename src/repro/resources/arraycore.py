@@ -63,6 +63,13 @@ from repro.model.node import ConfigTaskEntry, Node
 from repro.model.task import Task
 from repro.resources.counters import SearchCounters
 from repro.resources.manager import (
+    CONFIG_EVICTED_SHAPE,
+    CONFIG_FAULT_SHAPE,
+    CONFIG_LOADED_SHAPE,
+    NODE_FAILED_SHAPE,
+    NODE_PROBATION_SHAPE,
+    NODE_QUARANTINED_SHAPE,
+    NODE_REPAIRED_SHAPE,
     chain_record_chain,
     chain_record_entry,
     chain_record_node,
@@ -71,15 +78,6 @@ from repro.resources.manager import (
     restore_node_records,
 )
 from repro.trace.bus import TraceBus
-from repro.trace.events import (
-    CONFIG_EVICTED,
-    CONFIG_FAULT,
-    CONFIG_LOADED,
-    NODE_FAILED,
-    NODE_PROBATION,
-    NODE_QUARANTINED,
-    NODE_REPAIRED,
-)
 
 # Key packings: area << bits | tie-break.  Positions are table indexes
 # (< 2^20 nodes); sequence numbers are monotone append stamps (< 2^44 over
@@ -209,6 +207,7 @@ class ArrayRIM:
         self._sa: list[int] = []
         self._sb: list[int] = []
         self._busy_pos: list[int] = []  # table positions of live busy nodes
+        self._live_cfg: list[Node] = []  # live configured nodes, in table order
         self._entries_total = 0
         self._idle_node_entries = 0
         self.state_counts: dict[str, int] = {"blank": 0, "idle": 0, "busy": 0}
@@ -238,6 +237,7 @@ class ArrayRIM:
             self._wasted_total += avail
             if not self.t_live[pos]:
                 continue
+            self._live_cfg.append(node)
             self._sp.append(avail << _POS_BITS | pos)
             self._sr.append((total - ba) << _POS_BITS | pos)
             if bc:
@@ -408,14 +408,17 @@ class ArrayRIM:
         if live:
             # Nothing runs, so the reclaimable key is the total-area key.
             tkey = self.t_total[pos] << _POS_BITS | pos
+            pos_of = self._pos.__getitem__
             if nent1:
                 insort(self._sp, avail1 << _POS_BITS | pos)
                 insort(self._sr, tkey)
                 insort(self._sa, tkey)
+                insort(self._live_cfg, node, key=pos_of)
             else:
                 self._sorted_remove(self._sp, avail0 << _POS_BITS | pos)
                 self._sorted_remove(self._sr, tkey)
                 self._sorted_remove(self._sa, tkey)
+                del self._live_cfg[bisect_left(self._live_cfg, pos, key=pos_of)]
             self._entries_total += nent1 - nent0
             self._idle_node_entries += nent1 - nent0
         if nent1:
@@ -450,11 +453,6 @@ class ArrayRIM:
     def peek_preferred_config(self, pref: Configuration) -> Optional[Configuration]:
         """Uncharged exact-match lookup (O(1) dict hit)."""
         hit = self._config_by_no.get(pref.config_no)
-        return hit[1] if hit is not None else None
-
-    def config_with_no(self, config_no: int) -> Optional[Configuration]:
-        """Uncharged O(1) lookup of a configuration by number."""
-        hit = self._config_by_no.get(config_no)
         return hit[1] if hit is not None else None
 
     def peek_closest_config(self, pref: Configuration) -> Optional[Configuration]:
@@ -630,10 +628,7 @@ class ArrayRIM:
         self.reconfig_count_by_config[config.config_no] += 1
         if self.trace is not None:
             self.trace.emit(
-                CONFIG_LOADED,
-                node=node.node_no,
-                cfg=config.config_no,
-                ctime=config.config_time,
+                CONFIG_LOADED_SHAPE, node.node_no, config.config_no, config.config_time
             )
         return entry
 
@@ -672,10 +667,10 @@ class ArrayRIM:
         self._regions_shift(self._pos[node], node)
         if entries and self.trace is not None:
             self.trace.emit(
-                CONFIG_EVICTED,
-                node=node.node_no,
-                cfgs=[e.config.config_no for e in entries],
-                area=reclaimed,
+                CONFIG_EVICTED_SHAPE,
+                node.node_no,
+                [e.config.config_no for e in entries],
+                reclaimed,
             )
         return reclaimed
 
@@ -690,9 +685,7 @@ class ArrayRIM:
         node.make_blank()
         self._regions_shift(self._pos[node], node)
         if evicted and self.trace is not None:
-            self.trace.emit(
-                CONFIG_EVICTED, node=node.node_no, cfgs=evicted, area=reclaimed
-            )
+            self.trace.emit(CONFIG_EVICTED_SHAPE, node.node_no, evicted, reclaimed)
 
     # -- failure injection ----------------------------------------------------
 
@@ -722,13 +715,7 @@ class ArrayRIM:
             self._blank_remove(node)
             counters.housekeeping_steps += 1
         if self.trace is not None:
-            self.trace.emit(
-                NODE_FAILED,
-                node=node.node_no,
-                interrupted=len(interrupted),
-                lost=lost,
-                cls=cls,
-            )
+            self.trace.emit(NODE_FAILED_SHAPE, node.node_no, len(interrupted), lost, cls)
         return interrupted
 
     def repair_node(self, node: Node) -> None:
@@ -741,7 +728,7 @@ class ArrayRIM:
         self._blank_append(node)
         self.counters.housekeeping_steps += 1
         if self.trace is not None:
-            self.trace.emit(NODE_REPAIRED, node=node.node_no)
+            self.trace.emit(NODE_REPAIRED_SHAPE, node.node_no)
 
     # -- transient configuration faults (SEU scrubbing) -------------------------
 
@@ -761,11 +748,11 @@ class ArrayRIM:
             self.counters.housekeeping_steps += 1
         if self.trace is not None:
             self.trace.emit(
-                CONFIG_FAULT,
-                node=node.node_no,
-                cfg=entry.config.config_no,
-                interrupted=victim.task_no if victim is not None else None,
-                scrub=scrub_task.required_time,
+                CONFIG_FAULT_SHAPE,
+                node.node_no,
+                entry.config.config_no,
+                victim.task_no if victim is not None else None,
+                scrub_task.required_time,
             )
         return victim
 
@@ -780,10 +767,7 @@ class ArrayRIM:
         self._regions_shift(pos, node)
         if self.trace is not None:
             self.trace.emit(
-                CONFIG_EVICTED,
-                node=node.node_no,
-                cfgs=[entry.config.config_no],
-                area=reclaimed,
+                CONFIG_EVICTED_SHAPE, node.node_no, [entry.config.config_no], reclaimed
             )
         return reclaimed
 
@@ -803,12 +787,7 @@ class ArrayRIM:
             raise ConfigurationError(f"node {node.node_no} must be failed to quarantine")
         self._quarantined[node.node_no] = (node, until)
         if self.trace is not None:
-            self.trace.emit(
-                NODE_QUARANTINED,
-                node=node.node_no,
-                until=until,
-                score=score_milli,
-            )
+            self.trace.emit(NODE_QUARANTINED_SHAPE, node.node_no, until, score_milli)
 
     def release_quarantined(self, node: Node, reason: str = "probation") -> None:
         """End a node's quarantine (probation elapsed, or requisitioned)."""
@@ -816,7 +795,7 @@ class ArrayRIM:
             raise ConfigurationError(f"node {node.node_no} is not quarantined")
         del self._quarantined[node.node_no]
         if self.trace is not None:
-            self.trace.emit(NODE_PROBATION, node=node.node_no, reason=reason)
+            self.trace.emit(NODE_PROBATION_SHAPE, node.node_no, reason)
         self.repair_node(node)
         if self.on_quarantine_release is not None:
             self.on_quarantine_release(node, reason)
@@ -854,6 +833,12 @@ class ArrayRIM:
     def node_count_by_state(self) -> dict[str, int]:
         """O(1) blank/idle/busy node counts (incrementally maintained)."""
         return dict(self.state_counts)
+
+    def configured_in_service(self) -> Sequence[Node]:
+        """In-service nodes holding ≥ 1 configuration, in table order (the
+        SEU target set); uncharged.  Kept by :meth:`_regions_shift`; the
+        caller must not mutate it."""
+        return self._live_cfg
 
     def load_stats(self) -> tuple[float, float, float]:
         """O(1) utilization aggregates: ``(Σ load, Σ load², max load)``.

@@ -41,7 +41,18 @@ from repro.trace.events import (
     NODE_PROBATION,
     NODE_QUARANTINED,
     NODE_REPAIRED,
+    line_encoder,
 )
+
+# The trace shapes both managers emit (TraceBus.emit takes the values in
+# this order).
+CONFIG_LOADED_SHAPE = line_encoder(CONFIG_LOADED, "node", "cfg", "ctime")
+CONFIG_EVICTED_SHAPE = line_encoder(CONFIG_EVICTED, "node", "cfgs", "area")
+CONFIG_FAULT_SHAPE = line_encoder(CONFIG_FAULT, "node", "cfg", "interrupted", "scrub")
+NODE_FAILED_SHAPE = line_encoder(NODE_FAILED, "node", "interrupted", "lost", "cls")
+NODE_REPAIRED_SHAPE = line_encoder(NODE_REPAIRED, "node")
+NODE_QUARANTINED_SHAPE = line_encoder(NODE_QUARANTINED, "node", "until", "score")
+NODE_PROBATION_SHAPE = line_encoder(NODE_PROBATION, "node", "reason")
 
 
 class ResourceInformationManager:
@@ -235,11 +246,6 @@ class ResourceInformationManager:
         hit = self._config_by_no.get(pref.config_no)
         return hit[1] if hit is not None else None
 
-    def config_with_no(self, config_no: int) -> Optional[Configuration]:
-        """Uncharged O(1) lookup of a configuration by number."""
-        hit = self._config_by_no.get(config_no)
-        return hit[1] if hit is not None else None
-
     def peek_closest_config(self, pref: Configuration) -> Optional[Configuration]:
         """Uncharged closest-match lookup.
 
@@ -398,10 +404,7 @@ class ResourceInformationManager:
         self.reconfig_count_by_config[config.config_no] += 1
         if self.trace is not None:
             self.trace.emit(
-                CONFIG_LOADED,
-                node=node.node_no,
-                cfg=config.config_no,
-                ctime=config.config_time,
+                CONFIG_LOADED_SHAPE, node.node_no, config.config_no, config.config_time
             )
         return entry
 
@@ -439,10 +442,10 @@ class ResourceInformationManager:
             self.counters.charge_housekeeping()
         if entries and self.trace is not None:
             self.trace.emit(
-                CONFIG_EVICTED,
-                node=node.node_no,
-                cfgs=[e.config.config_no for e in entries],
-                area=reclaimed,
+                CONFIG_EVICTED_SHAPE,
+                node.node_no,
+                [e.config.config_no for e in entries],
+                reclaimed,
             )
         return reclaimed
 
@@ -459,9 +462,7 @@ class ResourceInformationManager:
             self._blank_append(node)
             self.counters.charge_housekeeping()
         if evicted and self.trace is not None:
-            self.trace.emit(
-                CONFIG_EVICTED, node=node.node_no, cfgs=evicted, area=reclaimed
-            )
+            self.trace.emit(CONFIG_EVICTED_SHAPE, node.node_no, evicted, reclaimed)
 
     # -- failure injection ---------------------------------------------------------------
 
@@ -496,13 +497,7 @@ class ResourceInformationManager:
         node.in_service = False
         node.failure_count += 1
         if self.trace is not None:
-            self.trace.emit(
-                NODE_FAILED,
-                node=node.node_no,
-                interrupted=len(interrupted),
-                lost=lost,
-                cls=cls,
-            )
+            self.trace.emit(NODE_FAILED_SHAPE, node.node_no, len(interrupted), lost, cls)
         return interrupted
 
     def repair_node(self, node: Node) -> None:
@@ -513,7 +508,7 @@ class ResourceInformationManager:
         self._blank_append(node)
         self.counters.charge_housekeeping()
         if self.trace is not None:
-            self.trace.emit(NODE_REPAIRED, node=node.node_no)
+            self.trace.emit(NODE_REPAIRED_SHAPE, node.node_no)
 
     # -- transient configuration faults (SEU scrubbing) ---------------------------------
 
@@ -547,11 +542,11 @@ class ResourceInformationManager:
         self.counters.charge_housekeeping()
         if self.trace is not None:
             self.trace.emit(
-                CONFIG_FAULT,
-                node=node.node_no,
-                cfg=entry.config.config_no,
-                interrupted=victim.task_no if victim is not None else None,
-                scrub=scrub_task.required_time,
+                CONFIG_FAULT_SHAPE,
+                node.node_no,
+                entry.config.config_no,
+                victim.task_no if victim is not None else None,
+                scrub_task.required_time,
             )
         return victim
 
@@ -572,10 +567,7 @@ class ResourceInformationManager:
             self.counters.charge_housekeeping()
         if self.trace is not None:
             self.trace.emit(
-                CONFIG_EVICTED,
-                node=node.node_no,
-                cfgs=[entry.config.config_no],
-                area=reclaimed,
+                CONFIG_EVICTED_SHAPE, node.node_no, [entry.config.config_no], reclaimed
             )
         return reclaimed
 
@@ -600,12 +592,7 @@ class ResourceInformationManager:
             raise ConfigurationError(f"node {node.node_no} must be failed to quarantine")
         self._quarantined[node.node_no] = (node, until)
         if self.trace is not None:
-            self.trace.emit(
-                NODE_QUARANTINED,
-                node=node.node_no,
-                until=until,
-                score=score_milli,
-            )
+            self.trace.emit(NODE_QUARANTINED_SHAPE, node.node_no, until, score_milli)
 
     def release_quarantined(self, node: Node, reason: str = "probation") -> None:
         """End a node's quarantine (probation elapsed, or requisitioned)."""
@@ -613,7 +600,7 @@ class ResourceInformationManager:
             raise ConfigurationError(f"node {node.node_no} is not quarantined")
         del self._quarantined[node.node_no]
         if self.trace is not None:
-            self.trace.emit(NODE_PROBATION, node=node.node_no, reason=reason)
+            self.trace.emit(NODE_PROBATION_SHAPE, node.node_no, reason)
         self.repair_node(node)
         if self.on_quarantine_release is not None:
             self.on_quarantine_release(node, reason)
@@ -658,6 +645,11 @@ class ResourceInformationManager:
     def node_count_by_state(self) -> dict[str, int]:
         """O(1) blank/idle/busy node counts (incrementally maintained)."""
         return dict(self.state_counts)
+
+    def configured_in_service(self) -> Sequence[Node]:
+        """In-service nodes holding ≥ 1 configuration, in table order (the
+        SEU target set); uncharged.  Here a walk of the node table."""
+        return [n for n in self.nodes if n.in_service and n.entries]
 
     # -- snapshot support ---------------------------------------------------------------
 

@@ -32,16 +32,18 @@ charging semantics are identical.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 from repro.model.errors import ConfigurationError
 from repro.model.task import Task, TaskStatus
 from repro.resources.counters import SearchCounters
 from repro.resources.invariants import InvariantViolation
 from repro.trace.bus import TraceBus
-from repro.trace.events import RESUMED
+from repro.trace.events import RESUMED, line_encoder
 
 NO_KEY = object()  # index key for records whose key_fn returned None
+
+_RESUMED = line_encoder(RESUMED, "task", "retry")  # trace shape (TraceBus.emit)
 
 _DISCIPLINES: dict[str, Callable[[Task], float]] = {
     "fifo": lambda task: 0.0,  # dreamlint: disable=DL002 (service-order rank keys are floats, never accounted quantities)
@@ -196,7 +198,7 @@ class SuspensionQueue:
         self.counters.housekeeping_steps += 1
         task.sus_retry += 1
         if self.trace is not None:
-            self.trace.emit(RESUMED, task=task.task_no, retry=task.sus_retry)
+            self.trace.emit(_RESUMED, task.task_no, task.sus_retry)
         return task
 
     # -- queries ----------------------------------------------------------------------
@@ -224,14 +226,16 @@ class SuspensionQueue:
         self.counters.scheduling_steps += n
         return n
 
-    def first_matching_key(self, key_pred: Callable[[Hashable], bool]) -> Optional[int]:
-        """Earliest record (service order) whose *key* satisfies ``key_pred``.
+    def first_matching_key(self, area_of: Mapping[Hashable, int], limit: int) -> Optional[int]:
+        """Earliest record (service order) whose key maps, in ``area_of``, to
+        an area of at most ``limit``.
 
         Indexed counterpart of :meth:`search` for predicates that depend only
-        on the record's key: instead of walking the queue, compare the head
-        of each matching key bucket (O(#distinct keys)).  Records keyed
-        ``NO_KEY`` never match (their key carries no information for the
-        predicate).
+        on the record's key (the scheduler passes its static configuration
+        number → ``ReqArea`` map and the freed node's reclaimable area):
+        instead of walking the queue, compare the head of each matching key
+        bucket (O(#distinct keys)).  Keys absent from ``area_of`` — ``NO_KEY``
+        among them — never match.
 
         Charges exactly what the reference :meth:`search` walk would have:
         one housekeeping step per record up to and including the hit, or the
@@ -239,7 +243,8 @@ class SuspensionQueue:
         """
         best: Optional[tuple[float, int, int]] = None
         for key, bucket in self._by_key.items():
-            if key is NO_KEY or not key_pred(key):
+            area = area_of.get(key)
+            if area is None or area > limit:
                 continue
             head = bucket[0]
             if best is None or head < best:

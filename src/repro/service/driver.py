@@ -34,7 +34,7 @@ from typing import Iterable, Optional
 
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
 from repro.framework.failures import FailureInjector
-from repro.framework.simulator import DReAMSim, SimulationResult
+from repro.framework.simulator import DReAMSim, SimulationResult, _gc_paused
 from repro.metrics.resilience import ResilienceReport
 from repro.metrics.table1 import MetricsReport
 from repro.service.snapshot import Snapshot, SnapshotError, restore_snapshot, snapshot_of
@@ -189,7 +189,9 @@ class ServiceSimulator:
             taken = self.sim.ingest(self.source.take_until(t))
             if self.source.exhausted:
                 self.sim.close_ingest()
-        self.sim.env.run(until=t, idle_advance=False)
+        # The collector runs between windows, never inside one.
+        with _gc_paused():
+            self.sim.env.run(until=t, idle_advance=False)
         return taken
 
     def drain(self) -> SimulationResult:

@@ -28,13 +28,27 @@ Because the first three consume the same canonical line, the digest of a
 live run, of its JSONL file, and of the events re-read from that file are
 identical.
 
-When every attached sink accepts pre-encoded lines (``write_lines``:
-:class:`DigestSink` and :class:`JsonlSink`), the bus takes its *line-only*
-path: it encodes each event's canonical line once
-(:func:`~repro.trace.events.canonical_line`) and hands the same bytes to
-every sink, never building a :class:`TraceEvent`.  One sink that needs
-events (``MemorySink``, ``TraceReplayer``) puts the whole bus on the event
-path; :meth:`TraceBus.attach` re-decides after every attachment.
+Emission is positional: ``bus.emit(shape, *values)`` takes a *shape* from
+:func:`~repro.trace.events.line_encoder` (the positional line function of
+one :data:`~repro.trace.events.EVENT_FIELDS` shape, carrying its event type
+and field names) and the values in that shape's field order.  Emitters look
+their shapes up once, at import.  How the bus fans an event out depends on
+its sinks:
+
+* **line-only** — every sink accepts pre-encoded lines (``write_lines``:
+  :class:`DigestSink` and :class:`JsonlSink`).  The bus calls the shape
+  once with the stamps and hands the same bytes to every sink, never
+  building a :class:`TraceEvent` or a field dict;
+* **event** — no sink takes lines (``MemorySink``, ``TraceReplayer``).  The
+  bus builds one :class:`TraceEvent` whose fields are the shape's names
+  zipped with the values, plus the ``ss``/``hk`` stamps;
+* **mixed** — both kinds (the service's ``TraceReplayer`` +
+  ``DigestSink``).  Line sinks get the encoded line, event sinks the
+  event, in attachment order.
+
+:meth:`TraceBus.attach` re-decides after every attachment.  A bus without
+counters stamps no ``ss``/``hk``; its lines take the dict encoder
+(:func:`~repro.trace.events.canonical_line`).
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from typing import (
     Union,
 )
 
-from repro.trace.events import TraceEvent, canonical_line
+from repro.trace.events import LineEncoder, TraceEvent, canonical_line
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resources.counters import SearchCounters
@@ -188,7 +202,7 @@ class TraceBus:
         When attached, every event carries cumulative ``ss``/``hk`` stamps.
     """
 
-    __slots__ = ("clock", "counters", "_sinks", "_seq", "_line_writers")
+    __slots__ = ("clock", "counters", "_seq", "_line_writers", "_routes")
 
     def __init__(
         self,
@@ -196,8 +210,10 @@ class TraceBus:
         clock: Optional[Callable[[], int]] = None,
         counters: Optional["SearchCounters"] = None,
     ) -> None:
-        self._sinks: list[TraceSink] = []
         self._line_writers: Optional[list[Callable[[bytes, int], None]]] = []
+        # Per sink, in attachment order: (its write_lines, True) for a sink
+        # that takes lines, else (its write, False).
+        self._routes: list[tuple[Callable[..., None], bool]] = []
         self.clock = clock
         self.counters = counters
         self._seq = 0
@@ -206,9 +222,15 @@ class TraceBus:
 
     def attach(self, sink: TraceSink) -> None:
         """Add a sink; it sees only events emitted after attachment."""
-        self._sinks.append(sink)
-        writers = [getattr(s, "write_lines", None) for s in self._sinks]
-        self._line_writers = writers if all(map(callable, writers)) else None  # type: ignore[assignment]
+        write_lines = getattr(sink, "write_lines", None)
+        if callable(write_lines):
+            self._routes.append((write_lines, True))
+        else:
+            self._routes.append((sink.write, False))
+        if all(takes_lines for _, takes_lines in self._routes):
+            self._line_writers = [write for write, _ in self._routes]
+        else:
+            self._line_writers = None
 
     @property
     def line_only(self) -> bool:
@@ -236,26 +258,48 @@ class TraceBus:
         for write_lines in self._line_writers:  # type: ignore[union-attr]
             write_lines(data, count)
 
-    def emit(self, ev_type: str, **fields: Any) -> None:
-        """Stamp and fan out one event (callers guard the ``None`` check)."""
+    def emit(self, shape: LineEncoder, *values: Any) -> None:
+        """Stamp and fan out one event (callers guard the ``None`` check).
+
+        ``shape`` comes from :func:`~repro.trace.events.line_encoder`;
+        ``values`` are its fields in :data:`~repro.trace.events.EVENT_FIELDS`
+        order.
+        """
         clock = self.clock
         t = int(clock()) if clock is not None else 0
-        c = self.counters
-        if c is not None:
-            fields["ss"] = c.scheduling_steps
-            fields["hk"] = c.housekeeping_steps
         seq = self._seq
         self._seq = seq + 1
         writers = self._line_writers
         if writers is not None:
             if writers:
-                data = (canonical_line(seq, t, ev_type, fields) + "\n").encode("utf-8")
+                data = self._line(shape, seq, t, values)
                 for write_lines in writers:
                     write_lines(data, 1)
             return
-        event = TraceEvent(seq=seq, time=t, type=ev_type, fields=fields)
-        for sink in self._sinks:
-            sink.write(event)
+        fields = dict(zip(shape.names, values, strict=True))
+        c = self.counters
+        if c is not None:
+            fields["ss"] = c.scheduling_steps
+            fields["hk"] = c.housekeeping_steps
+        event = TraceEvent(seq=seq, time=t, type=shape.ev_type, fields=fields)
+        encoded: Optional[bytes] = None
+        for write, takes_lines in self._routes:
+            if not takes_lines:
+                write(event)
+                continue
+            if encoded is None:
+                encoded = self._line(shape, seq, t, values)
+            write(encoded, 1)
+
+    def _line(self, shape: LineEncoder, seq: int, t: int, values: tuple[Any, ...]) -> bytes:
+        """One stamped event's canonical line, newline-terminated."""
+        c = self.counters
+        if c is not None:
+            line = shape(seq, t, c.scheduling_steps, c.housekeeping_steps, *values)
+        else:
+            fields = dict(zip(shape.names, values, strict=True))
+            line = canonical_line(seq, t, shape.ev_type, fields)
+        return (line + "\n").encode("utf-8")
 
 
 def read_jsonl(path: Union[str, Path]) -> list[TraceEvent]:

@@ -21,8 +21,11 @@ the specification; :func:`canonical_line` produces the same string from a
 table of per-type encoders compiled from :data:`EVENT_FIELDS` (keys in
 sorted order with ``ev`` baked in, ints formatted directly), falling back
 to ``json.dumps`` itself for any shape or value the table does not cover.
-:func:`line_encoder` hands out the same encoders with positional fields,
-for the array hot loop.  This module is the only one that spells a line.
+:func:`line_encoder` hands out the same encoders with positional fields;
+each carries its event type and field names, which makes it the *shape*
+every emitter passes to :meth:`~repro.trace.bus.TraceBus.emit` (and the
+array hot loop calls directly).  This module is the only one that spells a
+line.
 
 Every event also carries the cumulative search-step counters at emission
 time (``ss`` = scheduling steps, ``hk`` = housekeeping steps, stamped by the
@@ -37,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Protocol
 
 # -- event types (the taxonomy) -----------------------------------------------
 
@@ -139,8 +142,17 @@ _KINDS: dict[str, tuple[str, str, str]] = {
 }
 
 Encoder = Callable[[int, int, Mapping[str, Any]], str]
-#: ``(seq, t, ss, hk, *values in EVENT_FIELDS order) -> line``.
-LineEncoder = Callable[..., str]
+
+
+class LineEncoder(Protocol):
+    """``(seq, t, ss, hk, *values in EVENT_FIELDS order) -> line``, carrying
+    its shape: the event type and the field names in spec order.  This is
+    the *shape* :meth:`repro.trace.bus.TraceBus.emit` takes."""
+
+    ev_type: str
+    names: tuple[str, ...]
+
+    def __call__(self, seq: int, t: int, ss: int, hk: int, *values: Any) -> str: ...
 
 
 def json_line(seq: int, time: int, ev_type: str, fields: Mapping[str, Any]) -> str:
@@ -161,9 +173,10 @@ def _compile(ev_type: str, spec: Mapping[str, str]) -> tuple[Encoder, LineEncode
     ``line(seq, t, ss, hk, *values in spec order)`` checks every value's
     kind in one guard and fills one ``%`` template whose keys are spelled in
     the order ``sort_keys=True`` puts them (``%d`` of an exact ``int`` is
-    its JSON form).  ``encode(seq, t, fields)`` reads the values from the
-    dict for ``line``.  A failed guard or a missing field (another shape
-    with the same field count) returns :func:`json_line`.
+    its JSON form); it carries ``ev_type`` and ``names`` (the spec's keys).
+    ``encode(seq, t, fields)`` reads the values from the dict for ``line``.
+    A failed guard or a missing field (another shape with the same field
+    count) returns :func:`json_line`.
     """
     keys = ("ss", "hk", *spec)
     kinds = {"seq": INT, "t": INT, "ss": INT, "hk": INT, **spec}
@@ -194,7 +207,10 @@ def _compile(ev_type: str, spec: Mapping[str, str]) -> tuple[Encoder, LineEncode
     )
     scope: dict[str, Any] = {"json_line": json_line, "_json_str": _json_str, "ev_type": ev_type}
     exec(src, scope)
-    return scope["encode"], scope["line"]
+    line_fn = scope["line"]
+    line_fn.ev_type = ev_type
+    line_fn.names = tuple(spec)
+    return scope["encode"], line_fn
 
 
 # Encoders by event type, then by field count (the ss/hk stamps included):
@@ -263,6 +279,7 @@ __all__ = [
     "canonical_line",
     "json_line",
     "line_encoder",
+    "LineEncoder",
     "RUN_STARTED",
     "RUN_FINISHED",
     "TASK_ARRIVED",

@@ -341,7 +341,7 @@ def test_array_susqueue_free_list_interleavings(ops, order, max_retries):
         elif op == "match":
             # The indexed key query against the model's walk, charges included.
             wanted = {idx % 3, (idx + 1) % 3} if idx % 2 else {idx % 3}
-            slot = queue.first_matching_key(wanted.__contains__)
+            slot = queue.first_matching_key(dict.fromkeys(wanted, 0), 0)
             rec = model.search_key(wanted.__contains__)
             assert (slot is None) == (rec is None)
             if slot is not None:

@@ -308,12 +308,25 @@ def test_dl011_fires_when_an_early_return_skips_the_charge(mutated_tree):
 def test_dl012_fires_when_a_trace_field_widens_to_float(mutated_tree):
     report = mutated_tree(
         "framework/simulator.py",
-        "self.trace.emit(RUN_FINISHED, final=final)",
-        "self.trace.emit(RUN_FINISHED, final=final / 1)",
+        "self.trace.emit(_RUN_FINISHED, final)",
+        "self.trace.emit(_RUN_FINISHED, final / 1)",
         "DL012",
     )
     hits = [f for f in report.errors if f.rule == "DL012"]
     assert any("final" in f.message for f in hits), hits
+
+
+def test_dl012_fires_on_a_float_in_a_middle_emit_slot(mutated_tree):
+    report = mutated_tree(
+        "framework/failures.py",
+        "sim.trace.emit(_TASK_RETRY, task.task_no, attempt + 1, delay, now + delay)",
+        "sim.trace.emit(_TASK_RETRY, task.task_no, attempt + 1, delay * 0.5, now + delay)",
+        "DL012",
+    )
+    hits = [f for f in report.errors if f.rule == "DL012"]
+    assert any("value 3 ('delay * 0.5')" in f.message for f in hits), hits
+    # The neighbouring integer slots stay clean.
+    assert not any("now + delay" in f.message for f in hits), hits
 
 
 def test_dl013_fires_when_a_backend_method_is_renamed(mutated_tree):

@@ -31,7 +31,8 @@ class TestMonitor:
         run_task_on(rim, rim.nodes[0])
         rim.configure_node(rim.nodes[1], rim.configs[0])  # idle configured
         mon = Monitor()
-        snap = mon.sample(10, rim, q)
+        mon.sample(10, rim, q)
+        snap = mon.samples[-1]
         assert snap.busy_nodes == 1
         assert snap.idle_nodes == 1
         assert snap.blank_nodes == 2
@@ -42,16 +43,21 @@ class TestMonitor:
         rim = build()
         q = SuspensionQueue()
         run_task_on(rim, rim.nodes[0])
-        snap = Monitor().sample(0, rim, q)
+        mon = Monitor()
+        mon.sample(0, rim, q)
+        snap = mon.samples[-1]
         assert snap.utilization == 1.0  # 1 busy / 1 configured
 
     def test_rate_limiting(self):
         rim = build()
         q = SuspensionQueue()
         mon = Monitor(min_interval=100)
-        assert mon.sample(0, rim, q) is not None
-        assert mon.sample(50, rim, q) is None  # inside interval
-        assert mon.sample(100, rim, q) is not None
+        mon.sample(0, rim, q)
+        assert len(mon) == 1  # recorded
+        mon.sample(50, rim, q)
+        assert len(mon) == 1  # inside interval: not recorded
+        mon.sample(100, rim, q)
+        assert [s.time for s in mon.samples] == [0, 100]
         assert len(mon) == 2
 
     def test_series_accumulate(self):
@@ -77,7 +83,8 @@ class TestLoadBalancer:
         for i, n in enumerate(rim.nodes):
             run_task_on(rim, n, no=i)
         lb = LoadBalancer(rim)
-        snap = lb.observe(0)
+        lb.observe(0)
+        snap = lb.snapshots[-1]
         assert snap.cv == pytest.approx(0.0)
         assert snap.jain == pytest.approx(1.0)
 
@@ -85,13 +92,16 @@ class TestLoadBalancer:
         rim = build()
         run_task_on(rim, rim.nodes[0])
         lb = LoadBalancer(rim)
-        snap = lb.observe(0)
+        lb.observe(0)
+        snap = lb.snapshots[-1]
         assert snap.cv > 1.0  # one loaded node of four
         assert snap.jain < 0.5
 
     def test_idle_system(self):
         rim = build()
-        snap = LoadBalancer(rim).observe(0)
+        lb = LoadBalancer(rim)
+        lb.observe(0)
+        snap = lb.snapshots[-1]
         assert snap.mean_load == 0.0
         assert snap.jain == 1.0
 

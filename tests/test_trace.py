@@ -22,6 +22,7 @@ from repro.trace import (
     read_jsonl,
 )
 from repro.trace import events as ev
+from repro.trace.events import line_encoder
 
 
 # -- TraceEvent: canonical serialisation ---------------------------------------
@@ -59,11 +60,11 @@ def test_bus_stamps_sequence_time_and_counters():
     clock_value = [0]
     mem = MemorySink()
     bus = TraceBus(mem, clock=lambda: clock_value[0], counters=counters)
-    bus.emit(ev.TASK_ARRIVED, task=0)
+    bus.emit(line_encoder(ev.TASK_ARRIVED, "task", "pref", "req"), 0, 1, 10)
     counters.charge_scheduling(5)
     counters.charge_housekeeping(2)
     clock_value[0] = 42
-    bus.emit(ev.PLACED, task=0)
+    bus.emit(line_encoder(ev.DISCARDED, "task", "reason"), 0, "no_config")
     assert [e.seq for e in mem] == [0, 1]
     assert [e.time for e in mem] == [0, 42]
     assert mem.events[0].fields["ss"] == 0 and mem.events[0].fields["hk"] == 0
@@ -74,7 +75,7 @@ def test_bus_stamps_sequence_time_and_counters():
 def test_bus_without_clock_or_counters_stamps_zero_time_no_counters():
     mem = MemorySink()
     bus = TraceBus(mem)
-    bus.emit(ev.NODE_FAILED, node=3)
+    bus.emit(line_encoder(ev.NODE_FAILED, "node", "interrupted", "lost", "cls"), 3, 0, 0, "crash")
     (event,) = mem.events
     assert event.time == 0
     assert "ss" not in event.fields and "hk" not in event.fields
@@ -82,10 +83,11 @@ def test_bus_without_clock_or_counters_stamps_zero_time_no_counters():
 
 def test_attach_sees_only_later_events():
     bus = TraceBus()
-    bus.emit(ev.RUN_STARTED)
+    bus.emit(line_encoder(ev.RUN_STARTED, "nodes", "configs", "partial", "sample_system"),
+             2, 1, True, True)
     late = MemorySink()
     bus.attach(late)
-    bus.emit(ev.RUN_FINISHED)
+    bus.emit(line_encoder(ev.RUN_FINISHED, "final"), 5)
     assert [e.type for e in late] == [ev.RUN_FINISHED]
     assert late.events[0].seq == 1  # global numbering, not per-sink
 

@@ -5,11 +5,13 @@ canonical line (:func:`repro.trace.events.json_line`).  The compiled
 per-type encoders behind :func:`~repro.trace.events.canonical_line` and
 their positional twins (:func:`~repro.trace.events.line_encoder`, the hot
 loop's) must reproduce it exactly for every value — directly where the
-values have the spec's kinds, through the fallback everywhere else — and a
-bus on its line-only path must digest a campaign exactly as an event-path
-bus does.
+values have the spec's kinds, through the fallback everywhere else.  A
+positional ``TraceBus.emit`` must give those bytes on a line-only, an event
+and a mixed bus alike, and all three must digest a campaign identically.
 """
 
+import ast
+import io
 import json
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
+from repro.resources.counters import SearchCounters
 from repro.trace import DigestSink, JsonlSink, MemorySink, TraceBus, TraceEvent, digest_of
 from repro.trace import events as ev
 from repro.trace.events import EVENT_FIELDS, canonical_line, json_line, line_encoder
@@ -162,7 +165,125 @@ def test_non_spec_shapes_examples(ev_type, fields):
     assert event.canonical() == json_line(2, 30, ev_type, fields)
 
 
-# -- the line-only bus -----------------------------------------------------------
+# -- positional emission: line-only, event and mixed buses ------------------------
+
+
+class _Recorder:
+    """An event sink and a line sink appending to one shared log, so a test
+    can see the order a mixed bus fans out in."""
+
+    def __init__(self, log, tag, lines):
+        self.log, self.tag = log, tag
+        if lines:
+            self.write_lines = lambda data, count: log.append((tag, data.decode("utf-8")))
+
+    def write(self, event):
+        self.log.append((self.tag, event))
+
+
+def _buses(counters):
+    """A line-only, an event-only and a mixed bus over fresh sinks."""
+    line_fh, mixed_fh = io.StringIO(), io.StringIO()
+    event_mem, mixed_mem = MemorySink(), MemorySink()
+    buses = [
+        TraceBus(JsonlSink(line_fh), DigestSink(), counters=counters),
+        TraceBus(event_mem, counters=counters),
+        TraceBus(mixed_mem, JsonlSink(mixed_fh), counters=counters),
+    ]
+    return buses, line_fh, event_mem, mixed_mem, mixed_fh
+
+
+@pytest.mark.parametrize("ev_type, spec", _SHAPES, ids=_SHAPE_IDS)
+@_ORACLE
+@given(data=st.data())
+def test_every_bus_emits_the_json_line(ev_type, spec, data):
+    names = [key for key in spec if key not in ("ss", "hk")]
+    shape = line_encoder(ev_type, *names)
+    assert (shape.ev_type, shape.names) == (ev_type, tuple(names))
+    fields = data.draw(_payload(spec, lambda kind: st.one_of(_KIND_VALUES[kind], _ANY)))
+    stamped = data.draw(st.booleans())
+    counters = SearchCounters() if stamped else None
+    if stamped:
+        counters.scheduling_steps, counters.housekeeping_steps = fields["ss"], fields["hk"]
+    else:
+        del fields["ss"], fields["hk"]
+    values = [fields[key] for key in names]
+    buses, line_fh, event_mem, mixed_mem, mixed_fh = _buses(counters)
+    for bus in buses:
+        bus.resume_at(3)
+        bus.clock = lambda: 11
+        bus.emit(shape, *values)
+    expected = json_line(3, 11, ev_type, fields)
+    assert line_fh.getvalue() == mixed_fh.getvalue() == expected + "\n"
+    for mem in (event_mem, mixed_mem):
+        (event,) = mem.events
+        assert (event.seq, event.time, event.type) == (3, 11, ev_type)
+        assert event.fields == fields
+        assert event.canonical() == expected
+
+
+def test_mixed_bus_fans_out_in_attach_order():
+    log = []
+    bus = TraceBus(
+        _Recorder(log, "a", lines=False),
+        _Recorder(log, "b", lines=True),
+        _Recorder(log, "c", lines=False),
+        counters=SearchCounters(),
+    )
+    assert not bus.line_only
+    bus.emit(line_encoder(ev.NODE_REPAIRED, "node"), 4)
+    assert [tag for tag, _ in log] == ["a", "b", "c"]
+    (_, a), (_, b), (_, c) = log
+    assert a is c  # one event for every event sink
+    assert b == a.canonical() + "\n"
+
+
+@pytest.mark.parametrize("stamped", [True, False], ids=["counters", "no-counters"])
+def test_mid_run_attach_moves_the_bus_between_paths(stamped):
+    counters = SearchCounters() if stamped else None
+    placed = line_encoder(ev.PLACED, "task", "kind", "node", "cfg", "ctime", "avail", "sw",
+                          "closest")
+    bus = TraceBus(DigestSink(), counters=counters)
+    whole = DigestSink()
+    bus.attach(whole)
+    assert bus.line_only
+    bus.emit(placed, 1, "configuration", 4, 2, 5, 100, 7, False)
+    late = MemorySink()
+    bus.attach(late)  # line-only -> mixed
+    assert not bus.line_only
+    if counters is not None:
+        counters.charge_scheduling(3)
+    bus.emit(placed, 2, "allocation", 4, 2, 0, 60, 7, True)
+    bus.emit(line_encoder(ev.CONFIG_EVICTED, "node", "cfgs", "area"), 4, [2, 3], 9)
+    assert [e.seq for e in late] == [1, 2]
+    stamps = {"ss": 3, "hk": 0} if stamped else {}
+    assert late.events[0].fields == {
+        "task": 2, "kind": "allocation", "node": 4, "cfg": 2, "ctime": 0, "avail": 60,
+        "sw": 7, "closest": True, **stamps,
+    }
+    first = TraceEvent(
+        seq=0, time=0, type=ev.PLACED,
+        fields={"task": 1, "kind": "configuration", "node": 4, "cfg": 2, "ctime": 5,
+                "avail": 100, "sw": 7, "closest": False,
+                **({"ss": 0, "hk": 0} if stamped else {})},
+    )
+    assert whole.count == 3
+    assert whole.hexdigest() == digest_of([first, *late.events])
+
+
+@pytest.mark.parametrize(
+    "sinks, stamped",
+    [((DigestSink,), True), ((DigestSink,), False), ((MemorySink,), True),
+     ((MemorySink, DigestSink), True)],
+    ids=["line-only", "line-only-no-counters", "event", "mixed"],
+)
+def test_emit_rejects_a_value_count_the_shape_does_not_name(sinks, stamped):
+    bus = TraceBus(*(sink() for sink in sinks), counters=SearchCounters() if stamped else None)
+    discarded = line_encoder(ev.DISCARDED, "task", "reason")
+    with pytest.raises((TypeError, ValueError)):
+        bus.emit(discarded, 1)
+    with pytest.raises((TypeError, ValueError)):
+        bus.emit(discarded, 1, "no_config", 2)
 
 
 def test_line_only_flag_follows_the_sinks():
@@ -176,11 +297,14 @@ def test_line_only_flag_follows_the_sinks():
 
 def test_line_only_bus_writes_the_event_path_lines(tmp_path):
     def emit_all(bus):
-        bus.emit(ev.TASK_ARRIVED, task=1, pref=2, req=30)
-        bus.emit(ev.PLACED, task=1, kind="configuration", node=4, cfg=2, ctime=5,
-                 avail=100, sw=7, closest=False)
-        bus.emit(ev.DISCARDED, task=2, reason='odd "reason" é')
-        bus.emit(ev.CONFIG_EVICTED, node=4, cfgs=[2, 3], area=9)
+        bus.emit(line_encoder(ev.TASK_ARRIVED, "task", "pref", "req"), 1, 2, 30)
+        bus.emit(
+            line_encoder(ev.PLACED, "task", "kind", "node", "cfg", "ctime", "avail", "sw",
+                         "closest"),
+            1, "configuration", 4, 2, 5, 100, 7, False,
+        )
+        bus.emit(line_encoder(ev.DISCARDED, "task", "reason"), 2, 'odd "reason" é')
+        bus.emit(line_encoder(ev.CONFIG_EVICTED, "node", "cfgs", "area"), 4, [2, 3], 9)
 
     lines_path, events_path = tmp_path / "lines.jsonl", tmp_path / "events.jsonl"
     with JsonlSink(lines_path) as jsonl:
@@ -192,6 +316,30 @@ def test_line_only_bus_writes_the_event_path_lines(tmp_path):
     assert lines_path.read_bytes() == events_path.read_bytes()
     assert digest.hexdigest() == digest_of(mem)
     assert digest.count == len(mem) == 4
+
+
+def test_emitters_outside_trace_pass_values_positionally():
+    """Every ``.emit(`` call under ``src/repro`` outside ``trace/`` is the
+    positional ``emit(shape, *values)`` form: a keyword would be a field
+    the shape does not name (and one DL012 checks differently)."""
+    src = Path(ev.__file__).resolve().parents[1]
+    keyword_emits = []
+    calls = 0
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        if rel.parts[0] == "trace":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+            ):
+                calls += 1
+                if node.keywords:
+                    keyword_emits.append(f"{rel}:{node.lineno}")
+    assert calls > 20
+    assert keyword_emits == []
 
 
 # -- campaign differential: line-only bus vs event bus ---------------------------
@@ -230,8 +378,13 @@ def test_line_only_bus_digests_like_the_event_bus(campaign, backend):
     _generic_run(spec, backend, line_bus)
 
     events, mem = DigestSink(), MemorySink()
-    _generic_run(spec, backend, TraceBus(events, mem))
+    mixed_bus = TraceBus(events, mem)
+    _generic_run(spec, backend, mixed_bus)
+    assert not mixed_bus.line_only
     assert lines.hexdigest() == events.hexdigest() == digest_of(mem)
+    only_events = MemorySink()
+    _generic_run(spec, backend, TraceBus(only_events))
+    assert only_events.events == mem.events
 
     # A MemorySink attached mid-run moves the bus to the event path; the
     # digest cannot tell, and the sink sees exactly the stream's tail.
