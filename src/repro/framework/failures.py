@@ -67,7 +67,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.core.base import ScheduleResult
 from repro.model.config import Configuration
 from repro.framework.simulator import DReAMSim, SimulationResult
 from repro.metrics.resilience import FaultLog, ResilienceReport, assemble_resilience
@@ -564,7 +563,8 @@ class FailureInjector:
             rec = sim.susqueue.head
             assert rec is not None
             candidate = sim.susqueue.remove(rec)
-            if sim._submit(candidate, now).result is not ScheduleResult.SCHEDULED:
+            sim._submit(candidate, now)
+            if candidate.status is not TaskStatus.RUNNING:
                 break
 
     # -- snapshot support --------------------------------------------------------

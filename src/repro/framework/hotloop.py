@@ -1,4 +1,4 @@
-"""The flat-table hot loop: a specialised clean-run driver for ``backend="array"``.
+"""The flat-table hot loop: a specialised whole-run driver for ``backend="array"``.
 
 The generic :class:`~repro.framework.simulator.DReAMSim` run loop routes
 every arrival and completion through the event kernel, the four-phase
@@ -8,7 +8,8 @@ overhead dominates the wall clock.  This module collapses that stack into
 one loop over the :class:`~repro.resources.arraycore.ArrayRIM` flat tables:
 the event heap, phase-0..4 placement, suspension-queue maintenance,
 monitor/load sampling and the metric accumulators all run as straight-line
-code over the packed integer arrays.
+code over the packed integer arrays.  Fault campaigns run here too: the
+failure injector's kernel events fire in place (see *Kernel events* below).
 
 **The hot loop is an implementation of the same semantics, not a variant.**
 Every simulated quantity — scheduling/housekeeping step charges, task
@@ -31,11 +32,34 @@ only engages for configurations whose behaviour it replicates completely
   machinery is bypassed.  A bus with an event sink (``MemorySink``,
   ``TraceReplayer``) keeps the generic path, which is also how golden
   traces stay backend-identical;
-* no GPP pool, no armed failure injector (no pending env events, no
-  quarantine hooks, all nodes in service), no debug invariant checking.
+* no GPP pool and no debug invariant checking;
+* a fresh run: clock at 0, all nodes in service, nothing placed or queued.
+  Pending kernel events are allowed — an armed
+  :class:`~repro.framework.failures.FailureInjector` (SEU, crash, burst,
+  retry backoff, quarantine) schedules its first events at ``arm()``.
 
 Anything else falls back to the generic loop — correctness first, speed
 where the envelope allows.
+
+**Kernel events.**  The loop's heap *is* ``env._queue`` and its sequence
+counter continues ``env._seq``, so its own ``(time, seq, task, node, entry)``
+records and the kernel's ``(time, seq, Event)`` records sort by one unique
+``(time, seq)`` key; a 3-tuple is a kernel event.  Each one fires behind a
+barrier: ``sync_out`` writes the hoisted locals back to the shared objects
+(counters, state counts, scheduler tallies, load aggregates, monitor clock,
+``env._now``/``_seq``), flushes the buffered trace lines and re-attaches
+``rim.trace``; the callback then runs the manager's own fault transitions;
+``sync_in`` reloads the locals and detaches ``rim.trace`` again.  While the
+loop runs, the injector's ``sim._submit`` (retries, instant resubmits,
+``_kick``) and ``sim._redispatch_from`` (scrub finish) reach the loop's own
+``submit`` and ``redispatch`` through the same barrier in reverse, so no
+second copy of the scheduler exists.  Placement stores the record's ``seq``
+in ``sim._placements`` as a token; the injector pops it on interrupt, so a
+completion whose token no longer matches is *stale* and is skipped before
+the per-tick housekeeping charge, exactly as the generic ``_on_complete``
+skips it.  Kernel events charge no per-tick housekeeping.  A run that
+starts with no kernel event queued can never see one, so it skips the
+kernel-record test and the tokens.
 
 This module intentionally reaches into manager/susqueue internals — it *is*
 the manager's hot path, hoisted out of per-call method dispatch; dreamlint's
@@ -66,6 +90,7 @@ from repro.trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.framework.simulator import DReAMSim
+    from repro.model.node import Node
 
 
 def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
@@ -95,9 +120,10 @@ def hot_eligible(sim: "DReAMSim") -> bool:
     """True when the flat-table hot loop replicates ``sim`` exactly.
 
     Every condition here guards a semantic the hot loop does not reimplement
-    (tracing, GPP offload, fault campaigns, policy ablations, debug
-    invariant checking, custom network models).  The check is cheap and runs
-    once per :meth:`DReAMSim.run`.
+    (event-sink tracing, GPP offload, policy ablations, debug invariant
+    checking, custom network models) or a run that is not fresh.  Pending
+    kernel events (an armed failure injector) are inside the envelope.  The
+    check is cheap and runs once per :meth:`DReAMSim.run`.
     """
     rim = sim.rim
     susq = sim.susqueue
@@ -116,12 +142,10 @@ def hot_eligible(sim: "DReAMSim") -> bool:
         and pol.blank is min_area
         and pol.partially_blank is min_area
         and type(sched.network) is FixedDelayModel
-        and not sim.env._queue
         and sim.env._now == 0
         and not sim.tasks
         and not sim._placements
         and sim._pending_retries == 0
-        and rim.on_quarantine_release is None
         and not rim._quarantined
         and rim._failed_count == 0
         and all(rim.t_live)
@@ -142,11 +166,15 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     The bodies of ``ArrayRIM.assign_task`` / ``complete_task`` (including
     ``Node.add_task`` / ``remove_task`` and the ``_busy_shift`` node-table
     transition) are inlined below rather than called — the only inlined
-    copies of a manager transition in the tree: every transition in the clean
-    envelope is legal by construction, the completion event carries its
-    busy entry (so no per-node task scan), and all nodes stay live (no
-    injector), which lets the ``t_live`` branches drop out.  The inlined
-    code performs the identical table updates in the identical order.
+    copies of a manager transition in the tree: every placement the loop
+    makes is legal by construction, and the completion event carries its
+    busy entry (so no per-node task scan).  Both only ever touch a node in
+    service — the query arrays exclude failed nodes, and a completion on a
+    node that failed is stale — so the ``t_live`` branches drop out.  The
+    inlined code performs the identical table updates in the identical
+    order.  Fault transitions (crash, repair, SEU, scrub, quarantine) are
+    never inlined: kernel events run the manager's own methods behind the
+    ``sync_out``/``sync_in`` barrier described in the module docstring.
     """
     # Hot-path aliases: module globals and builtins rebound as locals so
     # the loop body uses LOAD_FAST instead of LOAD_GLOBAL everywhere.
@@ -208,8 +236,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     # Step counters and scheduler tallies, hoisted to locals.  The rare
     # external calls (configure_node / evict_entries / scan_any_idle)
     # charge ``counters`` themselves, so the locals are synced to the
-    # shared object around those calls; everything else — and the stats
-    # tallies, which nothing external mutates — flushes once at the end.
+    # shared object around those calls; kernel events sync everything
+    # through sync_out/sync_in; the rest flushes once at the end.
     sched_steps = counters.scheduling_steps
     hk_steps = counters.housekeeping_steps
     st_scheduled = stats.scheduled
@@ -219,14 +247,15 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     st_cfg_paid = stats.total_config_time_paid
     st_evicted = stats.total_evicted_area
 
-    # Hot aggregates owned exclusively by the inlined assign/complete code
-    # (configure/evict never touch them), hoisted to locals for the run and
-    # written back at the end.
+    # Hot aggregates of the inlined assign/complete code (configure/evict
+    # never touch them; fault transitions do, behind the barrier), hoisted
+    # to locals for the run and written back at the end.
     running_count = rim.running_tasks_count
     load_sum_i = rim._load_sum_i
     load_sumsq_i = rim._load_sumsq_i
-    # Read-only mirrors of aggregates that only configure/evict mutate;
-    # re-synced right after the (rare) configure_node call in submit.
+    # Read-only mirrors of aggregates that only the manager's own methods
+    # mutate; re-synced after the (rare) configure_node call in submit and
+    # after every barrier.
     wasted_total = rim._wasted_total
     conf_total = rim._configured_total
     # Node-state tallies, hoisted like the step counters: the inlined
@@ -297,7 +326,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     # read from the counters at that point; the lines are batched in
     # ``tr_buf`` and handed, encoded once, to the bus's ``write_lines``.
     # The caller (DReAMSim.run) detaches ``rim.trace`` for the duration so
-    # configure_node/evict_entries do not also emit through the bus.
+    # configure_node/evict_entries do not also emit through the bus;
+    # sync_out re-attaches it while kernel events run.
     tb = sim.trace
     trace_on = tb is not None
     tr_buf: list = []
@@ -322,13 +352,22 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
 
     # Event records: ``(time, seq, task, node, entry)`` — ``node`` is None
     # for an arrival, the hosting node (and its busy entry) for a
-    # completion.  Heap order is ``(time, insertion seq)``, the kernel's own
-    # order; allocating ``seq`` at the same call sites as the generic path's
-    # ``Environment.call_at`` reproduces its tie-breaks exactly.
-    heap: list = []
-    seq = 0
+    # completion — share the kernel's heap with its ``(time, seq, Event)``
+    # records.  Heap order is ``(time, insertion seq)``, the kernel's own
+    # order; allocating ``seq`` from the kernel's counter at the same call
+    # sites as the generic path's ``Environment.call_at`` reproduces its
+    # tie-breaks exactly.  ``placements`` maps a placed task to its
+    # completion record's seq (the stale-completion token).
+    env = sim.env
+    heap = env._queue
+    seq = env._seq
     events = 0
-    now = 0
+    now = env._now
+    placements = sim._placements
+    # Only a caller (an armed injector) queues kernel events before the run,
+    # and only their callbacks queue more: a run that starts without any has
+    # no kernel records to test for and no stale completions to detect.
+    faults = bool(heap)
 
     def matched_cno(task: Task) -> Optional[int]:
         # DreamScheduler.matched_config: memoised exact-then-closest match.
@@ -362,6 +401,69 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         if trace_on:
             tr_app(sampled_line(tr_seq, now, sched_steps, hk_steps, sc_busy, qlen, wasted_total, running_count))
             tr_seq += 1
+
+    def flush() -> None:
+        # Hand the buffered lines, encoded once, to the bus's sinks.
+        if tr_buf:
+            tb.write_lines(("\n".join(tr_buf) + "\n").encode("utf-8"), len(tr_buf))
+            tr_buf.clear()
+
+    def sync_out(now: int) -> None:
+        """Barrier, outward: publish the hoisted state before code that
+        reads it from the shared objects (a kernel event, a manager call)."""
+        counters.scheduling_steps = sched_steps
+        counters.housekeeping_steps = hk_steps
+        state_counts["busy"] = sc_busy
+        state_counts["idle"] = sc_idle
+        state_counts["blank"] = sc_blank
+        stats.scheduled = st_scheduled
+        stats.suspended = st_suspended
+        stats.discarded = st_discarded
+        stats.closest_match_used = st_closest
+        stats.total_config_time_paid = st_cfg_paid
+        stats.total_evicted_area = st_evicted
+        rim.running_tasks_count = running_count  # dreamlint: disable=DL005 (barrier write-back of the hoisted aggregate)
+        rim._load_sum_i = load_sum_i  # dreamlint: disable=DL005 (barrier write-back of the hoisted aggregate)
+        rim._load_sumsq_i = load_sumsq_i  # dreamlint: disable=DL005 (barrier write-back of the hoisted aggregate)
+        monitor._last_time = mon_last
+        sim._arrivals_done = arrivals_done
+        env._now = now
+        env._seq = seq
+        if trace_on:
+            flush()
+            tb.resume_at(tr_seq)
+            rim.trace = tb
+
+    def sync_in() -> None:
+        """Barrier, inward: reload everything :func:`sync_out` publishes,
+        plus the aggregates only the manager's own transitions move."""
+        nonlocal sched_steps, hk_steps, sc_busy, sc_idle, sc_blank
+        nonlocal st_scheduled, st_suspended, st_discarded
+        nonlocal st_closest, st_cfg_paid, st_evicted
+        nonlocal running_count, load_sum_i, load_sumsq_i, wasted_total, conf_total
+        nonlocal mon_last, arrivals_done, seq, tr_seq
+        sched_steps = counters.scheduling_steps
+        hk_steps = counters.housekeeping_steps
+        sc_busy = state_counts["busy"]
+        sc_idle = state_counts["idle"]
+        sc_blank = state_counts["blank"]
+        st_scheduled = stats.scheduled
+        st_suspended = stats.suspended
+        st_discarded = stats.discarded
+        st_closest = stats.closest_match_used
+        st_cfg_paid = stats.total_config_time_paid
+        st_evicted = stats.total_evicted_area
+        running_count = rim.running_tasks_count
+        load_sum_i = rim._load_sum_i
+        load_sumsq_i = rim._load_sumsq_i
+        wasted_total = rim._wasted_total
+        conf_total = rim._configured_total
+        mon_last = monitor._last_time
+        arrivals_done = sim._arrivals_done
+        seq = env._seq
+        if trace_on:
+            tr_seq = tb.events_emitted
+            rim.trace = None
 
     def submit(task: Task, now: int) -> int:
         """One ``DreamScheduler.schedule`` + framework follow-up, inlined.
@@ -435,15 +537,14 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                     kind = "partial_configuration"
             if node is None:
                 # Phase 4: FindAnyIdleNode (Alg. 1); full mode requires an
-                # all-idle node (whole-node reconfiguration).  The
-                # ``_failed_count`` term of the miss charge is zero inside
-                # the envelope (no injector, all nodes live).
+                # all-idle node (whole-node reconfiguration).  A miss bills
+                # ``_failed_scan_steps``: the scan visits failed nodes too.
                 lst4 = sr if partial else sa
                 if not lst4 or lst4[-1] < req << pos_bits:
                     if partial:
-                        ss += len(blank_m) + rim._entries_total
+                        ss += rim._failed_count + len(blank_m) + rim._entries_total
                     else:
-                        ss += sc_busy + len(blank_m) + rim._idle_node_entries
+                        ss += rim._failed_count + sc_busy + len(blank_m) + rim._idle_node_entries
                 else:
                     counters.scheduling_steps = steps0 + ss
                     counters.housekeeping_steps = hk_steps
@@ -529,36 +630,49 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                             tr_app(suspended_line(tr_seq, now, sched_steps, hk_steps, task.task_no, len(sq_order)))
                             tr_seq += 1
                         return 1
-                # Queue full or nothing can ever host it: discard.  (The
-                # quarantine rescue rung is unreachable — the eligibility
-                # gate admits no quarantined nodes and no injector.)
-                task.status = discarded_s
-                task._history.append((now, discarded_s))
-                sched_steps = steps0 + ss
-                task.scheduling_steps += ss
-                st_discarded += 1
+                if rim._quarantined:
+                    # DreamScheduler._rescue_or_discard: requisition a
+                    # quarantined node through the manager (which emits and
+                    # calls the injector back) behind the barrier.
+                    sched_steps = steps0 + ss
+                    sync_out(now)
+                    node = rim.find_quarantined_host(config)
+                    if node is not None:
+                        rim.release_quarantined(node, reason="requisition")
+                        entry = configure_node(node, config, now=now)
+                    sync_in()
+                    ss = sched_steps - steps0
+                if node is None:
+                    # Queue full or nothing can ever host it: discard.
+                    task.status = discarded_s
+                    task._history.append((now, discarded_s))
+                    sched_steps = steps0 + ss
+                    task.scheduling_steps += ss
+                    st_discarded += 1
+                    if trace_on:
+                        reason = "queue_full" if exists else "no_placement"
+                        tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, task.task_no, reason))
+                        tr_seq += 1
+                    return 2
+                kind = "configuration"
+            else:
+                counters.housekeeping_steps = hk_steps
+                state_counts["busy"] = sc_busy
+                state_counts["idle"] = sc_idle
+                state_counts["blank"] = sc_blank
+                entry = configure_node(node, config, now=now)
+                hk_steps = counters.housekeeping_steps
+                sc_busy = state_counts["busy"]
+                sc_idle = state_counts["idle"]
+                sc_blank = state_counts["blank"]
+                # Re-mirror the aggregates configure/evict just changed.
+                wasted_total = rim._wasted_total
+                conf_total = rim._configured_total
                 if trace_on:
-                    reason = "queue_full" if exists else "no_placement"
-                    tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, task.task_no, reason))
+                    tr_app(loaded_line(tr_seq, now, steps0 + ss, hk_steps, node.node_no, cno, config.config_time))
                     tr_seq += 1
-                return 2
-            counters.housekeeping_steps = hk_steps
-            state_counts["busy"] = sc_busy
-            state_counts["idle"] = sc_idle
-            state_counts["blank"] = sc_blank
-            entry = configure_node(node, config, now=now)
-            hk_steps = counters.housekeeping_steps
-            sc_busy = state_counts["busy"]
-            sc_idle = state_counts["idle"]
-            sc_blank = state_counts["blank"]
-            config_time = config.config_time
             # FixedDelayModel ships bitstreams for free (transfer time 0).
-            # Re-mirror the aggregates configure/evict just changed.
-            wasted_total = rim._wasted_total
-            conf_total = rim._configured_total
-            if trace_on:
-                tr_app(loaded_line(tr_seq, now, steps0 + ss, hk_steps, node.node_no, cno, config_time))
-                tr_seq += 1
+            config_time = config.config_time
 
         # DreamScheduler._start + DReAMSim._submit/_record_placement.
         comm = node.network_delay
@@ -647,10 +761,89 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             sample(now)
         placed += 1
         seq += 1
+        if faults:
+            placements[task.task_no] = seq
         hpush(
             heap, (now + config_time + comm + task.required_time, seq, task, node, entry)
         )
         return 0
+
+    def redispatch(node: "Node", now: int) -> None:
+        """``DReAMSim._redispatch_from`` (the ``next_redispatch`` loop plus
+        the retry-bound sweep), for a completion or a finished scrub."""
+        nonlocal sched_steps, hk_steps, st_discarded, tr_seq
+        pos = pos_of[node]
+        while sq_order:
+            reclaimable = t_total[pos] - t_busy_area[pos]
+            if reclaimable <= 0:
+                break
+            sched_steps += len(sq_order)
+            best = None
+            for e in node.entries:
+                if e.task is None:
+                    bucket = by_key.get(e.config.config_no)
+                    if bucket is not None:
+                        head = bucket[0]
+                        if best is None or head < best:
+                            best = head
+            if best is not None:
+                rec = best[2]
+            else:
+                if reclaimable < min_cfg_area:
+                    break
+                # first_matching_key(req_of, reclaimable), inlined.
+                for key, bucket in by_key.items():
+                    ra = req_of.get(key)
+                    if ra is None or ra > reclaimable:
+                        continue
+                    head = bucket[0]
+                    if best is None or head < best:
+                        best = head
+                if best is None:
+                    hk_steps += len(sq_order)
+                    break
+                hk_steps += bl(sq_order, best) + 1
+                rec = best[2]
+            # SuspensionQueue.remove, inlined.
+            rtask = sq_task[rec]
+            triple = (sq_rank_c[rec], sq_seq_c[rec], rec)
+            del sq_order[bl(sq_order, triple)]
+            key = sq_key_c[rec]
+            bucket = by_key[key]
+            del bucket[bl(bucket, triple)]
+            if not bucket:
+                del by_key[key]
+            sq_task[rec] = None
+            sq_key_c[rec] = None
+            sq_free.append(rec)
+            hk_steps += 1
+            rtask.sus_retry += 1
+            if trace_on:
+                tr_app(resumed_line(tr_seq, now, sched_steps, hk_steps, rtask.task_no, rtask.sus_retry))
+                tr_seq += 1
+            if submit(rtask, now) != 0:
+                break
+        if max_retries is not None:
+            for ex in susq_expired():
+                ex.status = discarded_s
+                ex._history.append((now, discarded_s))
+                st_discarded += 1
+                if trace_on:
+                    tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, ex.task_no, "retries"))
+                    tr_seq += 1
+
+    # The injector's re-entry points (retries, resubmits, _kick, scrub
+    # finish), shadowed on the instance for the run: the barrier in reverse
+    # around the loop's own submit/redispatch.
+    def reenter_submit(task: Task, now: int) -> None:
+        sync_in()
+        submit(task, now)
+        sync_out(now)
+
+    def reenter_redispatch(node: "Node", now: int) -> None:
+        sync_in()
+        redispatch(node, now)
+        sync_out(now)
 
     # -- main event loop ---------------------------------------------------
     arr_iter = sim._arrivals
@@ -661,36 +854,51 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     else:
         seq += 1
         at = arrival.at
-        hpush(heap, (at if at > 0 else 0, seq, arrival.task, None, None))
+        hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
 
-    while heap:
-        if trace_on and len(tr_buf) >= 1024:
-            tb.write_lines(("\n".join(tr_buf) + "\n").encode("utf-8"), len(tr_buf))
-            tr_buf.clear()
-        now, _s, task, cnode, centry = hpop(heap)
-        events += 1
-        if now > last_hk:
-            if per_tick:
-                hk_steps += (now - last_hk) * per_tick
-            last_hk = now
-        if cnode is None:
-            # -- arrival (DReAMSim._on_arrival) ---------------------------
-            task.create_time = now
-            task._history.append((now, created_s))
-            tasks_append(task)
-            if trace_on:
-                tr_app(arrived_line(tr_seq, now, sched_steps, hk_steps, task.task_no,
-                                    task.pref_config.config_no, task.required_time))
-                tr_seq += 1
-            submit(task, now)
-            arrival = next(arr_iter, None)
-            if arrival is None:
-                arrivals_done = True
-            else:
-                seq += 1
-                at = arrival.at
-                hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
-        else:
+    sim._submit = reenter_submit  # type: ignore[method-assign]
+    sim._redispatch_from = reenter_redispatch  # type: ignore[method-assign]
+    try:
+        while heap:
+            if trace_on and len(tr_buf) >= 1024:
+                flush()
+            rec = hpop(heap)
+            events += 1
+            if faults and len(rec) == 3:
+                # -- kernel event (a failure-injector callback), in place --
+                now = rec[0]
+                sync_out(now)
+                rec[2].fn()
+                sync_in()
+                continue
+            now, rseq, task, cnode, centry = rec
+            if faults and cnode is not None:
+                tno = task.task_no
+                if placements.get(tno) != rseq:
+                    continue  # stale completion: a fault interrupted the task
+                del placements[tno]
+            if now > last_hk:
+                if per_tick:
+                    hk_steps += (now - last_hk) * per_tick
+                last_hk = now
+            if cnode is None:
+                # -- arrival (DReAMSim._on_arrival) -----------------------
+                task.create_time = now
+                task._history.append((now, created_s))
+                tasks_append(task)
+                if trace_on:
+                    tr_app(arrived_line(tr_seq, now, sched_steps, hk_steps, task.task_no,
+                                        task.pref_config.config_no, task.required_time))
+                    tr_seq += 1
+                submit(task, now)
+                arrival = next(arr_iter, None)
+                if arrival is None:
+                    arrivals_done = True
+                else:
+                    seq += 1
+                    at = arrival.at
+                    hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
+                continue
             # -- completion (DReAMSim._on_complete) -----------------------
             task.status = completed_s
             task._history.append((now, completed_s))
@@ -765,83 +973,13 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             l_cv(cv)
             l_jain(jain)
             l_max(max_load)
-            # -- redispatch (DreamScheduler.next_redispatch loop) ---------
-            while sq_order:
-                reclaimable = t_total[pos] - t_busy_area[pos]
-                if reclaimable <= 0:
-                    break
-                sched_steps += len(sq_order)
-                best = None
-                for e in cnode.entries:
-                    if e.task is None:
-                        bucket = by_key.get(e.config.config_no)
-                        if bucket is not None:
-                            head = bucket[0]
-                            if best is None or head < best:
-                                best = head
-                if best is not None:
-                    rec = best[2]
-                else:
-                    if reclaimable < min_cfg_area:
-                        break
-                    # first_matching_key(req_of, reclaimable), inlined.
-                    for key, bucket in by_key.items():
-                        ra = req_of.get(key)
-                        if ra is None or ra > reclaimable:
-                            continue
-                        head = bucket[0]
-                        if best is None or head < best:
-                            best = head
-                    if best is None:
-                        hk_steps += len(sq_order)
-                        break
-                    hk_steps += bl(sq_order, best) + 1
-                    rec = best[2]
-                # SuspensionQueue.remove, inlined.
-                rtask = sq_task[rec]
-                triple = (sq_rank_c[rec], sq_seq_c[rec], rec)
-                del sq_order[bl(sq_order, triple)]
-                key = sq_key_c[rec]
-                bucket = by_key[key]
-                del bucket[bl(bucket, triple)]
-                if not bucket:
-                    del by_key[key]
-                sq_task[rec] = None
-                sq_key_c[rec] = None
-                sq_free.append(rec)
-                hk_steps += 1
-                rtask.sus_retry += 1
-                if trace_on:
-                    tr_app(resumed_line(tr_seq, now, sched_steps, hk_steps, rtask.task_no, rtask.sus_retry))
-                    tr_seq += 1
-                if submit(rtask, now) != 0:
-                    break
-            if max_retries is not None:
-                for ex in susq_expired():
-                    ex.status = discarded_s
-                    ex._history.append((now, discarded_s))
-                    st_discarded += 1
-                    if trace_on:
-                        tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, ex.task_no, "retries"))
-                        tr_seq += 1
+            redispatch(cnode, now)
+    finally:
+        del sim._submit
+        del sim._redispatch_from
 
     # -- write back state the generic loop keeps on the objects ------------
-    if trace_on:
-        if tr_buf:
-            tb.write_lines(("\n".join(tr_buf) + "\n").encode("utf-8"), len(tr_buf))
-        tb.resume_at(tr_seq)
-    counters.scheduling_steps = sched_steps
-    counters.housekeeping_steps = hk_steps
-    state_counts["busy"] = sc_busy
-    state_counts["idle"] = sc_idle
-    state_counts["blank"] = sc_blank
-    stats.scheduled = st_scheduled
-    stats.suspended = st_suspended
-    stats.discarded = st_discarded
-    stats.closest_match_used = st_closest
-    stats.total_config_time_paid = st_cfg_paid
-    stats.total_evicted_area = st_evicted
-    sim._arrivals_done = arrivals_done
+    sync_out(now)
     sim._last_hk_time = last_hk
     sim.system_waste_total = sys_waste
     sim._system_waste_samples = waste_samples
@@ -852,13 +990,6 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     pw._m2 = pw_m2
     pw.min = pw_min
     pw.max = pw_max
-    rim.running_tasks_count = running_count  # dreamlint: disable=DL005 (end-of-run write-back of the hoisted aggregate)
-    rim._load_sum_i = load_sum_i  # dreamlint: disable=DL005 (end-of-run write-back of the hoisted aggregate)
-    rim._load_sumsq_i = load_sumsq_i  # dreamlint: disable=DL005 (end-of-run write-back of the hoisted aggregate)
-    monitor._last_time = mon_last
-    env = sim.env
-    env._now = now
-    env._seq = seq
     env._event_count += events
 
 

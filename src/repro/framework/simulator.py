@@ -129,8 +129,9 @@ class DReAMSim:
     backend:
         Resource-manager backend: ``"array"`` (the default, also for
         ``None``: :class:`repro.resources.arraycore.ArrayRIM`, and the
-        flat-table hot loop on clean runs) or ``"scan"`` (the reference
-        linear-scan manager, the differential baseline).  Both share one
+        flat-table hot loop inside its envelope, fault campaigns included)
+        or ``"scan"`` (the reference linear-scan manager, the differential
+        baseline).  Both share one
         :class:`~repro.resources.susqueue.SuspensionQueue`.  A heterogeneous
         (device-family) system runs on the scan manager either way.
     trace:
@@ -249,17 +250,20 @@ class DReAMSim:
         if self._done:
             raise RuntimeError("simulation already ran; create a new DReAMSim")
         if not self._started and until is None and hot_eligible(self):
-            # Clean array-backend run: the flat-table hot loop replays the
-            # exact event/charge/sampling semantics of the generic path an
-            # order of magnitude faster (see repro.framework.hotloop).
+            # Array-backend run in the envelope: the flat-table hot loop
+            # replays the exact event/charge/sampling semantics of the
+            # generic path several times faster (see repro.framework.hotloop).
+            # An armed failure injector is inside the envelope: its pending
+            # kernel events fire in place from the loop's shared heap.
             # A digest-capable bus (every sink accepts ``write_lines``) is
             # inside the envelope: RunStarted is emitted here exactly as
             # start() would, the loop formats every in-run event's canonical
             # line inline, and finish() emits RunFinished — byte-identical
             # to the generic path's stream.  ``rim.trace`` is detached for
-            # the duration so configure/evict do not double-emit through
-            # the bus.  run_hot pulls arrivals itself, so the feed must NOT
-            # be primed (that is why the hot branch bypasses start()).
+            # the duration (the loop re-attaches it around kernel events) so
+            # configure/evict do not double-emit through the bus.  run_hot
+            # pulls arrivals itself, so the feed must NOT be primed (that is
+            # why the hot branch bypasses start()).
             if self.trace is not None:
                 self._emit_run_started()
             self._started = True
@@ -359,8 +363,12 @@ class DReAMSim:
         ``at`` that is not an ``int`` (``bool`` excluded), or one earlier
         than the ingest watermark — the latest of the clock, the pending
         arrival and the buffered tail — raises :class:`IngestError` and
-        queues nothing from the batch.  If the arrival chain had drained,
-        it is restarted so the new tasks get their events scheduled.
+        queues nothing from the batch.  Task numbers must strictly increase
+        across calls: a ``task_no`` not greater than the last one accepted
+        (the buffered tail, else the pending arrival, else the last task to
+        arrive) raises :class:`IngestError` the same way, so a repeated task
+        can never run twice.  If the arrival chain had drained, it is
+        restarted so the new tasks get their events scheduled.
 
         Each task's preference is canonicalized onto the system's own
         Configuration object when it names one (same number, same area and
@@ -374,19 +382,26 @@ class DReAMSim:
             raise RuntimeError("ingest is not open; call open_ingest() first")
         batch = list(arrivals)
         watermark = self._ingest_watermark()
+        last_no = self._last_task_no()
         for arrival in batch:
             at = arrival.at
+            task_no = arrival.task.task_no
             if type(at) is not int:
                 raise IngestError(
-                    f"task {arrival.task.task_no}: arrival time {at!r} is not "
-                    "an integer tick"
+                    f"task {task_no}: arrival time {at!r} is not an integer tick"
                 )
             if at < watermark:
                 raise IngestError(
-                    f"task {arrival.task.task_no}: arrival at {at} is earlier "
+                    f"task {task_no}: arrival at {at} is earlier "
                     f"than the ingest watermark {watermark}"
                 )
+            if last_no is not None and task_no <= last_no:
+                raise IngestError(
+                    f"task {task_no}: task number is not greater than the "
+                    f"last accepted task {last_no}"
+                )
             watermark = at
+            last_no = task_no
         for arrival in batch:
             task = arrival.task
             pref = task.pref_config
@@ -411,6 +426,14 @@ class DReAMSim:
         if self._ingest_buffer:
             mark = max(mark, self._ingest_buffer[-1].at)
         return mark
+
+    def _last_task_no(self) -> Optional[int]:
+        """The number of the latest task accepted, in arrival order."""
+        if self._ingest_buffer:
+            return self._ingest_buffer[-1].task.task_no
+        if self._pending_arrival is not None:
+            return self._pending_arrival.task.task_no
+        return self.tasks[-1].task_no if self.tasks else None
 
     @property
     def ingest_open(self) -> bool:

@@ -9,11 +9,12 @@ the byte-exact structured trace stream.  Only wall-clock time may differ.
 
 Four layers of evidence:
 
-1. **Campaign differential** — {clean, SEU, quarantine} × {partial, full}
-   campaigns run once per execution path (the array hot loop, the array
-   manager under the generic event loop, and the scan manager); reports,
-   resilience reports and BLAKE2b trace digests must match byte for byte.
-2. **Hot-vs-generic differential** — the specialized clean-run hot loop
+1. **Campaign differential** — {clean, SEU, quarantine, crash, burst} ×
+   {partial, full} campaigns run once per execution path (the array hot
+   loop, the array manager under the generic event loop, and the scan
+   manager); reports, resilience reports and BLAKE2b trace digests must
+   match byte for byte.
+2. **Hot-vs-generic differential** — the specialized hot loop
    (:func:`repro.framework.hotloop.run_hot`) against the generic event
    loop on the same array backend, field by field and by trace digest
    (the generic path is forced by an unreachable ``debug_invariants_every``
@@ -38,20 +39,29 @@ from hypothesis import strategies as st
 import pytest
 
 from repro import RNG, ConfigSpec, DReAMSim, NodeSpec, TaskSpec
-from repro.framework.campaign import FaultCampaignSpec, run_campaign
+from repro.core.policies import PlacementPolicy
+from repro.framework.campaign import FaultCampaignSpec, build_campaign, run_campaign
+from repro.framework.failures import FailureInjector
 from repro.framework.hotloop import hot_eligible
 from repro.model import Configuration, Node, Task
+from repro.model.gpp import GppPool
+from repro.model.task import TaskStatus
 from repro.resources import BACKENDS, check_invariants, create_manager
 from repro.resources.counters import SearchCounters
 from repro.resources.susqueue import SuspensionQueue
-from repro.rng.distributions import UniformInt
+from repro.rng.distributions import Constant, UniformInt
 from repro.trace import DigestSink, TraceBus
-from repro.workload.generator import generate_configs, generate_nodes, generate_task_stream
+from repro.workload.generator import (
+    TaskArrival,
+    generate_configs,
+    generate_nodes,
+    generate_task_stream,
+)
 
-#: The three implementations of one semantics.  On a clean run "array" is
-#: the flat-table hot loop; an unreachable invariant-check threshold makes
-#: ``hot_eligible`` decline, so "array-generic" drives the same manager
-#: through the generic event loop; "scan" is the reference.
+#: The three implementations of one semantics.  "array" is the flat-table
+#: hot loop (fault campaigns included); an unreachable invariant-check
+#: threshold makes ``hot_eligible`` decline, so "array-generic" drives the
+#: same manager through the generic event loop; "scan" is the reference.
 PATHS = {
     "array": {"backend": "array"},
     "array-generic": {"backend": "array", "debug_invariants_every": 10**9},
@@ -76,6 +86,20 @@ CAMPAIGNS = {
         "quarantine_threshold": 2,
         "probation": 2000,
         "health_half_life": 1000,
+    },
+    # Crash-only churn with the classic instant resubmit (backoff_base=0):
+    # interrupted tasks re-enter through _resubmit_now, and every crash and
+    # repair calls _kick.
+    "crash": {"mtbf": 1500, "mttr": 400, "backoff_base": 0, "max_failures": 120},
+    # Correlated bursts with exponential-backoff retries (_retry).
+    "burst": {
+        "burst_rate": 2000,
+        "burst_size": 3,
+        "burst_group": 4,
+        "mttr": 500,
+        "retry_budget": 3,
+        "backoff_base": 10,
+        "backoff_cap": 200,
     },
 }
 
@@ -116,6 +140,37 @@ def test_three_backends_identical(campaign, partial):
         assert digest == ref_digest, backend
 
 
+@pytest.mark.parametrize("campaign", sorted(set(CAMPAIGNS) - {"clean"}))
+def test_fault_campaigns_run_on_the_hot_loop(campaign):
+    """An armed injector is inside the hot-loop envelope: the "array" path
+    above is the hot loop for every fault campaign, not only clean runs."""
+    spec = FaultCampaignSpec(nodes=30, configs=15, tasks=400, seed=11, **CAMPAIGNS[campaign])
+    sim, injector = build_campaign(spec, trace=TraceBus(DigestSink()), **PATHS["array"])
+    assert injector is not None and sim.env.pending_count > 0
+    assert hot_eligible(sim)
+    generic, _ = build_campaign(spec, trace=TraceBus(DigestSink()), **PATHS["array-generic"])
+    assert not hot_eligible(generic)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"debug_invariants_every": 50},
+        {"gpp": GppPool(count=2)},
+        {"policy": PlacementPolicy.first_fit()},
+        {"policy": PlacementPolicy.worst_fit()},
+    ],
+    ids=["debug", "gpp", "first-fit", "worst-fit"],
+)
+def test_hot_envelope_excludes_generic_only_semantics(extra):
+    """Invariant checking, GPP offload and policy ablations keep an armed
+    campaign on the generic path."""
+    spec = FaultCampaignSpec(nodes=30, configs=15, tasks=50, seed=11, **CAMPAIGNS["seu"])
+    sim, injector = build_campaign(spec, backend="array", **extra)
+    assert injector is not None
+    assert not hot_eligible(sim)
+
+
 def test_quarantine_campaign_quarantines_nodes():
     """Sanity: the quarantine regime above really triggers quarantines."""
     _, _, resilience, _ = run_backend("array", True, CAMPAIGNS["quarantine"])
@@ -126,6 +181,49 @@ def test_seu_campaign_injects_config_faults():
     """Sanity: the SEU regime above really strikes configurations."""
     _, _, resilience, _ = run_backend("array", True, CAMPAIGNS["seu"])
     assert resilience is not None and resilience.config_faults > 0
+
+
+def kick_system(path):
+    """Two nodes; only node 0 can host ``big``.  The crash at t=100 takes
+    node 0 (fault seed 1): task 0 has nowhere to go and is discarded, and
+    task 2 stays queued behind the lost node.  Task 1 then completes on
+    node 1, which is too small for task 2, so only the repair's ``_kick`` at
+    t=4100 can restart the queue."""
+    big = Configuration(config_no=0, req_area=2000, config_time=10)
+    small = Configuration(config_no=1, req_area=300, config_time=10)
+    nodes = [Node(node_no=0, total_area=3000), Node(node_no=1, total_area=500)]
+    arrivals = [
+        TaskArrival(at=0, task=Task(task_no=0, required_time=1000, pref_config=big)),
+        TaskArrival(at=1, task=Task(task_no=1, required_time=3000, pref_config=small)),
+        TaskArrival(at=2, task=Task(task_no=2, required_time=500, pref_config=big)),
+    ]
+    digest = DigestSink()
+    sim = DReAMSim(nodes, [big, small], arrivals, trace=TraceBus(digest), **PATHS[path])
+    FailureInjector(
+        sim, mtbf=Constant(100), mttr=Constant(4000), rng=RNG(seed=1), max_failures=1
+    ).arm()
+    return sim, digest
+
+
+def test_kick_restarts_an_idled_system():
+    """``_kick``'s queue drain re-enters scheduling identically on all paths."""
+    runs = {}
+    for path in PATHS:
+        sim, digest = kick_system(path)
+        assert hot_eligible(sim) == (path == "array")
+        runs[path] = (sim.run(), digest.hexdigest())
+    result, ref_digest = runs["scan"]
+    assert {digest for _, digest in runs.values()} == {ref_digest}
+    assert [t.status for t in result.tasks] == [
+        TaskStatus.DISCARDED, TaskStatus.COMPLETED, TaskStatus.COMPLETED
+    ]
+    queued = result.tasks[2]
+    assert queued.history == [
+        (2, TaskStatus.CREATED),
+        (2, TaskStatus.SUSPENDED),
+        (4100, TaskStatus.RUNNING),  # the repair tick: no completion fired here
+        (4610, TaskStatus.COMPLETED),
+    ]
 
 
 # -- 2. hot loop vs generic event loop on the array backend --------------------

@@ -263,6 +263,57 @@ def test_ingest_rejects_late_and_non_integer_arrivals(tmp_path):
     assert result.report.total_tasks_generated == 3  # tasks 0, 1 and 7
 
 
+def _open_service(nodes=10):
+    """A fault-free, source-less service with its ingest seam open."""
+    svc = ServiceSimulator(FaultCampaignSpec(nodes=nodes, configs=10, tasks=0, seed=42))
+    svc.sim.open_ingest()
+    svc.sim.start()
+    configs = svc.sim.rim.configs
+
+    def arrival(no, at):
+        return TaskArrival(at=at, task=Task(task_no=no, required_time=50, pref_config=configs[0]))
+
+    return svc, arrival
+
+
+def test_ingest_rejects_a_repeated_task_within_one_batch():
+    """Task 1 twice at t=1: rejected, and nothing from the batch is queued."""
+    svc, arrival = _open_service()
+    with pytest.raises(IngestError, match="task number"):
+        svc.sim.ingest([arrival(1, 1), arrival(1, 1)])
+    with pytest.raises(IngestError, match="task number"):
+        svc.sim.ingest([arrival(2, 1), arrival(3, 2), arrival(3, 3)])
+    svc.sim.close_ingest()
+    result = svc.drain()
+    assert result.report.total_tasks_generated == 0
+    assert result.tasks == []
+
+
+def test_ingest_rejects_a_repeated_task_across_batches():
+    """The mark carries across calls, across firing and across a resume."""
+    svc, arrival = _open_service()
+    assert svc.sim.ingest([arrival(1, 1)]) == 1
+    with pytest.raises(IngestError, match="last accepted task 1"):
+        svc.sim.ingest([arrival(1, 1)])  # still buffered / pending
+    svc.advance_to(5)  # task 1 has arrived and runs
+    with pytest.raises(IngestError, match="last accepted task 1"):
+        svc.sim.ingest([arrival(1, 6)])
+    with pytest.raises(IngestError, match="last accepted task 1"):
+        svc.sim.ingest([arrival(0, 6)])
+    assert svc.sim.ingest([arrival(2, 6), arrival(4, 7)]) == 2
+    # A restored run derives the same mark from its snapshot.
+    snap = Snapshot.from_json(svc.checkpoint().to_json())
+    resumed = ServiceSimulator.resume(snap, svc.spec)
+    with pytest.raises(IngestError, match="last accepted task 4"):
+        resumed.sim.ingest([arrival(3, 8)])
+    svc.sim.close_ingest()
+    result = svc.drain()
+    assert [t.status.value for t in result.tasks] == ["completed"] * 3
+    assert result.report.total_tasks_generated == 3
+    assert result.report.total_completed_tasks == 3
+    assert svc.report_view().report == result.report
+
+
 def test_service_jsonl_persistence_continues_across_resume(tmp_path):
     """The JSONL trace file spans the cut: prefix + suffix, no duplicates."""
     path = tmp_path / "trace.jsonl"

@@ -1,0 +1,239 @@
+"""Generated whole-run differential: one drawn run, every execution path.
+
+Hypothesis draws a whole simulation — system size, reconfiguration mode,
+suspension-queue discipline and bounds, monitor interval, node-area range
+and an optional fault campaign (SEU, crash, burst, retry/backoff including
+the instant ``backoff_base=0`` resubmit, health-aware quarantine) — and
+two properties must hold for every draw:
+
+1. **Paths agree.**  The array backend on the flat-table hot loop, the same
+   manager on the generic event loop (forced by an unreachable
+   ``debug_invariants_every``) and the reference scan manager produce the
+   same trace digest, Table I, resilience report and per-task/monitor
+   fingerprint.  The scan manager's beyond-paper load statistics come from
+   a two-pass walk rather than exact aggregates, so those floats are
+   compared with a tight tolerance, as in ``tests/test_indexed_differential.py``.
+2. **Service equals batch.**  The same arrivals driven through
+   :class:`~repro.service.ServiceSimulator` windows, with one
+   checkpoint/resume cut (onto either backend), seal with the batch run's
+   digest, Table I and resilience report.
+
+Tier-1 runs a small derandomised profile; the ``chaos`` marker selects a
+deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+import pytest
+from pytest import approx
+
+from tests.test_array_differential import PATHS, full_fingerprint
+
+from repro import RNG, ConfigSpec, NodeSpec, TaskSpec
+from repro.framework.campaign import FaultCampaignSpec, build_campaign, run_campaign
+from repro.framework.hotloop import hot_eligible
+from repro.rng.distributions import UniformInt
+from repro.service import ServiceSimulator, Snapshot
+from repro.trace import DigestSink, MemorySink, TraceBus
+from repro.workload.generator import generate_configs, generate_nodes, generate_task_stream
+
+TIER1 = settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+CHAOS = settings(TIER1, max_examples=400)
+
+
+@st.composite
+def fault_knobs(draw):
+    """Optional fault processes; every process that never stops on its own
+    is bounded (``max_failures``, or a retry budget under SEUs)."""
+    knobs = {}
+    if draw(st.booleans()):
+        knobs["seu_rate"] = draw(st.integers(1_000, 20_000))
+        knobs["scrub_factor"] = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        knobs["mtbf"] = draw(st.integers(1_000, 20_000))
+    if draw(st.booleans()):
+        knobs["burst_rate"] = draw(st.integers(2_000, 20_000))
+        knobs["burst_size"] = draw(st.integers(1, 4))
+        knobs["burst_group"] = draw(st.integers(1, 8))
+    node_loss = "mtbf" in knobs or "burst_rate" in knobs
+    if node_loss:
+        knobs["mttr"] = draw(st.integers(50, 3_000))
+        knobs["max_failures"] = draw(st.integers(1, 25))
+        if draw(st.booleans()):
+            knobs["quarantine_threshold"] = draw(st.integers(500, 2_500))
+            knobs["probation"] = draw(st.integers(100, 5_000))
+            knobs["health_half_life"] = draw(st.integers(100, 5_000))
+    if knobs:
+        # SEUs strike until the workload drains; a budget keeps every task
+        # (and so the run) finite.
+        budget = st.integers(0, 4)
+        knobs["retry_budget"] = draw(budget if "seu_rate" in knobs else st.none() | budget)
+        knobs["backoff_base"] = draw(st.sampled_from([0, 0, 1, 8, 40]))
+        knobs["backoff_cap"] = draw(st.none() | st.integers(1, 500))
+    return knobs
+
+
+@st.composite
+def whole_runs(draw):
+    """``(workload, sim_kwargs, fault_knobs)`` for one drawn run."""
+    workload = {
+        "nodes": draw(st.integers(5, 40)),
+        "tasks": draw(st.integers(50, 400)),
+        "seed": draw(st.integers(0, 2**16)),
+        "node_area": draw(
+            st.none()
+            | st.tuples(st.integers(200, 2_000), st.integers(0, 3_000)).map(
+                lambda lo_span: (lo_span[0], lo_span[0] + lo_span[1])
+            )
+        ),
+    }
+    sim_kwargs = {
+        "partial": draw(st.booleans()),
+        "queue_order": draw(st.sampled_from(["fifo", "sjf", "area"])),
+        "max_queue_length": draw(st.none() | st.integers(0, 20)),
+        "max_retries": draw(st.none() | st.integers(1, 4)),
+        "monitor_min_interval": draw(st.sampled_from([0, 0, 30, 200])),
+    }
+    return workload, sim_kwargs, draw(fault_knobs())
+
+
+def build(workload, sim_kwargs, knobs, path):
+    """One drawn run on one execution path, with a digest bus attached."""
+    rng = RNG(seed=workload["seed"])
+    area = workload["node_area"]
+    node_spec = NodeSpec(count=workload["nodes"])
+    if area is not None:
+        node_spec = NodeSpec(count=workload["nodes"], total_area=UniformInt(*area))
+    nodes = generate_nodes(node_spec, rng)
+    configs = generate_configs(ConfigSpec(count=20), rng)
+    stream = list(generate_task_stream(TaskSpec(count=workload["tasks"]), configs, rng))
+    spec = FaultCampaignSpec(
+        nodes=workload["nodes"],
+        configs=20,
+        tasks=workload["tasks"],
+        partial=sim_kwargs["partial"],
+        seed=workload["seed"],
+        **knobs,
+    )
+    kwargs = {k: v for k, v in sim_kwargs.items() if k != "partial"}
+    digest = DigestSink()
+    sim, injector = build_campaign(
+        spec,
+        trace=TraceBus(digest),
+        workload=(nodes, configs, stream),
+        **kwargs,
+        **PATHS[path],
+    )
+    return sim, injector, digest
+
+
+def observe(workload, sim_kwargs, knobs, path):
+    sim, injector, digest = build(workload, sim_kwargs, knobs, path)
+    hot = hot_eligible(sim)
+    result = sim.run()
+    resilience = injector.resilience(result).as_dict() if injector is not None else None
+    return hot, digest.hexdigest(), result, resilience
+
+
+def split_load(fingerprint):
+    """The fingerprint with the load series pulled out, and that series."""
+    report, final, tasks, samples, snaps = fingerprint
+    return (report, final, tasks, samples), snaps
+
+
+def check_paths_agree(run):
+    workload, sim_kwargs, knobs = run
+    runs = {path: observe(workload, sim_kwargs, knobs, path) for path in PATHS}
+    assert runs["array"][0], "the hot loop declined a run inside its envelope"
+    assert not runs["array-generic"][0]
+    _, ref_digest, ref_result, ref_resilience = runs["scan"]
+    ref_exact, ref_load = split_load(full_fingerprint(ref_result))
+    hot_fingerprint = full_fingerprint(runs["array"][2])
+    assert hot_fingerprint == full_fingerprint(runs["array-generic"][2])
+    for path, (_, digest, result, resilience) in runs.items():
+        assert digest == ref_digest, path
+        assert result.report.as_dict() == ref_result.report.as_dict(), path
+        assert resilience == ref_resilience, path
+        exact, load = split_load(full_fingerprint(result))
+        assert exact == ref_exact, path
+        assert [(s[0], s[4]) for s in load] == [(s[0], s[4]) for s in ref_load], path
+        stats = [x for s in load for x in s[1:4]]
+        assert stats == approx([x for s in ref_load for x in s[1:4]], rel=1e-9, abs=1e-12), path
+
+
+@TIER1
+@given(run=whole_runs())
+def test_hot_generic_and_scan_paths_agree(run):
+    check_paths_agree(run)
+
+
+@pytest.mark.chaos
+@CHAOS
+@given(run=whole_runs())
+def test_hot_generic_and_scan_paths_agree_deep(run):
+    check_paths_agree(run)
+
+
+# -- service windows with one checkpoint/resume cut ----------------------------
+
+
+@st.composite
+def service_runs(draw):
+    """A spec-level campaign, a window width, a cut window and a resume backend."""
+    spec = FaultCampaignSpec(
+        nodes=draw(st.integers(5, 40)),
+        configs=20,
+        tasks=draw(st.integers(50, 400)),
+        partial=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+        **draw(fault_knobs()),
+    )
+    window = draw(st.integers(200, 20_000))
+    cut = draw(st.integers(0, 6))
+    return spec, window, cut, draw(st.sampled_from(["array", "scan"]))
+
+
+def check_service_equals_batch(run):
+    spec, window, cut, resume_backend = run
+    digest = DigestSink()
+    result, injector = run_campaign(spec, backend="array", trace=TraceBus(digest))
+
+    svc = ServiceSimulator(spec, backend="array")
+    prefix = MemorySink()
+    svc.bus.attach(prefix)
+    for k in range(cut + 1):  # window 0 only starts the run
+        svc.advance_to(k * window)
+    snap = Snapshot.from_json(svc.checkpoint().to_json())
+    resumed = ServiceSimulator.resume(
+        snap, spec, backend=resume_backend, prefix_events=list(prefix)
+    )
+    t = cut * window
+    while not resumed.sim.workload_finished and t < 40 * window:
+        t += window
+        resumed.advance_to(t)
+    final = resumed.drain()
+
+    assert resumed.hexdigest() == digest.hexdigest()
+    assert final.report == result.report
+    view = resumed.report_view()
+    assert view.report == result.report
+    if injector is not None:
+        assert view.resilience.as_dict() == injector.resilience(result).as_dict()
+
+
+@TIER1
+@given(run=service_runs())
+def test_service_windows_with_a_resume_cut_equal_batch(run):
+    check_service_equals_batch(run)
+
+
+@pytest.mark.chaos
+@CHAOS
+@given(run=service_runs())
+def test_service_windows_with_a_resume_cut_equal_batch_deep(run):
+    check_service_equals_batch(run)
