@@ -60,6 +60,19 @@ def _jobs_type(value: str) -> int:
     return jobs
 
 
+def _time_scale_type(value: str) -> float:
+    """``--time-scale`` argument: a finite float > 0."""
+    try:
+        scale = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid time scale: {value!r}")
+    if not 0 < scale < float("inf"):  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"time scale must be finite and > 0, got {value}"
+        )
+    return scale
+
+
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "-j", "--jobs", type=_jobs_type, default=1, metavar="N",
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies --tasks 0)",
     )
     serve_p.add_argument(
-        "--time-scale", type=float, default=1.0, metavar="X",
+        "--time-scale", type=_time_scale_type, default=1.0, metavar="X",
         help="SWF submit-time scale factor (with --swf)",
     )
     serve_p.add_argument(
@@ -651,9 +664,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         svc = ServiceSimulator(spec, backend=backend, jsonl_path=args.trace)
     if args.swf:
-        svc.source = ReplaySource.from_swf(
-            args.swf, svc.sim.rim.configs, time_scale=args.time_scale
-        )
+        try:
+            svc.source = ReplaySource.from_swf(
+                args.swf, svc.sim.rim.configs, time_scale=args.time_scale
+            )
+        except (OSError, ValueError) as exc:
+            if svc.jsonl is not None:
+                svc.jsonl.close()
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     window = max(args.window, 1)
     now = svc.sim.env.now

@@ -46,7 +46,6 @@ from repro.trace.events import DISCARDED, PLACED, SUSPENDED, line_encoder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.model.gpp import GppPool
-    from repro.network.delays import NetworkModel
     from repro.trace.bus import TraceBus
 
 # Trace shapes (TraceBus.emit takes the values in this order).
@@ -86,7 +85,6 @@ class DreamScheduler:
         susqueue: Optional[SuspensionQueue] = None,
         partial: bool = True,
         policy: Optional[PlacementPolicy] = None,
-        network: Optional["NetworkModel"] = None,
         gpp_pool: Optional["GppPool"] = None,
         trace: Optional["TraceBus"] = None,
     ) -> None:
@@ -108,11 +106,6 @@ class DreamScheduler:
         self._min_config_area = min((c.req_area for c in rim.configs), default=0)
         # config_no -> req_area, for the redispatch fallback's key filter.
         self._req_of: dict[int, int] = {c.config_no: c.req_area for c in rim.configs}
-        if network is None:
-            from repro.network.delays import FixedDelayModel
-
-            network = FixedDelayModel()
-        self.network = network
         self.gpp_pool = gpp_pool
 
     # -- public API -----------------------------------------------------------
@@ -358,11 +351,8 @@ class DreamScheduler:
         # Eq. 8 semantics: t_start is the dispatch tick; t_comm and t_config
         # are added on top of (t_start − t_create) when computing the wait.
         # Execution therefore occupies [now + comm + config, + t_required].
-        # With a network model attached, t_comm derives from the topology and
-        # reconfiguration additionally pays the bitstream-transfer time.
-        comm_time = self.network.comm_time(node, task)
-        if config_time > 0:
-            config_time += self.network.config_transfer_time(node, config)
+        # t_comm is the node's fixed delay (Table II's ranges, drawn per node).
+        comm_time = node.network_delay
         task.mark_started(now, config, comm_time=comm_time, config_time_paid=config_time)
         self.rim.assign_task(task, node, entry)
         if self.trace is not None:

@@ -22,7 +22,7 @@ only engages for configurations whose behaviour it replicates completely
 (:func:`hot_eligible`):
 
 * array backend (``ArrayRIM``), homogeneous;
-* the paper's MIN_AREA placement policy and a ``FixedDelayModel`` network;
+* the paper's MIN_AREA placement policy;
 * no trace bus attached, *or* a line-only bus — one whose sinks all
   accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``,
   ``JsonlSink``): the loop then formats each line through the table's
@@ -76,7 +76,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.policies import PlacementPolicy, SelectionCriterion
 from repro.core.scheduler import DreamScheduler
 from repro.model.task import Task, TaskStatus
-from repro.network.delays import FixedDelayModel
 from repro.resources.arraycore import (
     _POS_BITS,
     _POS_MASK,
@@ -121,9 +120,9 @@ def hot_eligible(sim: "DReAMSim") -> bool:
 
     Every condition here guards a semantic the hot loop does not reimplement
     (event-sink tracing, GPP offload, policy ablations, debug invariant
-    checking, custom network models) or a run that is not fresh.  Pending
-    kernel events (an armed failure injector) are inside the envelope.  The
-    check is cheap and runs once per :meth:`DReAMSim.run`.
+    checking) or a run that is not fresh.  Pending kernel events (an armed
+    failure injector) are inside the envelope.  The check is cheap and runs
+    once per :meth:`DReAMSim.run`.
     """
     rim = sim.rim
     susq = sim.susqueue
@@ -141,7 +140,6 @@ def hot_eligible(sim: "DReAMSim") -> bool:
         and pol.idle is min_area
         and pol.blank is min_area
         and pol.partially_blank is min_area
-        and type(sched.network) is FixedDelayModel
         and sim.env._now == 0
         and not sim.tasks
         and not sim._placements
@@ -671,7 +669,6 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                 if trace_on:
                     tr_app(loaded_line(tr_seq, now, steps0 + ss, hk_steps, node.node_no, cno, config.config_time))
                     tr_seq += 1
-            # FixedDelayModel ships bitstreams for free (transfer time 0).
             config_time = config.config_time
 
         # DreamScheduler._start + DReAMSim._submit/_record_placement.

@@ -56,7 +56,6 @@ from repro.framework.monitoring import Monitor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.model.gpp import GppPool
-    from repro.network.delays import NetworkModel
     from repro.trace.bus import TraceBus
 
 # Trace shapes (TraceBus.emit takes the values in this order).
@@ -155,7 +154,6 @@ class DReAMSim:
         sample_system_waste: bool = True,
         monitor_min_interval: int = 0,
         per_tick_housekeeping: Optional[int] = None,
-        network: Optional["NetworkModel"] = None,
         queue_order: str = "fifo",
         gpp: Optional["GppPool"] = None,
         backend: Optional[str] = None,
@@ -181,7 +179,7 @@ class DReAMSim:
         )
         self.scheduler = DreamScheduler(
             self.rim, self.susqueue, partial=partial, policy=policy,
-            network=network, gpp_pool=gpp, trace=trace,
+            gpp_pool=gpp, trace=trace,
         )
         self.gpp = gpp
         self.partial = partial
@@ -360,15 +358,16 @@ class DReAMSim:
         """Queue externally supplied arrivals; returns how many were taken.
 
         Arrivals must be integer-timed and non-decreasing across calls: an
-        ``at`` that is not an ``int`` (``bool`` excluded), or one earlier
-        than the ingest watermark — the latest of the clock, the pending
-        arrival and the buffered tail — raises :class:`IngestError` and
-        queues nothing from the batch.  Task numbers must strictly increase
-        across calls: a ``task_no`` not greater than the last one accepted
-        (the buffered tail, else the pending arrival, else the last task to
-        arrive) raises :class:`IngestError` the same way, so a repeated task
-        can never run twice.  If the arrival chain had drained, it is
-        restarted so the new tasks get their events scheduled.
+        ``at`` or ``required_time`` that is not an ``int`` (``bool``
+        excluded), or an ``at`` earlier than the ingest watermark — the
+        latest of the clock, the pending arrival and the buffered tail —
+        raises :class:`IngestError` and queues nothing from the batch.  Task
+        numbers must strictly increase across calls: a ``task_no`` not
+        greater than the last one accepted (the buffered tail, else the
+        pending arrival, else the last task to arrive) raises
+        :class:`IngestError` the same way, so a repeated task can never run
+        twice.  If the arrival chain had drained, it is restarted so the new
+        tasks get their events scheduled.
 
         Each task's preference is canonicalized onto the system's own
         Configuration object when it names one (same number, same area and
@@ -389,6 +388,11 @@ class DReAMSim:
             if type(at) is not int:
                 raise IngestError(
                     f"task {task_no}: arrival time {at!r} is not an integer tick"
+                )
+            req = arrival.task.required_time
+            if type(req) is not int:
+                raise IngestError(
+                    f"task {task_no}: required time {req!r} is not an integer tick count"
                 )
             if at < watermark:
                 raise IngestError(

@@ -147,7 +147,12 @@ class JsonlTailSource:
             self._offset += start
         return count
 
-    def _parse(self, rec: dict) -> TaskArrival:
+    def _parse(self, rec: object) -> TaskArrival:
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {rec!r} is not a JSON object")
+        missing = [key for key in ("no", "at", "req", "pref") if key not in rec]
+        if missing:
+            raise ValueError(f"task {rec.get('no')}: record lacks {', '.join(missing)}")
         pref_no = rec["pref"]
         pref = self._configs.get(pref_no)
         if pref is None:

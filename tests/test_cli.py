@@ -326,6 +326,20 @@ class TestServeCommand:
         assert rc == 2
         assert "--trace" in capsys.readouterr().err
 
+    def test_malformed_swf_trace_is_an_error(self, tmp_path, capsys):
+        swf = tmp_path / "bad.swf"
+        swf.write_text("1 0 0 10\n2 inf 0 10\n")
+        rc = main(self.BASE + ["--swf", str(swf)])
+        assert rc == 2
+        assert "error: SWF line 2: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan", "x"])
+    def test_time_scale_must_be_finite_and_positive(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE + ["--swf", "unused.swf", "--time-scale", scale])
+        assert exc.value.code == 2
+        assert "--time-scale" in capsys.readouterr().err
+
     def test_report_every_prints_mid_run_views(self, tmp_path, capsys):
         rc = main(self.BASE + ["--report-every", "400"])
         out = capsys.readouterr().out

@@ -195,17 +195,24 @@ def test_jsonl_tail_keeps_the_lines_after_a_bad_one(tmp_path):
     pref = configs[0].config_no
     path = tmp_path / "feed.jsonl"
     good_line = record(1, 20, pref)
-    bad_line = "{not json" + " " * (len(good_line) - len("{not json") - 1) + "\n"
-    path.write_text(record(0, 10, pref) + bad_line + record(2, 30, pref))
-    src = JsonlTailSource(path, configs)
-    with pytest.raises(ValueError):
-        src.take_until(100)
-    with pytest.raises(ValueError):  # the same line again, never skipped
-        src.poll()
-    # Repair the bad line in place: the poll resumes exactly there, and the
-    # line before it (already buffered) is not read a second time.
-    path.write_text(record(0, 10, pref) + good_line + record(2, 30, pref))
-    assert [a.task.task_no for a in src.take_until(100)] == [0, 1, 2]
+    no_req = {"no": 1, "at": 20, "pref": pref}
+    for bad, message in [
+        ("{not json", "Expecting"),
+        ("[1,2]", "not a JSON object"),
+        (json.dumps(no_req), "lacks req"),
+        (json.dumps({"req": 50}), "lacks no, at, pref"),
+    ]:
+        bad_line = bad + " " * (len(good_line) - len(bad) - 1) + "\n"
+        path.write_text(record(0, 10, pref) + bad_line + record(2, 30, pref))
+        src = JsonlTailSource(path, configs)
+        with pytest.raises(ValueError, match=message):
+            src.take_until(100)
+        with pytest.raises(ValueError, match=message):  # the same line again, never skipped
+            src.poll()
+        # Repair the bad line in place: the poll resumes exactly there, and
+        # the line before it (already buffered) is not read a second time.
+        path.write_text(record(0, 10, pref) + good_line + record(2, 30, pref))
+        assert [a.task.task_no for a in src.take_until(100)] == [0, 1, 2]
 
 
 def test_jsonl_tail_waits_for_a_split_utf8_sequence(tmp_path):
@@ -232,9 +239,9 @@ def test_ingest_rejects_late_and_non_integer_arrivals(tmp_path):
     pref = configs[0].config_no
     svc.source = JsonlTailSource(feed, configs)
 
-    def append(no, at):
+    def append(no, at, **extra):
         with open(feed, "a", encoding="utf-8") as fh:
-            fh.write(record(no, at, pref))
+            fh.write(record(no, at, pref, **extra))
 
     append(0, 100)
     append(1, 170)
@@ -246,14 +253,22 @@ def test_ingest_rejects_late_and_non_integer_arrivals(tmp_path):
     append(3, 700.5)
     with pytest.raises(IngestError, match="integer"):
         svc.advance_to(800)
+    # A fractional task length would be placed, then crash the kernel.
+    append(4, 750, req=10.5)
+    with pytest.raises(IngestError, match="required time 10.5"):
+        svc.advance_to(850)
     assert issubclass(IngestError, ValueError)
 
     # A batch with one bad arrival queues none of it.
-    def arrival(no, at):
-        return TaskArrival(at=at, task=Task(task_no=no, required_time=50, pref_config=configs[0]))
+    def arrival(no, at, req=50):
+        return TaskArrival(at=at, task=Task(task_no=no, required_time=req, pref_config=configs[0]))
 
     with pytest.raises(IngestError, match="watermark"):
         svc.sim.ingest([arrival(4, 2000), arrival(5, 1500)])
+    with pytest.raises(IngestError, match="required time"):
+        svc.sim.ingest([arrival(4, 2000), arrival(5, 2100, req=10.5)])
+    with pytest.raises(IngestError, match="required time"):
+        svc.sim.ingest([arrival(4, 2000, req=True)])
     with pytest.raises(IngestError, match="integer"):
         svc.sim.ingest([arrival(6, True)])
 

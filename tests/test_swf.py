@@ -38,8 +38,9 @@ class TestReader:
         assert jobs[0].requested_procs == -1
 
     def test_malformed_line_raises_with_lineno(self):
-        with pytest.raises(ValueError, match="line 2"):
-            read_swf(io.StringIO("1 0 0 10\nnot numbers here\n"))
+        for bad in ("not numbers here", "1 inf 0 10", "1 -inf 0 10", "1 nan 0 10", "1 1e400 0 10"):
+            with pytest.raises(ValueError, match="line 2"):
+                read_swf(io.StringIO(f"1 0 0 10\n{bad}\n"))
 
     def test_too_few_fields_rejected(self):
         with pytest.raises(ValueError, match="expected"):

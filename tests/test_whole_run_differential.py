@@ -1,16 +1,18 @@
 """Generated whole-run differential: one drawn run, every execution path.
 
 Hypothesis draws a whole simulation — system size, reconfiguration mode,
-suspension-queue discipline and bounds, monitor interval, node-area range
-and an optional fault campaign (SEU, crash, burst, retry/backoff including
-the instant ``backoff_base=0`` resubmit, health-aware quarantine) — and
-two properties must hold for every draw:
+suspension-queue discipline and bounds, monitor interval, node-area range,
+per-node communication delay (Eq. 8's ``t_comm``) and an optional fault
+campaign (SEU, crash, burst, retry/backoff including the instant
+``backoff_base=0`` resubmit, health-aware quarantine) — and two properties
+must hold for every draw:
 
 1. **Paths agree.**  The array backend on the flat-table hot loop, the same
    manager on the generic event loop (forced by an unreachable
    ``debug_invariants_every``) and the reference scan manager produce the
    same trace digest, Table I, resilience report and per-task/monitor
-   fingerprint.  The scan manager's beyond-paper load statistics come from
+   fingerprint, and every completed task paid its own node's delay as
+   ``t_comm``.  The scan manager's beyond-paper load statistics come from
    a two-pass walk rather than exact aggregates, so those floats are
    compared with a tight tolerance, as in ``tests/test_indexed_differential.py``.
 2. **Service equals batch.**  The same arrivals driven through
@@ -22,6 +24,9 @@ Tier-1 runs a small derandomised profile; the ``chaos`` marker selects a
 deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
 """
 
+import io
+import json
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
@@ -32,9 +37,10 @@ from tests.test_array_differential import PATHS, full_fingerprint
 from repro import RNG, ConfigSpec, NodeSpec, TaskSpec
 from repro.framework.campaign import FaultCampaignSpec, build_campaign, run_campaign
 from repro.framework.hotloop import hot_eligible
+from repro.model.task import TaskStatus
 from repro.rng.distributions import UniformInt
 from repro.service import ServiceSimulator, Snapshot
-from repro.trace import DigestSink, MemorySink, TraceBus
+from repro.trace import DigestSink, JsonlSink, MemorySink, TraceBus
 from repro.workload.generator import generate_configs, generate_nodes, generate_task_stream
 
 TIER1 = settings(
@@ -91,6 +97,7 @@ def whole_runs(draw):
                 lambda lo_span: (lo_span[0], lo_span[0] + lo_span[1])
             )
         ),
+        "network_delay": draw(st.none() | st.integers(1, 80)),
     }
     sim_kwargs = {
         "partial": draw(st.booleans()),
@@ -103,13 +110,15 @@ def whole_runs(draw):
 
 
 def build(workload, sim_kwargs, knobs, path):
-    """One drawn run on one execution path, with a digest bus attached."""
+    """One drawn run on one execution path, with a line-only bus attached:
+    a digest and the JSONL lines (read back for the placements)."""
     rng = RNG(seed=workload["seed"])
-    area = workload["node_area"]
-    node_spec = NodeSpec(count=workload["nodes"])
-    if area is not None:
-        node_spec = NodeSpec(count=workload["nodes"], total_area=UniformInt(*area))
-    nodes = generate_nodes(node_spec, rng)
+    node_kwargs = {}
+    if workload["node_area"] is not None:
+        node_kwargs["total_area"] = UniformInt(*workload["node_area"])
+    if workload["network_delay"] is not None:
+        node_kwargs["network_delay"] = UniformInt(0, workload["network_delay"])
+    nodes = generate_nodes(NodeSpec(count=workload["nodes"], **node_kwargs), rng)
     configs = generate_configs(ConfigSpec(count=20), rng)
     stream = list(generate_task_stream(TaskSpec(count=workload["tasks"]), configs, rng))
     spec = FaultCampaignSpec(
@@ -122,20 +131,36 @@ def build(workload, sim_kwargs, knobs, path):
     )
     kwargs = {k: v for k, v in sim_kwargs.items() if k != "partial"}
     digest = DigestSink()
+    lines = io.StringIO()
     sim, injector = build_campaign(
         spec,
-        trace=TraceBus(digest),
+        trace=TraceBus(digest, JsonlSink(lines)),
         workload=(nodes, configs, stream),
         **kwargs,
         **PATHS[path],
     )
-    return sim, injector, digest
+    return sim, injector, digest, lines
+
+
+def assert_comm_is_the_node_delay(result, nodes, lines):
+    """Every completed task's ``t_comm`` is the delay of the node its last
+    placement (the one that ran to completion) chose."""
+    delay_of = {n.node_no: n.network_delay for n in nodes}
+    node_of = {}
+    for line in lines.getvalue().splitlines():
+        event = json.loads(line)
+        if event["ev"] == "Placed":
+            node_of[event["task"]] = event["node"]
+    completed = [t for t in result.tasks if t.status is TaskStatus.COMPLETED]
+    for task in completed:
+        assert task.comm_time == delay_of[node_of[task.task_no]], task.task_no
 
 
 def observe(workload, sim_kwargs, knobs, path):
-    sim, injector, digest = build(workload, sim_kwargs, knobs, path)
+    sim, injector, digest, lines = build(workload, sim_kwargs, knobs, path)
     hot = hot_eligible(sim)
     result = sim.run()
+    assert_comm_is_the_node_delay(result, sim.rim.nodes, lines)
     resilience = injector.resilience(result).as_dict() if injector is not None else None
     return hot, digest.hexdigest(), result, resilience
 
@@ -164,6 +189,39 @@ def check_paths_agree(run):
         assert [(s[0], s[4]) for s in load] == [(s[0], s[4]) for s in ref_load], path
         stats = [x for s in load for x in s[1:4]]
         assert stats == approx([x for s in ref_load for x in s[1:4]], rel=1e-9, abs=1e-12), path
+
+
+# Table II's fixed per-node delays, clean and under SEU + crash + retries.
+# The digests are pinned: a change to either changes how Eq. 8's t_comm or
+# t_config is charged.
+FIXED_DELAY_WORKLOAD = {
+    "nodes": 20, "tasks": 400, "seed": 3, "node_area": None, "network_delay": 60,
+}
+FIXED_DELAY_CASES = {
+    "clean": ({}, "6b0003da3f4c15dfd721453fe88eb949"),
+    "seu-crash-retry": (
+        {"seu_rate": 2_000, "scrub_factor": 2, "mtbf": 4_000, "mttr": 500,
+         "max_failures": 10, "retry_budget": 3, "backoff_base": 8},
+        "5b2b0fcf08274c5c4f17b7ab5cb82c48",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+@pytest.mark.parametrize("case", list(FIXED_DELAY_CASES))
+def test_fixed_node_delays_are_paid_as_comm_time(case, path):
+    knobs, expected = FIXED_DELAY_CASES[case]
+    sim, _, digest, lines = build(FIXED_DELAY_WORKLOAD, {"partial": True}, knobs, path)
+    result = sim.run()
+    assert digest.hexdigest() == expected
+    assert_comm_is_the_node_delay(result, sim.rim.nodes, lines)
+    completed = [t for t in result.tasks if t.status is TaskStatus.COMPLETED]
+    assert any(t.comm_time for t in completed)
+    # Bitstreams ship for free: a placement pays the device's own
+    # configuration time or nothing.
+    assert all(
+        t.config_time_paid in (0, t.assigned_config.config_time) for t in completed
+    )
 
 
 @TIER1
