@@ -65,7 +65,7 @@ same report bit-identically from the event stream alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.model.config import Configuration
 from repro.framework.simulator import DReAMSim, SimulationResult
@@ -250,28 +250,25 @@ class FailureInjector:
             down += max(0, min(end, span) - min(ev.time, span))
         return 1.0 - down / (span * len(nodes))
 
-    def fault_log(self, final_time: int, tasks: Sequence[Task]) -> FaultLog:
+    def fault_log(self, final_time: int) -> FaultLog:
         """The run's primitive fault facts, finalized for assembly.
 
         ``completed_first_try`` counts tasks that completed without ever
-        appearing in the interrupt log — the goodput numerator — computed
-        from the same integer facts trace replay reconstructs.
+        being interrupted (a task's ``fault_retries`` counts its entries in
+        the interrupt log) — the goodput numerator — read, with the task
+        total, from the simulator's task fold ⊕ the tasks past it.
         """
         log = self.log
-        interrupted = {t for t, _cls in log.interrupts}
+        totals, live = self.sim.task_totals()
         log.node_count = len(self.sim.rim.nodes)
         log.final_time = final_time
-        log.total_tasks = len(tasks)
-        log.completed_first_try = sum(
-            1
-            for t in tasks
-            if t.status is TaskStatus.COMPLETED and t.task_no not in interrupted
-        )
+        log.total_tasks = totals.count + live
+        log.completed_first_try = totals.first_try
         return log
 
     def resilience(self, result: SimulationResult) -> ResilienceReport:
         """Fold this campaign's fault log into a :class:`ResilienceReport`."""
-        return assemble_resilience(self.fault_log(result.final_time, result.tasks))
+        return assemble_resilience(self.fault_log(result.final_time))
 
     # -- process scheduling -------------------------------------------------------
 

@@ -31,7 +31,9 @@ from repro.core.policies import PlacementPolicy
 from repro.core.scheduler import DreamScheduler
 from repro.metrics.accumulators import RunningStats
 from repro.metrics.table1 import MetricsReport, compute_report
+from repro.metrics.taskfold import TaskFold
 from repro.model.config import Configuration
+from repro.model.errors import ConfigurationError
 from repro.model.node import Node
 from repro.model.task import Task, export_task, restore_task
 from repro.resources import create_manager, resolve_backend
@@ -72,7 +74,12 @@ class IngestError(ValueError):
 
 @dataclass
 class SimulationResult:
-    """Everything a run produces: metrics, per-task records, monitor series."""
+    """Everything a run produces: metrics, per-task records, monitor series.
+
+    ``tasks`` lists every task in arrival order — except on a run resumed
+    from a snapshot, which carries only the tasks live at the cut (the
+    rest are folded into its reports), followed by every later arrival.
+    """
 
     report: MetricsReport
     tasks: list[Task]
@@ -186,6 +193,10 @@ class DReAMSim:
         self.monitor = Monitor(min_interval=monitor_min_interval, trace=trace)
         self.load = LoadBalancer(self.rim)
         self.tasks: list[Task] = []
+        # Arrival-order terminal fold: tasks[:_fold.cursor] are terminal and
+        # folded into one record; the cursor advances lazily, at export and
+        # report time (repro.metrics.taskfold).
+        self._fold = TaskFold()
         self.placement_waste = RunningStats()
         self.system_waste_total = 0.0
         self._system_waste_samples = 0
@@ -437,7 +448,7 @@ class DReAMSim:
             return self._ingest_buffer[-1].task.task_no
         if self._pending_arrival is not None:
             return self._pending_arrival.task.task_no
-        return self.tasks[-1].task_no if self.tasks else None
+        return self._fold.last_arrival_no(self.tasks)
 
     @property
     def ingest_open(self) -> bool:
@@ -461,31 +472,15 @@ class DReAMSim:
         (stray non-workload events — e.g. a failure scheduled past the end —
         must not inflate it); on a bounded-horizon run it is the clock.
         """
-        from repro.model.task import TaskStatus
-
-        completed = TaskStatus.COMPLETED
-        discarded = TaskStatus.DISCARDED
-        last = 0
-        for t in self.tasks:
-            status = t.status
-            if status is completed:
-                ct = t.completion_time
-                if ct > last:
-                    last = ct
-            elif status is discarded:
-                hist = t.history
-                if hist:
-                    ht = hist[-1][0]
-                    if ht > last:
-                        last = ht
-            else:
-                return self.env.now  # workload unfinished: use the clock
-        if not self._arrivals_done:
-            return self.env.now
-        return last
+        fold = self._fold
+        fold.advance(self.tasks)
+        if fold.cursor < len(self.tasks) or not self._arrivals_done:
+            return self.env.now  # workload unfinished: use the clock
+        return fold.last_time
 
     def make_report(self) -> MetricsReport:
         """Assemble Table I from current state (``MakeReport``)."""
+        self._fold.advance(self.tasks)
         return compute_report(
             tasks=self.tasks,
             nodes=self.rim.nodes,
@@ -497,7 +492,19 @@ class DReAMSim:
             total_used_nodes=self.rim.total_used_nodes,
             placement_waste=self.placement_waste,
             system_waste_total=self.system_waste_total,
+            fold=self._fold,
         )
+
+    def task_totals(self) -> tuple[TaskFold, int]:
+        """Every task so far: the fold ⊕ the tasks past its cursor.
+
+        Returns the folded aggregates over all terminal tasks and the
+        number of tasks still live (``count + live`` is the task total).
+        """
+        fold = self._fold
+        fold.advance(self.tasks)
+        totals = fold.copy()
+        return totals, totals.absorb(self.tasks)
 
     # -- event handlers ----------------------------------------------------------------
 
@@ -733,6 +740,7 @@ class DReAMSim:
         if self._done:
             raise RuntimeError("cannot snapshot: run already finished")
         pending = self.env.export_pending(rewrite=self._export_tag)
+        fold, rows = self._fold.export_state(self.tasks)
         return {
             "backend": self.backend,
             "partial": self.partial,
@@ -748,7 +756,8 @@ class DReAMSim:
                     [when, prio, seq, list(tag)] for when, prio, seq, tag in pending
                 ],
             },
-            "tasks": [export_task(t) for t in self.tasks],
+            "fold": fold,
+            "tasks": rows,
             "rim": self.rim.export_state(),
             "susqueue": self.susqueue.export_state(),
             "scheduler_stats": self.scheduler.stats.snapshot(),
@@ -841,11 +850,15 @@ class DReAMSim:
         known = {c.config_no: c for c in self.rim.configs}
         known[GPP_CONFIG.config_no] = GPP_CONFIG
         resolve = _config_resolver(known)
+        rows = state.get("tasks")
+        if type(rows) is not list:
+            raise ConfigurationError(f"snapshot task rows must be a list, got {rows!r}")
         task_by_no: dict[int, Task] = {}
-        for tdata in state["tasks"]:
-            task = restore_task(tdata, resolve)
+        for row in rows:
+            task = restore_task(row, resolve)
             self.tasks.append(task)
             task_by_no[task.task_no] = task
+        self._fold.restore_state(state.get("fold"), len(rows))
         if injector is not None:
             # Phase 1: scrub tasks exist outside the task table but are
             # referenced by node entries, so the manager restore needs them.

@@ -91,13 +91,17 @@ class RunningStats:
         }
 
     def export_state(self) -> dict[str, object]:
-        """Exact-state export: floats as hex so restore is bit-identical."""
+        """Exact-state export: floats as hex so restore is bit-identical.
+
+        ``min``/``max`` hold the observation itself, so integer samples
+        keep their type (an int travels as a JSON int).
+        """
         return {
             "n": self.n,
             "mean": self._mean.hex(),
             "m2": self._m2.hex(),
-            "min": self.min.hex(),
-            "max": self.max.hex(),
+            "min": _exact(self.min),
+            "max": _exact(self.max),
             "total": self.total.hex(),
         }
 
@@ -106,12 +110,22 @@ class RunningStats:
         self.n = int(state["n"])  # type: ignore[arg-type]
         self._mean = float.fromhex(state["mean"])  # type: ignore[arg-type]
         self._m2 = float.fromhex(state["m2"])  # type: ignore[arg-type]
-        self.min = float.fromhex(state["min"])  # type: ignore[arg-type]
-        self.max = float.fromhex(state["max"])  # type: ignore[arg-type]
+        self.min = _from_exact(state["min"])
+        self.max = _from_exact(state["max"])
         self.total = float.fromhex(state["total"])  # type: ignore[arg-type]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RunningStats(n={self.n}, mean={self.mean:.3f})"
+
+
+def _exact(x: float) -> object:
+    """An observation as exact JSON: an int as itself, a float as hex."""
+    return x if type(x) is int else x.hex()
+
+
+def _from_exact(value: object) -> float:
+    """Invert :func:`_exact`."""
+    return value if type(value) is int else float.fromhex(value)  # type: ignore[return-value,arg-type]
 
 
 @dataclass

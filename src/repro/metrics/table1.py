@@ -24,9 +24,10 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.base import SchedulerStats
 from repro.metrics.accumulators import RunningStats
+from repro.metrics.taskfold import TaskFold
 from repro.model.config import Configuration
 from repro.model.node import Node
-from repro.model.task import Task, TaskStatus
+from repro.model.task import Task
 from repro.resources.counters import SearchCounters
 
 
@@ -159,78 +160,28 @@ def compute_report(
     total_used_nodes: int,
     placement_waste: Optional[RunningStats] = None,
     system_waste_total: float = 0.0,
+    fold: Optional[TaskFold] = None,
 ) -> MetricsReport:
     """Assemble the Table I report from end-of-run state.
 
     ``placement_waste`` carries the per-placement hosting-node free-area
     samples; ``system_waste_total`` the Eq. 6 samples summed over scheduling
-    events.
+    events.  ``fold`` holds the tasks already folded — ``tasks[:fold.cursor]``
+    (see :mod:`repro.metrics.taskfold`); the rest of ``tasks`` is folded onto
+    a copy, in arrival order, so the report reads fold ⊕ ``tasks[cursor:]``.
     """
-    total_tasks = len(tasks)
-    waiting = RunningStats()
-    running = RunningStats()
-    completed = 0
-    discarded = 0
-    closest = 0
-    # Per-task hot loop of every large sweep: the waiting/running Welford
-    # updates are inlined with RunningStats.add's exact operation order
-    # (bit-identical aggregates), and the waiting_time / running_time /
-    # used_closest_match properties are expanded over the task fields (a
-    # COMPLETED task always has them set).
-    completed_s = TaskStatus.COMPLETED
-    discarded_s = TaskStatus.DISCARDED
-    w_n = 0
-    w_total = w_mean = w_m2 = 0.0
-    w_min, w_max = waiting.min, waiting.max
-    r_n = 0
-    r_total = r_mean = r_m2 = 0.0
-    r_min, r_max = running.min, running.max
-    for t in tasks:
-        status = t.status
-        if status is completed_s:
-            completed += 1
-            x = t.start_time - t.create_time + t.comm_time + t.config_time_paid
-            w_n += 1
-            w_total += x
-            delta = x - w_mean
-            w_mean += delta / w_n
-            w_m2 += delta * (x - w_mean)
-            if x < w_min:
-                w_min = x
-            if x > w_max:
-                w_max = x
-            x = t.completion_time - t.create_time
-            r_n += 1
-            r_total += x
-            delta = x - r_mean
-            r_mean += delta / r_n
-            r_m2 += delta * (x - r_mean)
-            if x < r_min:
-                r_min = x
-            if x > r_max:
-                r_max = x
-            ac = t.assigned_config
-            if not t.on_gpp and ac is not None and ac is not t.pref_config:
-                closest += 1
-        elif status is discarded_s:
-            discarded += 1
-    waiting.n, waiting.total = w_n, w_total
-    waiting._mean, waiting._m2 = w_mean, w_m2
-    waiting.min, waiting.max = w_min, w_max
-    running.n, running.total = r_n, r_total
-    running._mean, running._m2 = r_mean, r_m2
-    running.min, running.max = r_min, r_max
-
+    acc = TaskFold() if fold is None else fold.copy()
+    live = acc.absorb(tasks)
     total_reconfigs = sum(n.reconfig_count for n in nodes)
     config_time_total = total_configuration_time(configs, reconfig_count_by_config)
 
     return assemble_report(
-        total_tasks=total_tasks,
-        waiting=waiting,
-        running=running,
-        completed=completed,
-        discarded=discarded,
-        closest=closest,
+        total_tasks=acc.count + live,
+        waiting=acc.waiting,
+        running=acc.running,
+        completed=acc.completed,
+        discarded=acc.discarded,
+        closest=acc.closest,
         total_reconfigs=total_reconfigs,
         config_time_total=config_time_total,
         node_count=len(nodes),

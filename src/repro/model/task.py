@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.model.config import Configuration
-from repro.model.errors import TaskStateError
+from repro.model.errors import ConfigurationError, TaskStateError
 
 UNSET = -1  # sentinel for timestamps not yet recorded (matches the C++ -1 idiom)
 
@@ -180,72 +180,138 @@ class Task:
 
 # -- snapshot serialization ----------------------------------------------------
 #
+# A task travels as one positional row, in the order of ``TASK_ROW``.
 # Configurations are referenced as ``[config_no, req_area, config_time]``
 # triples: snapshot restore maps known numbers back onto the system's own
 # Configuration objects (the object-identity contract behind
 # ``used_closest_match`` and ``Node.add_task``) and fabricates fresh objects
 # for the unknown preferences the workload generator invented.
 
+#: Field order of a task row (:func:`export_task` / :func:`restore_task`).
+TASK_ROW = (
+    "no", "req", "pref", "data", "create", "start", "completion", "comm",
+    "ctp", "assigned", "on_gpp", "status", "sus_retry", "fault_retries",
+    "steps", "history",
+)
 
-def export_task(task: Task) -> dict:
-    """Serialize one task to JSON-safe plain data (snapshot support)."""
+
+def export_task(task: Task) -> list[object]:
+    """Serialize one task to a JSON-safe positional row (snapshot support)."""
     pref = task.pref_config
     assigned = task.assigned_config
-    return {
-        "no": task.task_no,
-        "req": task.required_time,
-        "pref": [pref.config_no, pref.req_area, pref.config_time],
-        "data": task.data,
-        "create": task.create_time,
-        "start": task.start_time,
-        "completion": task.completion_time,
-        "comm": task.comm_time,
-        "ctp": task.config_time_paid,
-        "assigned": (
+    # ``_name_`` is the member's plain name attribute; ``.name`` goes
+    # through a descriptor, which costs more than the rest of the row.
+    return [
+        task.task_no,
+        task.required_time,
+        [pref.config_no, pref.req_area, pref.config_time],
+        task.data,
+        task.create_time,
+        task.start_time,
+        task.completion_time,
+        task.comm_time,
+        task.config_time_paid,
+        (
             None
             if assigned is None
             else [assigned.config_no, assigned.req_area, assigned.config_time]
         ),
-        "on_gpp": task.on_gpp,
-        "status": task.status.name,
-        "sus_retry": task.sus_retry,
-        "fault_retries": task.fault_retries,
-        "steps": task.scheduling_steps,
-        "history": [[tick, status.name] for tick, status in task._history],
-    }
+        task.on_gpp,
+        task.status._name_,
+        task.sus_retry,
+        task.fault_retries,
+        task.scheduling_steps,
+        [[tick, status._name_] for tick, status in task._history],
+    ]
+
+
+def _row_int(row: list[object], index: int, low: int) -> int:
+    value = row[index]
+    if type(value) is not int or value < low:
+        raise ConfigurationError(
+            f"snapshot task row field {TASK_ROW[index]!r} must be an integer "
+            f">= {low}, got {value!r}"
+        )
+    return value
+
+
+def _row_triple(value: object, what: str) -> list[int]:
+    if (
+        type(value) is not list
+        or len(value) != 3
+        or any(type(x) is not int for x in value)
+    ):
+        raise ConfigurationError(
+            f"snapshot task row field {what!r} must be a [config_no, "
+            f"req_area, config_time] integer triple, got {value!r}"
+        )
+    return value
+
+
+def _row_status(value: object, what: str) -> TaskStatus:
+    if type(value) is not str or value not in TaskStatus.__members__:
+        raise ConfigurationError(
+            f"snapshot task row {what} {value!r} is not a task status"
+        )
+    return TaskStatus[value]
 
 
 def restore_task(
-    data: dict, resolve_config: Callable[[list], Configuration]
+    row: list[object], resolve_config: Callable[[list[int]], Configuration]
 ) -> Task:
-    """Rebuild a task from :func:`export_task` output.
+    """Rebuild a task from an :func:`export_task` row.
 
     ``resolve_config`` maps a ``[config_no, req_area, config_time]`` triple
     to a Configuration — the same resolver must serve every task of one
     snapshot so exact-match preferences regain object identity with the
-    system list (and with each other).
+    system list (and with each other).  A row of the wrong arity, or a
+    field of the wrong type or range, raises :class:`ConfigurationError`.
     """
+    if type(row) is not list or len(row) != len(TASK_ROW):
+        raise ConfigurationError(
+            f"snapshot task row must be a list of {len(TASK_ROW)} fields, "
+            f"got {row!r}"
+        )
+    on_gpp = row[10]
+    if type(on_gpp) is not bool:
+        raise ConfigurationError(
+            f"snapshot task row field 'on_gpp' must be a boolean, got {on_gpp!r}"
+        )
+    history = row[15]
+    if type(history) is not list or any(
+        type(step) is not list or len(step) != 2 or type(step[0]) is not int or step[0] < 0
+        for step in history
+    ):
+        raise ConfigurationError(
+            f"snapshot task row history must be [[tick, status], ...], got {history!r}"
+        )
+    assigned = row[9]
+    try:
+        pref = resolve_config(_row_triple(row[2], "pref"))
+        assigned_config = (
+            None if assigned is None else resolve_config(_row_triple(assigned, "assigned"))
+        )
+    except ValueError as exc:
+        raise ConfigurationError(f"snapshot task row configuration: {exc}") from None
     task = Task(
-        task_no=data["no"],
-        required_time=data["req"],
-        pref_config=resolve_config(data["pref"]),
-        data=data["data"],
+        task_no=_row_int(row, 0, 0),
+        required_time=_row_int(row, 1, 1),
+        pref_config=pref,
+        data=row[3],
     )
-    task.create_time = data["create"]
-    task.start_time = data["start"]
-    task.completion_time = data["completion"]
-    task.comm_time = data["comm"]
-    task.config_time_paid = data["ctp"]
-    task.assigned_config = (
-        None if data["assigned"] is None else resolve_config(data["assigned"])
-    )
-    task.on_gpp = data["on_gpp"]
-    task.status = TaskStatus[data["status"]]
-    task.sus_retry = data["sus_retry"]
-    task.fault_retries = data["fault_retries"]
-    task.scheduling_steps = data["steps"]
-    task._history = [(tick, TaskStatus[name]) for tick, name in data["history"]]
+    task.create_time = _row_int(row, 4, UNSET)
+    task.start_time = _row_int(row, 5, UNSET)
+    task.completion_time = _row_int(row, 6, UNSET)
+    task.comm_time = _row_int(row, 7, 0)
+    task.config_time_paid = _row_int(row, 8, 0)
+    task.assigned_config = assigned_config
+    task.on_gpp = on_gpp
+    task.status = _row_status(row[11], "status")
+    task.sus_retry = _row_int(row, 12, 0)
+    task.fault_retries = _row_int(row, 13, 0)
+    task.scheduling_steps = _row_int(row, 14, 0)
+    task._history = [(tick, _row_status(name, "history status")) for tick, name in history]
     return task
 
 
-__all__ = ["Task", "TaskStatus", "UNSET", "export_task", "restore_task"]
+__all__ = ["TASK_ROW", "Task", "TaskStatus", "UNSET", "export_task", "restore_task"]

@@ -124,8 +124,9 @@ class ServiceSimulator:
         ``prefix_events`` is the trace up to the cut (``read_jsonl`` of the
         previous service's file, or the events a ``MemorySink`` attached to
         its bus collected) — it is re-folded into the new replayer and
-        digest so :meth:`report_view` and the digest continue seamlessly,
-        and its digest is verified against the checkpoint's.  A JSONL file
+        digest so :meth:`report_view` and the digest continue seamlessly.
+        Its length must be the checkpoint's ``trace_seq`` and its digest the
+        checkpoint's, or :class:`SnapshotError` is raised.  A JSONL file
         already holding the prefix is continued with ``append=True`` (the
         prefix is not re-written to it).
         """
@@ -137,22 +138,35 @@ class ServiceSimulator:
             append=True,
             arm=False,
         )
-        folded = 0
-        for event in prefix_events:
-            svc.replayer.write(event)
-            svc.digest.write(event)
-            folded += 1
-        if folded and snapshot.trace_digest is not None:
-            got = svc.digest.hexdigest()
-            if got != snapshot.trace_digest:
-                raise SnapshotError(
-                    f"trace prefix digest {got} does not match the "
-                    f"checkpoint's {snapshot.trace_digest}; the prefix is "
-                    "not the stream this snapshot was cut from"
-                )
-        if snapshot.trace_seq is not None:
-            svc.bus.resume_at(snapshot.trace_seq)
-        restore_snapshot(snapshot, svc.sim, svc.injector)
+        try:
+            folded = 0
+            for event in prefix_events:
+                svc.replayer.write(event)
+                svc.digest.write(event)
+                folded += 1
+            if snapshot.trace_digest is not None:
+                # A short (or empty) prefix would leave the digest silently
+                # forged: it must cover exactly the events before the cut.
+                if folded != snapshot.trace_seq:
+                    raise SnapshotError(
+                        f"trace prefix has {folded} events but the checkpoint "
+                        f"was cut after {snapshot.trace_seq}; pass the whole "
+                        "prefix the snapshot was cut from"
+                    )
+                got = svc.digest.hexdigest()
+                if got != snapshot.trace_digest:
+                    raise SnapshotError(
+                        f"trace prefix digest {got} does not match the "
+                        f"checkpoint's {snapshot.trace_digest}; the prefix is "
+                        "not the stream this snapshot was cut from"
+                    )
+            if snapshot.trace_seq is not None:
+                svc.bus.resume_at(snapshot.trace_seq)
+            restore_snapshot(snapshot, svc.sim, svc.injector)
+        except BaseException:
+            if svc.jsonl is not None:
+                svc.jsonl.close()
+            raise
         return svc
 
     # -- driving -----------------------------------------------------------------
@@ -234,7 +248,10 @@ class ServiceSimulator:
 
     def checkpoint(self) -> Snapshot:
         """Cut a snapshot at the current (between-events) moment."""
-        return snapshot_of(self.sim, self.injector, digest=self.digest.hexdigest())
+        # The export allocates a row per live task; like a window, it runs
+        # with the collector paused.
+        with _gc_paused():
+            return snapshot_of(self.sim, self.injector, digest=self.digest.hexdigest())
 
     def hexdigest(self) -> str:
         """The trace digest so far (the determinism witness)."""

@@ -10,6 +10,16 @@ running digest at the cut.  The restore contract, proven by
     → final trace digest and Table I report **byte-identical** to the
     uninterrupted run.
 
+A checkpoint costs the tasks live at the cut, not the session so far: the
+simulator's terminal tasks travel as one fold record (``sim["fold"]``:
+counts, the waiting/running Welford state as hex, the latest terminal time,
+the completed-first-try count, and the deferred samples of terminal tasks
+that arrived after a still-live one), and ``sim["tasks"]`` holds one
+positional row per live task (:data:`repro.model.task.TASK_ROW`) — see
+:mod:`repro.metrics.taskfold`.  A resumed run's ``SimulationResult.tasks``
+therefore lists the tasks live at the cut plus the later arrivals, while
+its Table I and resilience reports still cover the whole run.
+
 Snapshots are keyed by a prefix of the trace digest at snapshot time (or a
 ``t{now}-e{events}`` fallback for untraced runs), so a checkpoint file names
 the exact event-stream prefix it extends.  ``SNAPSHOT_VERSION`` gates the
@@ -25,6 +35,8 @@ keeps the serialization honest as internals evolve.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -38,7 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: queue entries instead of being dropped, so a restored run reproduces the
 #: uninterrupted run's final time even when a dead completion is the last
 #: event in the heap.
-SNAPSHOT_VERSION = 2
+#: v3: terminal tasks fold into ``sim["fold"]``; ``sim["tasks"]`` (and the
+#: ingest buffer, the pending arrival and scrub tasks) carry positional task
+#: rows, and only the live tasks have one.  The JSON is written compact.
+SNAPSHOT_VERSION = 3
 
 #: Hex digits of the trace digest used as the snapshot key.
 _KEY_PREFIX = 12
@@ -81,6 +96,7 @@ class Snapshot:
                 "injector": self.injector,
             },
             sort_keys=True,
+            separators=(",", ":"),
         )
 
     @classmethod
@@ -108,9 +124,31 @@ class Snapshot:
         return cls(**{name: data[name] for name in names})
 
     def write(self, path: Union[str, Path]) -> Path:
-        """Write the snapshot to a file; returns the path."""
+        """Write the snapshot to a file atomically; returns the path.
+
+        The JSON goes to a temporary file in the same directory, which then
+        replaces ``path`` in one :func:`os.replace`: a write that fails or
+        is killed midway leaves the previous checkpoint intact.
+        """
         p = Path(path)
-        p.write_text(self.to_json() + "\n", encoding="utf-8")
+        text = self.to_json() + "\n"
+        try:
+            mode = p.stat().st_mode & 0o777
+        except FileNotFoundError:
+            mode = 0o644
+        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=f".{p.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            # mkstemp creates 0600: keep the old file's mode, else 0644.
+            os.chmod(tmp, mode)
+            os.replace(tmp, p)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return p
 
     @classmethod

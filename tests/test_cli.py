@@ -326,6 +326,22 @@ class TestServeCommand:
         assert rc == 2
         assert "--trace" in capsys.readouterr().err
 
+    def test_resume_with_an_empty_trace_is_an_error(self, tmp_path, capsys):
+        """An empty --trace file is no prefix: resuming from it would forge
+        the digest, so it is refused with exit code 2."""
+        rc = main(
+            self.BASE + ["--checkpoint-every", "400", "--checkpoint-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        snaps = sorted(tmp_path.glob("snapshot-*.json"))
+        assert snaps
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        rc = main(self.BASE + ["--resume", str(snaps[0]), "--trace", str(empty)])
+        assert rc == 2
+        assert "error: trace prefix has 0 events" in capsys.readouterr().err
+
     def test_malformed_swf_trace_is_an_error(self, tmp_path, capsys):
         swf = tmp_path / "bad.swf"
         swf.write_text("1 0 0 10\n2 inf 0 10\n")

@@ -278,9 +278,15 @@ def test_ingest_rejects_late_and_non_integer_arrivals(tmp_path):
     assert result.report.total_tasks_generated == 3  # tasks 0, 1 and 7
 
 
-def _open_service(nodes=10):
-    """A fault-free, source-less service with its ingest seam open."""
+def _open_service(nodes=10, prefix=None):
+    """A fault-free, source-less service with its ingest seam open.
+
+    ``prefix``, a sink, collects the trace from the first event on (what
+    a resume needs).
+    """
     svc = ServiceSimulator(FaultCampaignSpec(nodes=nodes, configs=10, tasks=0, seed=42))
+    if prefix is not None:
+        svc.bus.attach(prefix)
     svc.sim.open_ingest()
     svc.sim.start()
     configs = svc.sim.rim.configs
@@ -306,7 +312,8 @@ def test_ingest_rejects_a_repeated_task_within_one_batch():
 
 def test_ingest_rejects_a_repeated_task_across_batches():
     """The mark carries across calls, across firing and across a resume."""
-    svc, arrival = _open_service()
+    prefix = MemorySink()
+    svc, arrival = _open_service(prefix=prefix)
     assert svc.sim.ingest([arrival(1, 1)]) == 1
     with pytest.raises(IngestError, match="last accepted task 1"):
         svc.sim.ingest([arrival(1, 1)])  # still buffered / pending
@@ -318,7 +325,7 @@ def test_ingest_rejects_a_repeated_task_across_batches():
     assert svc.sim.ingest([arrival(2, 6), arrival(4, 7)]) == 2
     # A restored run derives the same mark from its snapshot.
     snap = Snapshot.from_json(svc.checkpoint().to_json())
-    resumed = ServiceSimulator.resume(snap, svc.spec)
+    resumed = ServiceSimulator.resume(snap, svc.spec, prefix_events=list(prefix))
     with pytest.raises(IngestError, match="last accepted task 4"):
         resumed.sim.ingest([arrival(3, 8)])
     svc.sim.close_ingest()

@@ -16,6 +16,7 @@ import pytest
 from tests.snapshot_harness import SEU, resume_to_end
 
 from repro.model import ConfigurationError
+from repro.model.task import TASK_ROW
 from repro.service.snapshot import SNAPSHOT_VERSION, Snapshot, SnapshotError
 from repro.sim import SimulationError
 from repro.trace.bus import read_jsonl
@@ -184,7 +185,8 @@ def _queue_duplicate_record(sim):
 
 
 def _queue_task_not_suspended(sim):
-    running = next(t["no"] for t in sim["tasks"] if t["status"] == "RUNNING")
+    number, status = TASK_ROW.index("no"), TASK_ROW.index("status")
+    running = next(row[number] for row in sim["tasks"] if row[status] == "RUNNING")
     sim["susqueue"]["items"][0][0] = running
 
 

@@ -16,9 +16,10 @@ must hold for every draw:
    a two-pass walk rather than exact aggregates, so those floats are
    compared with a tight tolerance, as in ``tests/test_indexed_differential.py``.
 2. **Service equals batch.**  The same arrivals driven through
-   :class:`~repro.service.ServiceSimulator` windows, with one
-   checkpoint/resume cut (onto either backend), seal with the batch run's
-   digest, Table I and resilience report.
+   :class:`~repro.service.ServiceSimulator` windows, with two
+   checkpoint/resume cuts (each onto either backend, so the second
+   re-exports a restored task fold), seal with the batch run's digest,
+   Table I and resilience report.
 
 Tier-1 runs a small derandomised profile; the ``chaos`` marker selects a
 deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
@@ -237,12 +238,13 @@ def test_hot_generic_and_scan_paths_agree_deep(run):
     check_paths_agree(run)
 
 
-# -- service windows with one checkpoint/resume cut ----------------------------
+# -- service windows with two checkpoint/resume cuts ---------------------------
 
 
 @st.composite
 def service_runs(draw):
-    """A spec-level campaign, a window width, a cut window and a resume backend."""
+    """A spec-level campaign, a window width, two cut windows (the second
+    after the first) and the two resume backends."""
     spec = FaultCampaignSpec(
         nodes=draw(st.integers(5, 40)),
         configs=20,
@@ -253,35 +255,48 @@ def service_runs(draw):
     )
     window = draw(st.integers(200, 20_000))
     cut = draw(st.integers(0, 6))
-    return spec, window, cut, draw(st.sampled_from(["array", "scan"]))
+    second = cut + draw(st.integers(1, 6))
+    backends = st.sampled_from(["array", "scan"])
+    return spec, window, (cut, second), (draw(backends), draw(backends))
 
 
 def check_service_equals_batch(run):
-    spec, window, cut, resume_backend = run
+    """Windows with two checkpoint/resume cuts: the second exports a
+    restored fold again (advanced past the first cut's live tasks)."""
+    spec, window, cuts, resume_backends = run
     digest = DigestSink()
     result, injector = run_campaign(spec, backend="array", trace=TraceBus(digest))
 
     svc = ServiceSimulator(spec, backend="array")
     prefix = MemorySink()
     svc.bus.attach(prefix)
-    for k in range(cut + 1):  # window 0 only starts the run
-        svc.advance_to(k * window)
-    snap = Snapshot.from_json(svc.checkpoint().to_json())
-    resumed = ServiceSimulator.resume(
-        snap, spec, backend=resume_backend, prefix_events=list(prefix)
-    )
-    t = cut * window
-    while not resumed.sim.workload_finished and t < 40 * window:
+    events = []
+    t = -window  # window 0 only starts the run
+    for cut, backend in zip(cuts, resume_backends):
+        while t < cut * window:
+            t += window
+            svc.advance_to(t)
+        snap = Snapshot.from_json(svc.checkpoint().to_json())
+        events += prefix
+        svc = ServiceSimulator.resume(
+            snap, spec, backend=backend, prefix_events=list(events)
+        )
+        prefix = MemorySink()
+        svc.bus.attach(prefix)
+    while not svc.sim.workload_finished and t < 40 * window:
         t += window
-        resumed.advance_to(t)
-    final = resumed.drain()
+        svc.advance_to(t)
+    final = svc.drain()
 
-    assert resumed.hexdigest() == digest.hexdigest()
+    assert svc.hexdigest() == digest.hexdigest()
     assert final.report == result.report
-    view = resumed.report_view()
+    view = svc.report_view()
     assert view.report == result.report
     if injector is not None:
-        assert view.resilience.as_dict() == injector.resilience(result).as_dict()
+        assert svc.injector is not None
+        expected = injector.resilience(result).as_dict()
+        assert view.resilience.as_dict() == expected
+        assert svc.injector.resilience(final).as_dict() == expected
 
 
 @TIER1
