@@ -23,15 +23,13 @@ only engages for configurations whose behaviour it replicates completely
 
 * array backend (``ArrayRIM``), homogeneous;
 * the paper's MIN_AREA placement policy;
-* no trace bus attached, *or* a line-only bus — one whose sinks all
-  accept pre-encoded canonical lines via ``write_lines`` (``DigestSink``,
-  ``JsonlSink``): the loop then formats each line through the table's
-  positional encoders (``repro.trace.events.line_encoder``) with the exact
-  stamps the generic path's ``TraceBus.emit`` would produce, so the digest
-  and the JSONL file stay byte-identical while the bus's per-event dict
-  machinery is bypassed.  A bus with an event sink (``MemorySink``,
-  ``TraceReplayer``) keeps the generic path, which is also how golden
-  traces stay backend-identical;
+* no trace bus attached, or a plain :class:`~repro.trace.bus.TraceBus`
+  stamped from the simulator's counters: every sink takes pre-encoded
+  canonical lines (``write_lines``), so the loop formats each line through
+  the table's positional encoders (``repro.trace.events.line_encoder``)
+  with the exact stamps the generic path's ``TraceBus.emit`` would produce
+  and hands them to the bus in batches — the digest, the JSONL file and a
+  ``MemorySink``'s lines stay byte-identical to the generic path's;
 * no GPP pool and no debug invariant checking;
 * a fresh run: clock at 0, all nodes in service, nothing placed or queued.
   Pending kernel events are allowed — an armed
@@ -96,11 +94,9 @@ def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
     """True when the hot loop can feed ``trace`` inline.
 
     Requires a plain :class:`TraceBus` (no subclassed ``emit``), stamped
-    from the simulator's own counters, on its line-only path (every sink
-    consumes pre-encoded canonical lines) — every component must share the
-    one bus (the constructor wires it that way) so suppressing the
-    component emissions and emitting inline is a pure reordering of the
-    same code.
+    from the simulator's own counters — every component must share the one
+    bus (the constructor wires it that way) so suppressing the component
+    emissions and emitting inline is a pure reordering of the same code.
     """
     if trace is None:
         return True
@@ -111,7 +107,6 @@ def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
         and sim.rim.trace is trace
         and sim.susqueue.trace is trace
         and sim.monitor.trace is trace
-        and trace.line_only
     )
 
 
@@ -119,10 +114,10 @@ def hot_eligible(sim: "DReAMSim") -> bool:
     """True when the flat-table hot loop replicates ``sim`` exactly.
 
     Every condition here guards a semantic the hot loop does not reimplement
-    (event-sink tracing, GPP offload, policy ablations, debug invariant
-    checking) or a run that is not fresh.  Pending kernel events (an armed
-    failure injector) are inside the envelope.  The check is cheap and runs
-    once per :meth:`DReAMSim.run`.
+    (a subclassed or foreign-stamped bus, GPP offload, policy ablations,
+    debug invariant checking) or a run that is not fresh.  Pending kernel
+    events (an armed failure injector) are inside the envelope.  The check
+    is cheap and runs once per :meth:`DReAMSim.run`.
     """
     rim = sim.rim
     susq = sim.susqueue
@@ -318,7 +313,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     waste_samples = sim._system_waste_samples
     placed = sim._placed_count
 
-    # -- inline trace emission (line-only bus only) ----------------------
+    # -- inline trace emission ------------------------------------------
     # Each event type's positional line function is looked up once, by its
     # field names, and called with the ``ss``/``hk`` stamps the bus would
     # read from the counters at that point; the lines are batched in

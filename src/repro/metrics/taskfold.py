@@ -6,8 +6,8 @@ task list in *arrival* order.  Terminal states are final
 (``COMPLETED``/``DISCARDED`` have no outgoing transition), so a task that
 has been folded never changes again: :class:`TaskFold` keeps the
 aggregates of ``tasks[:cursor]`` and a cursor that advances lazily over the
-terminal prefix, stopping at the first task still live (the same walk
-:class:`repro.trace.replay.TraceReplayer` makes over its arrival order).
+terminal prefix, stopping at the first task still live.  The service's
+mid-run view reads it too (``ServiceSimulator.report_view``).
 
 Readers see *fold ⊕ tasks[cursor:]*: :func:`repro.metrics.table1.compute_report`
 copies the fold and folds the rest onto the copy, so the Welford updates

@@ -286,22 +286,19 @@ class SuspensionQueue:
     # -- snapshot support --------------------------------------------------------
 
     def export_state(self) -> dict:
-        """Backend-neutral queue state: records in service order.
+        """Backend-neutral queue state: ``[task_no, seq]`` records in service
+        order.
 
-        Suspension timestamps are read back off each task's public history
-        (``mark_suspended`` recorded them); keys and ranks are recomputed on
-        restore from the same deterministic functions that produced them, so
-        only the identifying triple travels.
+        Keys and ranks are recomputed on restore from the same deterministic
+        functions that produced them, and the task's own row carries its
+        suspension history, so only the identifying pair travels.
         """
         tasks = self._task
         items = []
         for _rank, seq, slot in self._order:
             task = tasks[slot]
             assert task is not None
-            suspended_at = next(
-                t for t, s in reversed(task.history) if s is TaskStatus.SUSPENDED
-            )
-            items.append([task.task_no, suspended_at, seq])
+            items.append([task.task_no, seq])
         return {
             "seq": self._seq,
             "total_suspended": self.total_suspended,
@@ -314,16 +311,22 @@ class SuspensionQueue:
         is unique, so slot numbers are unobservable.  No charging, no task
         mutation — restored tasks already carry their SUSPENDED status.
 
-        Raises :class:`ConfigurationError` for a record naming an unknown or
-        non-suspended task, a task or sequence number seen twice, or a
-        sequence number outside ``1..state["seq"]``.
+        Raises :class:`ConfigurationError` for a record that is not a
+        ``[task_no, seq]`` pair, names an unknown or non-suspended task,
+        repeats a task or sequence number, or has a sequence number outside
+        ``1..state["seq"]``.
         """
         if self._order or len(self._task) > 1:
             raise ValueError("restore_state requires an empty suspension queue")
         top = state["seq"]
         seen_tasks: set[int] = set()
         seen_seqs: set[int] = set()
-        for task_no, _suspended_at, seq in state["items"]:
+        for record in state["items"]:
+            if type(record) is not list or len(record) != 2:
+                raise ConfigurationError(
+                    f"snapshot queue record {record!r} is not a [task_no, seq] pair"
+                )
+            task_no, seq = record
             if type(task_no) is not int or type(seq) is not int:
                 raise ConfigurationError(
                     f"snapshot queue record [{task_no!r}, seq {seq!r}] "

@@ -9,8 +9,8 @@ the same simulator into a long-lived *service*:
   file being appended to by an external producer) instead of as one batch.
 * :mod:`repro.service.driver` — :class:`ServiceSimulator`:
   ``advance_to(t)`` / ``drain()`` windows interleaved with ingest, plus
-  :meth:`ServiceSimulator.report_view` for Table I queried *mid-run* (the
-  trace folded as it is emitted, assembled through the exact end-of-run
+  :meth:`ServiceSimulator.report_view` for Table I queried *mid-run*
+  (assembled from the simulator's own state through the exact end-of-run
   code path; no event list is kept).
 * :mod:`repro.service.snapshot` — versioned :class:`Snapshot`
   checkpoint/restore: ``restore`` then ``run_to_end`` reproduces the

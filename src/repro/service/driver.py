@@ -1,30 +1,28 @@
 """The service driver: a simulator advanced in windows, queryable mid-run.
 
 :class:`ServiceSimulator` owns the trace wiring a long-lived run needs — a
-:class:`~repro.trace.replay.TraceReplayer` folding every event as it is
-emitted (the live Table I) and a :class:`~repro.trace.bus.DigestSink` (the
-determinism witness) are always attached, plus an optional JSONL file
-sink.  The service keeps no event list: memory does not grow with the
-trace, and a caller who wants the stream itself passes ``jsonl_path``
-(``dreamsim serve --trace``) or attaches a
-:class:`~repro.trace.bus.MemorySink` to :attr:`ServiceSimulator.bus`
+:class:`~repro.trace.bus.DigestSink` (the determinism witness) is always
+attached, plus an optional JSONL file sink.  The service keeps no event
+list: memory does not grow with the trace, and a caller who wants the
+stream itself passes ``jsonl_path`` (``dreamsim serve --trace``) or attaches
+a :class:`~repro.trace.bus.MemorySink` to :attr:`ServiceSimulator.bus`
 before the first window.  The driver advances simulated time with
 :meth:`advance_to`, pulling each window's due arrivals from its
 :class:`~repro.service.sources.ArrivalSource` through the simulator's
 ingest seam, and :meth:`drain` seals the run.
 
-:meth:`report_view` answers "what does Table I look like *right now*":
-the replayer's fold is assembled against one synthetic ``RunFinished``
-framing event — literally the end-of-run assembly code path, applied to
-the prefix — so a mid-run view and the final report can never drift apart
-structurally.  A view costs the tasks still in flight, not the length of
-the run so far.
+:meth:`report_view` answers "what does Table I look like *right now*" from
+the simulator's own state: ``DReAMSim.make_report`` (the ``MakeReport``
+the end of the run calls) framed at the run's Eq. 5 final time so far, and
+the injector's fault log folded through the same
+:func:`~repro.metrics.resilience.assemble_resilience` as the end-of-run
+resilience report.  A view costs the tasks still in flight (the simulator's
+task fold), not the length of the run so far.
 
 :meth:`checkpoint` / :meth:`ServiceSimulator.resume` wrap the snapshot
-layer; resuming re-folds the trace prefix into the fresh replayer and
-digest and verifies the digest against the checkpoint before restoring,
-so a mismatched prefix fails loudly instead of producing a silently
-different stream.
+layer; resuming re-folds the trace prefix into the fresh digest and
+verifies it against the checkpoint before restoring, so a mismatched
+prefix fails loudly instead of producing a silently different stream.
 """
 
 from __future__ import annotations
@@ -35,13 +33,12 @@ from typing import Iterable, Optional
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
 from repro.framework.failures import FailureInjector
 from repro.framework.simulator import DReAMSim, SimulationResult, _gc_paused
-from repro.metrics.resilience import ResilienceReport
+from repro.metrics.resilience import FaultLog, ResilienceReport, assemble_resilience
 from repro.metrics.table1 import MetricsReport
 from repro.service.snapshot import Snapshot, SnapshotError, restore_snapshot, snapshot_of
 from repro.service.sources import ArrivalSource
 from repro.trace.bus import DigestSink, JsonlSink, TraceBus
 from repro.trace.events import TraceEvent
-from repro.trace.replay import TraceReplayer, synthetic_run_finished
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,9 @@ class ServiceSimulator:
         self.spec = spec
         self.source = source
         self.bus = TraceBus()
-        self.replayer = TraceReplayer()
-        # Event counters read ``len(memory)``: the number of events folded.
-        self.memory = self.replayer
         self.digest = DigestSink()
-        self.bus.attach(self.replayer)
+        # Event counters read ``len(memory)``: the number of events digested.
+        self.memory = self.digest
         self.bus.attach(self.digest)
         self.jsonl: Optional[JsonlSink] = None
         if jsonl_path is not None:
@@ -123,10 +118,11 @@ class ServiceSimulator:
         and fault parameters); ``backend`` may differ from the snapshot's.
         ``prefix_events`` is the trace up to the cut (``read_jsonl`` of the
         previous service's file, or the events a ``MemorySink`` attached to
-        its bus collected) — it is re-folded into the new replayer and
-        digest so :meth:`report_view` and the digest continue seamlessly.
-        Its length must be the checkpoint's ``trace_seq`` and its digest the
-        checkpoint's, or :class:`SnapshotError` is raised.  A JSONL file
+        its bus collected) — it is re-folded into the new digest so the
+        digest continues seamlessly (:meth:`report_view` reads the restored
+        simulator and needs no prefix).  Its length must be the checkpoint's
+        ``trace_seq`` and its digest the checkpoint's, or
+        :class:`SnapshotError` is raised.  A JSONL file
         already holding the prefix is continued with ``append=True`` (the
         prefix is not re-written to it).
         """
@@ -141,7 +137,6 @@ class ServiceSimulator:
         try:
             folded = 0
             for event in prefix_events:
-                svc.replayer.write(event)
                 svc.digest.write(event)
                 folded += 1
             if snapshot.trace_digest is not None:
@@ -222,28 +217,32 @@ class ServiceSimulator:
     # -- queries -----------------------------------------------------------------
 
     def report_view(self) -> ReportView:
-        """Table I as of now, from the replayer's fold of the partial trace.
+        """Table I and the resilience report as of now, from the simulator.
 
-        Until the run is sealed, the fold is assembled against a synthetic
-        ``RunFinished`` (stamped like the bus would stamp it, but never
-        emitted) — the exact :class:`TraceReplayer` path the end-of-run
-        report uses.  No event is re-folded.
+        Until the run is sealed, both are assembled from the simulator's
+        current state, through the code :meth:`drain` uses, at its Eq. 5
+        final time so far — the last terminal tick once the workload is
+        done, even while fault events are still pending.  Afterwards they
+        are the sealed result's.
         """
-        now = self.sim.env.now
-        finished = None
-        if self.result is None:
-            finished = synthetic_run_finished(
-                seq=self.bus.events_emitted,
-                time=now,
-                ss=self.sim.counters.scheduling_steps,
-                hk=self.sim.counters.housekeeping_steps,
+        sim = self.sim
+        report = sim.make_report() if self.result is None else self.result.report
+        final = report.total_simulation_time
+        if self.injector is not None:
+            log = self.injector.fault_log(final)
+        else:
+            # No injector, no interrupts: every completion is a first try.
+            log = FaultLog(
+                node_count=len(sim.rim.nodes),
+                final_time=final,
+                total_tasks=report.total_tasks_generated,
+                completed_first_try=report.total_completed_tasks,
             )
-        replayer = self.replayer
         return ReportView(
-            time=now,
-            events_seen=len(replayer),
-            report=replayer.report(finished),
-            resilience=replayer.resilience_report(finished),
+            time=sim.env.now,
+            events_seen=self.bus.events_emitted,
+            report=report,
+            resilience=assemble_resilience(log),
         )
 
     def checkpoint(self) -> Snapshot:

@@ -53,7 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v3: terminal tasks fold into ``sim["fold"]``; ``sim["tasks"]`` (and the
 #: ingest buffer, the pending arrival and scrub tasks) carry positional task
 #: rows, and only the live tasks have one.  The JSON is written compact.
-SNAPSHOT_VERSION = 3
+#: v4: suspension-queue records are ``[task_no, seq]`` pairs; the suspension
+#: tick, which the task row's history already carries, no longer travels.
+SNAPSHOT_VERSION = 4
 
 #: Hex digits of the trace digest used as the snapshot key.
 _KEY_PREFIX = 12

@@ -6,12 +6,11 @@ Three pieces:
   (``TaskArrived``, ``Placed``, ``Suspended``, ``NodeFailed``, …) and the
   stable JSONL serialisation every consumer shares;
 * :mod:`repro.trace.bus` — the :class:`TraceBus` emission point (zero
-  overhead when absent) and its sinks: in-memory, JSONL file, and the
-  streaming order-sensitive run digest;
+  overhead when absent) and its sinks, which all take canonical lines:
+  in-memory, JSONL file, and the streaming order-sensitive run digest;
 * :mod:`repro.trace.replay` — :class:`TraceReplayer`, which re-derives the
-  Table I counters and the Fig. 6–10 series from a trace alone,
-  bit-identically to the live accumulators — in one batch call, or folded
-  event by event as a bus sink.
+  Table I counters and the Fig. 6–10 series from a recorded trace alone,
+  bit-identically to the live accumulators.
 
 See DESIGN.md §9 for the taxonomy, trace format, and digest semantics, and
 ``tools/make_golden.py`` for refreshing the committed golden traces.

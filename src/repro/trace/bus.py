@@ -15,40 +15,31 @@ When a bus is attached it stamps each event with
 * the cumulative search-step counters (``ss``/``hk``) when a
   :class:`~repro.resources.counters.SearchCounters` is attached,
 
-then hands it to its sinks:
+encodes it once as its canonical line, and hands the same bytes to every
+sink's ``write_lines(data, count)``:
 
-* :class:`MemorySink` — keeps events in a list (tests, batch replay);
-* :class:`JsonlSink` — streams canonical JSON lines to a file;
-* :class:`DigestSink` — folds canonical lines into a BLAKE2b hash without
-  storing anything, giving the stable per-run *trace digest*;
-* :class:`~repro.trace.replay.TraceReplayer` — folds each event into the
-  Table I aggregates without storing it (the service's live report).
+* :class:`MemorySink` — keeps the lines; decodes them into
+  :class:`TraceEvent` objects only when read (tests, batch replay);
+* :class:`JsonlSink` — streams the lines to a file;
+* :class:`DigestSink` — folds the lines into a BLAKE2b hash without
+  storing anything, giving the stable per-run *trace digest*.
 
-Because the first three consume the same canonical line, the digest of a
-live run, of its JSONL file, and of the events re-read from that file are
-identical.
+Because every sink consumes the same canonical line, the digest of a live
+run, of its JSONL file, and of the events re-read from that file are
+identical.  Table I is not folded from the bus: the simulator assembles it
+from its own state (``DReAMSim.make_report``), and
+:class:`~repro.trace.replay.TraceReplayer` re-derives it from a recorded
+trace.
 
 Emission is positional: ``bus.emit(shape, *values)`` takes a *shape* from
 :func:`~repro.trace.events.line_encoder` (the positional line function of
 one :data:`~repro.trace.events.EVENT_FIELDS` shape, carrying its event type
 and field names) and the values in that shape's field order.  Emitters look
-their shapes up once, at import.  How the bus fans an event out depends on
-its sinks:
-
-* **line-only** — every sink accepts pre-encoded lines (``write_lines``:
-  :class:`DigestSink` and :class:`JsonlSink`).  The bus calls the shape
-  once with the stamps and hands the same bytes to every sink, never
-  building a :class:`TraceEvent` or a field dict;
-* **event** — no sink takes lines (``MemorySink``, ``TraceReplayer``).  The
-  bus builds one :class:`TraceEvent` whose fields are the shape's names
-  zipped with the values, plus the ``ss``/``hk`` stamps;
-* **mixed** — both kinds (the service's ``TraceReplayer`` +
-  ``DigestSink``).  Line sinks get the encoded line, event sinks the
-  event, in attachment order.
-
-:meth:`TraceBus.attach` re-decides after every attachment.  A bus without
-counters stamps no ``ss``/``hk``; its lines take the dict encoder
-(:func:`~repro.trace.events.canonical_line`).
+their shapes up once, at import.  A bus without counters stamps no
+``ss``/``hk``; its lines take the dict encoder
+(:func:`~repro.trace.events.canonical_line`).  The array backend's hot loop
+formats the same lines itself and hands them over in batches through
+:meth:`TraceBus.write_lines`.
 """
 
 from __future__ import annotations
@@ -74,27 +65,55 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class TraceSink(Protocol):
-    """Anything the bus can fan events out to."""
+    """Anything the bus can fan canonical lines out to."""
 
-    def write(self, event: TraceEvent) -> None:
-        """Consume one stamped event."""
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Consume ``count`` canonical lines (UTF-8, newline-terminated)."""
 
 
 class MemorySink:
-    """Collects events in order; iterable and indexable."""
+    """Keeps the canonical lines it is handed; iterable over their events.
+
+    :attr:`data` is the byte stream exactly as a :class:`JsonlSink` would
+    have written it.  :attr:`events` (and iteration) decode it into
+    :class:`TraceEvent` objects when read, decoding only the lines that
+    arrived since the previous read.  ``len()`` is the number of lines
+    written.
+    """
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self._data = bytearray()
+        self._count = 0
+        self._decoded = 0  # bytes of _data already decoded into _events
+        self._events: list[TraceEvent] = []
 
-    def write(self, event: TraceEvent) -> None:
-        """Append the event to the in-memory list."""
-        self.events.append(event)
+    def write_lines(self, data: bytes, count: int) -> None:
+        """Keep ``count`` canonical lines (newline-terminated)."""
+        self._data += data
+        self._count += count
+
+    @property
+    def data(self) -> bytes:
+        """Every line written so far, as one byte string."""
+        return bytes(self._data)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The lines written so far, decoded."""
+        data = self._data
+        if self._decoded < len(data):
+            # Split on "\n" only: JSON escapes it inside strings, while
+            # str.splitlines would also break at U+2028 and friends.
+            lines = data[self._decoded:].decode("utf-8").split("\n")
+            self._events.extend(TraceEvent.from_json_line(line) for line in lines[:-1])
+            self._decoded = len(data)
+        return self._events
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
 
 
 class DigestSink:
@@ -103,11 +122,10 @@ class DigestSink:
     Lines are accumulated in a byte buffer and folded into the hash in
     ~64 KiB batches: one big ``update`` costs a fraction of per-line
     update pairs, and the digest is over the byte *stream*, so batch
-    boundaries cannot change it.  Besides :meth:`write` (one stamped
-    event) the sink accepts :meth:`write_lines` — pre-encoded canonical
-    lines in bulk — which is what the array backend's hot loop feeds it;
-    a bus whose sinks all support ``write_lines`` is what
-    :func:`repro.framework.hotloop.hot_eligible` calls digest-capable.
+    boundaries cannot change it.  The bus feeds it through
+    :meth:`write_lines`; :meth:`write` folds one already-built event (a
+    trace prefix re-read on resume, :func:`digest_of`).  ``len()`` is the
+    number of lines folded.
     """
 
     _FLUSH_BYTES = 65536
@@ -143,6 +161,9 @@ class DigestSink:
             self._hash.update(buf)
             del buf[:]
         return self._hash.copy().hexdigest()
+
+    def __len__(self) -> int:
+        return self.count
 
 
 class JsonlSink:
@@ -192,8 +213,7 @@ class TraceBus:
     Parameters
     ----------
     *sinks:
-        Any objects with a ``write(event)`` method; sinks that also have
-        ``write_lines(data, count)`` can put the bus on its line-only path.
+        Objects with a ``write_lines(data, count)`` method.
     clock:
         Zero-argument callable returning the current simulation time; the
         simulator sets this to its environment clock.  Defaults to 0 (useful
@@ -202,7 +222,7 @@ class TraceBus:
         When attached, every event carries cumulative ``ss``/``hk`` stamps.
     """
 
-    __slots__ = ("clock", "counters", "_seq", "_line_writers", "_routes")
+    __slots__ = ("clock", "counters", "_seq", "_writers")
 
     def __init__(
         self,
@@ -210,10 +230,7 @@ class TraceBus:
         clock: Optional[Callable[[], int]] = None,
         counters: Optional["SearchCounters"] = None,
     ) -> None:
-        self._line_writers: Optional[list[Callable[[bytes, int], None]]] = []
-        # Per sink, in attachment order: (its write_lines, True) for a sink
-        # that takes lines, else (its write, False).
-        self._routes: list[tuple[Callable[..., None], bool]] = []
+        self._writers: list[Callable[[bytes, int], None]] = []
         self.clock = clock
         self.counters = counters
         self._seq = 0
@@ -222,20 +239,7 @@ class TraceBus:
 
     def attach(self, sink: TraceSink) -> None:
         """Add a sink; it sees only events emitted after attachment."""
-        write_lines = getattr(sink, "write_lines", None)
-        if callable(write_lines):
-            self._routes.append((write_lines, True))
-        else:
-            self._routes.append((sink.write, False))
-        if all(takes_lines for _, takes_lines in self._routes):
-            self._line_writers = [write for write, _ in self._routes]
-        else:
-            self._line_writers = None
-
-    @property
-    def line_only(self) -> bool:
-        """True when every sink takes pre-encoded lines (see the module doc)."""
-        return self._line_writers is not None
+        self._writers.append(sink.write_lines)
 
     @property
     def events_emitted(self) -> int:
@@ -245,8 +249,8 @@ class TraceBus:
         """Continue a resumed run's emission numbering at ``seq``.
 
         Snapshot restore attaches fresh sinks, re-folds the trace prefix into
-        them, then calls this so the first post-restore event carries exactly
-        the sequence number the uninterrupted run would have stamped.
+        the digest, then calls this so the first post-restore event carries
+        exactly the sequence number the uninterrupted run would have stamped.
         """
         if seq < 0:
             raise ValueError(f"sequence number must be >= 0, got {seq}")
@@ -254,12 +258,13 @@ class TraceBus:
 
     def write_lines(self, data: bytes, count: int) -> None:
         """Hand ``count`` pre-encoded lines, stamped by the caller (who then
-        calls :meth:`resume_at`), to every sink of a line-only bus."""
-        for write_lines in self._line_writers:  # type: ignore[union-attr]
+        calls :meth:`resume_at`), to every sink."""
+        for write_lines in self._writers:
             write_lines(data, count)
 
     def emit(self, shape: LineEncoder, *values: Any) -> None:
-        """Stamp and fan out one event (callers guard the ``None`` check).
+        """Stamp, encode and fan out one event (callers guard the ``None``
+        check).
 
         ``shape`` comes from :func:`~repro.trace.events.line_encoder`;
         ``values`` are its fields in :data:`~repro.trace.events.EVENT_FIELDS`
@@ -269,37 +274,17 @@ class TraceBus:
         t = int(clock()) if clock is not None else 0
         seq = self._seq
         self._seq = seq + 1
-        writers = self._line_writers
-        if writers is not None:
-            if writers:
-                data = self._line(shape, seq, t, values)
-                for write_lines in writers:
-                    write_lines(data, 1)
-            return
-        fields = dict(zip(shape.names, values, strict=True))
-        c = self.counters
-        if c is not None:
-            fields["ss"] = c.scheduling_steps
-            fields["hk"] = c.housekeeping_steps
-        event = TraceEvent(seq=seq, time=t, type=shape.ev_type, fields=fields)
-        encoded: Optional[bytes] = None
-        for write, takes_lines in self._routes:
-            if not takes_lines:
-                write(event)
-                continue
-            if encoded is None:
-                encoded = self._line(shape, seq, t, values)
-            write(encoded, 1)
-
-    def _line(self, shape: LineEncoder, seq: int, t: int, values: tuple[Any, ...]) -> bytes:
-        """One stamped event's canonical line, newline-terminated."""
-        c = self.counters
-        if c is not None:
-            line = shape(seq, t, c.scheduling_steps, c.housekeeping_steps, *values)
-        else:
-            fields = dict(zip(shape.names, values, strict=True))
-            line = canonical_line(seq, t, shape.ev_type, fields)
-        return (line + "\n").encode("utf-8")
+        writers = self._writers
+        if writers:
+            c = self.counters
+            if c is not None:
+                line = shape(seq, t, c.scheduling_steps, c.housekeeping_steps, *values)
+            else:
+                fields = dict(zip(shape.names, values, strict=True))
+                line = canonical_line(seq, t, shape.ev_type, fields)
+            data = (line + "\n").encode("utf-8")
+            for write_lines in writers:
+                write_lines(data, 1)
 
 
 def read_jsonl(path: Union[str, Path]) -> list[TraceEvent]:

@@ -1,10 +1,8 @@
-"""Deterministic golden-trace replay, as a batch call or an incremental fold.
+"""Deterministic golden-trace replay: Table I re-derived from a trace alone.
 
-:class:`TraceReplayer` consumes a structured event stream (live
-:class:`~repro.trace.bus.MemorySink` contents, a JSONL file re-read with
-:func:`~repro.trace.bus.read_jsonl`, or — attached to a
-:class:`~repro.trace.bus.TraceBus` as a sink — the events as they are
-emitted) and re-derives, from the events alone:
+:class:`TraceReplayer` consumes a recorded event stream (the contents of a
+:class:`~repro.trace.bus.MemorySink`, or a JSONL file re-read with
+:func:`~repro.trace.bus.read_jsonl`) and re-derives, from the events alone:
 
 * every Table I counter (:class:`~repro.metrics.table1.MetricsReport`), and
 * the Fig. 6–10 inputs — Fig. 6 from the per-placement waste samples on
@@ -14,23 +12,21 @@ emitted) and re-derives, from the events alone:
   monitoring time series (busy nodes, queue length, wasted area, running
   tasks) from ``MonitorSampled`` events.
 
-Each event is folded exactly once, by :meth:`TraceReplayer.write`; the
-reports can be asked for at any point.  A mid-run view passes the
-``RunFinished`` framing it wants stamped (:func:`synthetic_run_finished`)
-as an argument instead of appending it to the stream.
+Each event is folded once, by :meth:`TraceReplayer.write`; the reports are
+assembled against the stream's ``RunFinished``.  A prefix of a run replays
+once a ``RunFinished`` framing is appended to it.
 
 The reconstruction is **bit-identical** to the live accumulators: floating
 aggregates are folded in the same order the live run folds them (placement
 waste in placement order, waiting/running statistics in task-arrival order),
 and the final report is assembled through the same
 :func:`~repro.metrics.table1.assemble_report` code path the simulator uses.
-The arrival-order fold keeps a cursor: tasks before it are terminal and
-already folded into persistent Welford state, so a report re-folds only the
-tasks beyond the cursor.  ``tests/test_trace_replay.py`` asserts equality on
-the paper's 100- and 200-node scenarios; the golden suite (``tests/golden/``)
-pins digests and replayed counters for small scenarios across manager modes;
-``tests/test_live_view.py`` holds every mid-run view equal to a batch replay
-of the same prefix.
+``tests/test_trace_replay.py`` asserts equality on the paper's 100- and
+200-node scenarios; the golden suite (``tests/golden/``) pins digests and
+replayed counters for small scenarios across manager modes;
+``tests/test_live_view.py`` holds the service's mid-run view, which the
+simulator assembles from its own state, equal to a replay of the same
+prefix.
 """
 
 from __future__ import annotations
@@ -67,13 +63,10 @@ class ReplaySeries:
 class TraceReplayer:
     """Fold a trace into Table I aggregates and the monitor series.
 
-    Batch use: ``TraceReplayer(events).replay().report()``.  Sink use:
-    ``TraceReplayer()`` attached to a bus; :meth:`report` and
-    :meth:`resilience_report` then answer for the events folded so far.
-    A malformed stream never raises from :meth:`write` (a sink must not
-    break the run feeding it): the first defect is recorded, folding stops,
-    and every later query raises it as a :class:`TraceError`.
-    ``len()`` is the number of events written.
+    ``TraceReplayer(events).replay().report()``.  A malformed stream never
+    raises from :meth:`write`: the first defect is recorded, folding stops,
+    and every later query raises it as a :class:`TraceError`.  ``len()`` is
+    the number of events written.
     """
 
     def __init__(self, events: Optional[Iterable[TraceEvent]] = None) -> None:
@@ -101,13 +94,6 @@ class TraceReplayer:
         self._nodes_used: set[int] = set()
         self._open_fail: dict[int, int] = {}  # node -> index of its open failure span
         self._open_quar: dict[int, int] = {}  # node -> index of its open quarantine span
-        # Arrival-order fold: _arrival_order[:_cursor] are terminal tasks
-        # already folded into these persistent aggregates.
-        self._cursor = 0
-        self._waiting = RunningStats()
-        self._running = RunningStats()
-        self._closest = 0
-        self._refold = False
         if events is not None:
             for event in events:
                 self.write(event)
@@ -120,7 +106,7 @@ class TraceReplayer:
     # -- folding --------------------------------------------------------------
 
     def write(self, e: TraceEvent) -> None:
-        """Fold one event into the aggregates (the bus-sink entry point)."""
+        """Fold one event into the aggregates."""
         self._count += 1
         if self._error is not None:
             return
@@ -145,10 +131,6 @@ class TraceReplayer:
         elif et == ev.COMPLETED:
             task = f["task"]
             completed = self._completed
-            if task in completed or task in self._discarded:
-                # A terminal record changed after the cursor may have
-                # folded it: the next report re-folds from the start.
-                self._refold = True
             if task not in completed and task not in self._interrupted:
                 self._first_try += 1
             completed[task] = (f["wait"], f["run"], bool(f["closest"]))
@@ -241,27 +223,20 @@ class TraceReplayer:
         Raises :class:`TraceError` for a malformed stream or one without
         ``RunFinished``, and stamps :attr:`fault_log` with the run's totals.
         """
-        self._stamp_fault_log(self._end(None))
+        self._stamp_fault_log(self._end())
         return self
 
-    def report(self, finished: Optional[TraceEvent] = None) -> MetricsReport:
-        """The Table I report for the events folded so far.
-
-        ``finished`` is the ``RunFinished`` framing to assemble against; by
-        default the stream's own.  A mid-run view passes
-        :func:`synthetic_run_finished` here.
-        """
-        end = self._end(finished)
-        self._advance_cursor()
+    def report(self) -> MetricsReport:
+        """The Table I report of the folded stream."""
+        end = self._end()
         # Waiting/running statistics fold in task-*arrival* order — the order
         # compute_report walks the simulator's task list — not in completion
-        # order, so the Welford aggregates match bit for bit.  Tasks past the
-        # cursor are re-folded onto a copy of the persistent state.
-        waiting = self._waiting.copy()
-        running = self._running.copy()
-        closest = self._closest
+        # order, so the Welford aggregates match bit for bit.
+        waiting = RunningStats()
+        running = RunningStats()
+        closest = 0
         completed = self._completed
-        for task_no in self._arrival_order[self._cursor:]:
+        for task_no in self._arrival_order:
             rec = completed.get(task_no)
             if rec is None:
                 continue
@@ -292,31 +267,28 @@ class TraceReplayer:
             system_waste_total=self._system_waste_total,
         )
 
-    def resilience_report(
-        self, finished: Optional[TraceEvent] = None
-    ) -> ResilienceReport:
-        """The fault-campaign report for the events folded so far.
+    def resilience_report(self) -> ResilienceReport:
+        """The fault-campaign report of the folded stream.
 
         Folds the replayed :class:`FaultLog` through the same
         :func:`assemble_resilience` the live injector uses, so the result is
         bit-identical to :meth:`FailureInjector.resilience` for the run that
-        produced the trace.  ``finished`` is as for :meth:`report`.
+        produced the trace.
         """
-        self._stamp_fault_log(self._end(finished))
+        self._stamp_fault_log(self._end())
         return assemble_resilience(self.fault_log)
 
     # -- helpers --------------------------------------------------------------
 
-    def _end(self, finished: Optional[TraceEvent]) -> TraceEvent:
-        """The ``RunFinished`` to assemble against, or the stream's defect."""
+    def _end(self) -> TraceEvent:
+        """The stream's ``RunFinished``, or the stream's defect."""
         if self._error is not None:
             raise TraceError(self._error)
         if not self._count:
             raise TraceError("empty trace")
-        end = finished if finished is not None else self._finished
-        if end is None:
+        if self._finished is None:
             raise TraceError("trace has no RunFinished event")
-        return end
+        return self._finished
 
     def _stamp_fault_log(self, end: TraceEvent) -> None:
         flog = self.fault_log
@@ -324,36 +296,6 @@ class TraceReplayer:
         flog.final_time = end.fields["final"]
         flog.total_tasks = len(self._arrival_order)
         flog.completed_first_try = self._first_try
-
-    def _advance_cursor(self) -> None:
-        """Fold the terminal tasks at the cursor into the persistent state."""
-        if self._refold:
-            self._cursor = 0
-            self._waiting = RunningStats()
-            self._running = RunningStats()
-            self._closest = 0
-            self._refold = False
-        order = self._arrival_order
-        completed = self._completed
-        discarded = self._discarded
-        waiting = self._waiting
-        running = self._running
-        i = self._cursor
-        end = len(order)
-        while i < end:
-            task_no = order[i]
-            rec = completed.get(task_no)
-            if rec is None:
-                if task_no not in discarded:
-                    break
-            else:
-                wait, run, used_closest = rec
-                waiting.add(wait)
-                running.add(run)
-                if used_closest:
-                    self._closest += 1
-            i += 1
-        self._cursor = i
 
 
 def replay_report(events: Iterable[TraceEvent]) -> MetricsReport:
@@ -402,29 +344,10 @@ def stitch_traces(*segments: Iterable[TraceEvent]) -> list[TraceEvent]:
     return joined
 
 
-def synthetic_run_finished(seq: int, time: int, ss: int, hk: int) -> TraceEvent:
-    """A ``RunFinished`` framing event for replaying a *partial* trace.
-
-    Mid-run metric queries (``ServiceSimulator.report_view``) pass this to
-    :meth:`TraceReplayer.report` / :meth:`~TraceReplayer.resilience_report`
-    as the framing to assemble against; a batch replay of a prefix may
-    append it to the events instead — both give the same report.  The
-    fields mirror exactly what :meth:`repro.trace.bus.TraceBus.emit` would
-    stamp at that moment.  It is never emitted on a bus.
-    """
-    return TraceEvent(
-        seq=seq,
-        time=time,
-        type=ev.RUN_FINISHED,
-        fields={"final": time, "ss": ss, "hk": hk},
-    )
-
-
 __all__ = [
     "TraceReplayer",
     "TraceError",
     "ReplaySeries",
     "replay_report",
     "stitch_traces",
-    "synthetic_run_finished",
 ]

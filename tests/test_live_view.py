@@ -1,11 +1,12 @@
-"""Live Table I: the service's incremental fold equals a batch replay.
+"""Live Table I: the service's view from simulator state equals a batch replay.
 
 ``ServiceSimulator.report_view`` assembles Table I and the resilience report
-from a :class:`~repro.trace.replay.TraceReplayer` that folds each event once,
-as it is emitted.  These tests hold that fold to the batch definition — a
-fresh replayer over the whole prefix plus a synthetic ``RunFinished`` — at
-every window, after ``drain()``, and across a checkpoint/resume, and check
-by counting (not timing) that no view re-folds the trace.
+from the simulator's own state (``make_report`` and the injector's fault
+log) at the run's Eq. 5 final time so far.  These tests hold it to the batch
+definition — a fresh replayer over the whole prefix plus a ``RunFinished``
+framing at that final time — at every window, in the fault tail, after
+``drain()``, and across a checkpoint/resume; and check by counting (not
+timing) that a view re-folds only the tasks still in flight.
 """
 
 import pytest
@@ -18,22 +19,29 @@ from repro.service import ServiceSimulator, Snapshot
 from repro.trace import events as ev
 from repro.trace.bus import MemorySink
 from repro.trace.events import TraceEvent
-from repro.trace.replay import TraceError, TraceReplayer, synthetic_run_finished
+from repro.trace.replay import TraceError, TraceReplayer
 
 WINDOW = 12_000
 CAMPAIGNS = {"clean": CLEAN, "seu": SEU, "quarantine": QUARANTINE}
 
 
 def batch_view(svc, events):
-    """The batch definition of a mid-run view over ``events``."""
+    """The batch definition of a mid-run view over ``events``: the prefix
+    framed by the ``RunFinished`` the run would stamp at its final time
+    so far."""
     stream = list(events)
     if svc.result is None:
+        final = svc.sim._final_time()
         stream.append(
-            synthetic_run_finished(
+            TraceEvent(
                 seq=svc.bus.events_emitted,
                 time=int(svc.sim.env.now),
-                ss=svc.sim.counters.scheduling_steps,
-                hk=svc.sim.counters.housekeeping_steps,
+                type=ev.RUN_FINISHED,
+                fields={
+                    "final": final,
+                    "ss": svc.sim.counters.scheduling_steps,
+                    "hk": svc.sim.counters.housekeeping_steps,
+                },
             )
         )
     replayer = TraceReplayer(stream).replay()
@@ -95,56 +103,56 @@ def test_resumed_service_view_equals_batch_replay(name, backend):
     resumed = ServiceSimulator.resume(snap, spec, backend=other, prefix_events=prefix)
     tail = MemorySink()
     resumed.bus.attach(tail)
-    # The re-folded prefix alone already answers like the original service.
+    # The restored simulator already answers like the original service.
     assert resumed.report_view().report == svc.report_view().report
     run_windows(resumed, tail, prefix=prefix)
     assert_sealed_view(resumed, tail, prefix=prefix)
 
 
+def test_view_in_the_fault_tail_equals_the_sealed_run():
+    """Once the workload is done, fault events may still be pending (repairs,
+    probation releases).  A view taken then reports the run's final time —
+    the last terminal tick, not the clock — and the resilience report the
+    sealed run will report."""
+    for spec in (SEU, QUARANTINE):
+        svc = ServiceSimulator(spec, backend="array")
+        mem = MemorySink()
+        svc.bus.attach(mem)
+        tail_views = []
+        now = 0
+        while svc.sim.env.pending_count:
+            now += WINDOW // 24
+            svc.advance_to(now)
+            if svc.sim.workload_finished and svc.sim.env.pending_count:
+                tail_views.append(assert_view_is_batch(svc, list(mem)))
+        result = svc.drain()
+        resilience = svc.injector.resilience(result)
+        assert tail_views
+        assert any(view.time > result.final_time for view in tail_views)
+        for view in tail_views:
+            assert view.report.total_simulation_time == result.report.total_simulation_time
+            assert view.resilience == resilience
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Count TraceReplayer.write and RunningStats.add calls."""
-    calls = {"write": 0, "add": 0}
-    write, add = TraceReplayer.write, RunningStats.add
-
-    def counting_write(self, event):
-        calls["write"] += 1
-        write(self, event)
+    """Count RunningStats.add calls."""
+    calls = {"add": 0}
+    add = RunningStats.add
 
     def counting_add(self, x):
         calls["add"] += 1
         add(self, x)
 
-    monkeypatch.setattr(TraceReplayer, "write", counting_write)
     monkeypatch.setattr(RunningStats, "add", counting_add)
     return calls
-
-
-def test_views_fold_each_event_exactly_once(counted):
-    svc = ServiceSimulator(SEU, backend="array")
-    now = views = 0
-    while views == 0 or svc.sim.env.pending_count:
-        now += WINDOW // 4
-        svc.advance_to(now)
-        svc.report_view()
-        views += 1
-    svc.drain()
-    svc.report_view()
-    assert views > 50
-    assert counted["write"] == svc.bus.events_emitted == len(svc.memory)
-
-    # Every task is terminal now: the first sealed view moved the cursor
-    # to the end, so another view re-folds nothing at all.
-    before = counted["add"]
-    svc.report_view()
-    assert counted["add"] == before
 
 
 def completed_in_flight_window(sim):
     """Completed tasks arrived after the oldest non-terminal one.
 
-    The oldest non-terminal arrival is where the fold's cursor stops; the
-    completed tasks after it are what a view re-folds.
+    The oldest non-terminal arrival is where the task fold's cursor stops;
+    the completed tasks after it are what a view re-folds.
     """
     terminal = (TaskStatus.COMPLETED, TaskStatus.DISCARDED)
     tasks = sim.tasks
@@ -156,9 +164,9 @@ def completed_in_flight_window(sim):
 
 
 def test_view_refold_work_is_bounded_by_the_in_flight_window(counted):
-    """A view re-folds the in-flight window, never the tasks already seen.
+    """A view re-folds the in-flight window, never the tasks already folded.
 
-    Every task enters the persistent Welford state once (two adds); beyond
+    Every task enters the simulator's task fold once (two adds); beyond
     that, a view costs two adds per completed task in the window from the
     oldest non-terminal arrival on — a span set by task lifetimes, not by
     how long the service has run.
@@ -184,27 +192,4 @@ def test_sink_errors_surface_at_query_time_not_in_write():
     replayer.write(TraceEvent(seq=7, time=3, type=ev.SUSPENDED, fields={"task": 1}))
     assert len(replayer) == 1
     with pytest.raises(TraceError, match="checkpoint segment"):
-        replayer.report(synthetic_run_finished(seq=8, time=3, ss=0, hk=0))
-
-
-def test_a_record_changed_after_a_view_refolds():
-    """A second Completed for a folded task must not leave stale aggregates."""
-    start = TraceEvent(
-        seq=0, time=0, type=ev.RUN_STARTED,
-        fields={"nodes": 2, "configs": 1, "partial": True, "sample_system": True},
-    )
-    events = [start]
-    for task in (1, 2):
-        events.append(TraceEvent(seq=len(events), time=1, type=ev.TASK_ARRIVED,
-                                 fields={"task": task}))
-    for task, wait in ((1, 4), (2, 6), (1, 10)):
-        events.append(TraceEvent(seq=len(events), time=9, type=ev.COMPLETED,
-                                 fields={"task": task, "wait": wait, "run": 20,
-                                         "closest": False}))
-    live = TraceReplayer()
-    for i, event in enumerate(events):
-        live.write(event)
-        finished = synthetic_run_finished(seq=i + 1, time=9, ss=0, hk=0)
-        assert live.report(finished) == TraceReplayer(
-            [*events[: i + 1], finished]
-        ).report()
+        replayer.report()

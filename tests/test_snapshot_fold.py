@@ -127,11 +127,13 @@ def test_resume_without_the_prefix_is_refused():
 
 
 def test_version_2_snapshot_is_refused():
+    """v2 (task list), v3 (queue records with a suspension tick): refused."""
     data = json.loads((GOLDEN / "snapshot.json").read_text())
-    assert SNAPSHOT_VERSION == 3
-    data["version"] = 2
-    with pytest.raises(SnapshotError, match="version 2"):
-        Snapshot.from_json(json.dumps(data))
+    assert SNAPSHOT_VERSION == 4
+    for old in (2, 3):
+        data["version"] = old
+        with pytest.raises(SnapshotError, match=f"version {old}"):
+            Snapshot.from_json(json.dumps(data))
 
 
 def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
-"""Fuzzing the v3 snapshot loader: the fold record and the task rows.
+"""Fuzzing the v4 snapshot loader: the fold record, the task rows and the
+suspension-queue records.
 
 Each example takes the golden checkpoint (the harness SEU campaign cut
 mid-run: 62 live task rows, a fold record whose 112 completed tasks all
-wait as deferred samples behind a live one), applies one structural
-mutation — a dropped field, a value of the wrong type, a negative count,
-a row or sample of the wrong arity — and then parses, restores and runs
+wait as deferred samples behind a live one, ``[task_no, seq]`` queue
+records), applies one structural mutation — a dropped field, a value of the
+wrong type, a negative count, a row, sample or record of the wrong arity —
+and then parses, restores and runs
 the result to the end.  The only allowed outcomes are a typed rejection
 (:class:`SnapshotError`, :class:`ConfigurationError`,
 :class:`SimulationError`) or a finished run; a bare ``KeyError``,
@@ -73,7 +75,7 @@ def mutated_snapshots(draw):
     data = json.loads(json.dumps(GOLDEN))
     sim = data["sim"]
     fold = sim["fold"]
-    target = draw(st.sampled_from(["fold", "stats", "sample", "row", "history"]))
+    target = draw(st.sampled_from(["fold", "stats", "sample", "row", "history", "queue"]))
     if target == "fold":
         container = fold
     elif target == "stats":
@@ -82,6 +84,8 @@ def mutated_snapshots(draw):
         container = draw(st.sampled_from(fold["deferred"]))
     elif target == "row":
         container = draw(st.sampled_from(sim["tasks"]))
+    elif target == "queue":
+        container = draw(st.sampled_from(sim["susqueue"]["items"]))
     else:
         container = draw(st.sampled_from(sim["tasks"]))[-1]
     apply(container, draw(edits(container)))

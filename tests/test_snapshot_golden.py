@@ -191,20 +191,26 @@ def _queue_task_not_suspended(sim):
 
 
 def _queue_float_seq(sim):
-    sim["susqueue"]["items"][0][2] += 0.0
+    sim["susqueue"]["items"][0][1] += 0.0
 
 
 def _queue_repeated_seq(sim):
     items = sim["susqueue"]["items"]
-    items[1][2] = items[0][2]
+    items[1][1] = items[0][1]
 
 
 def _queue_seq_zero(sim):
-    sim["susqueue"]["items"][0][2] = 0
+    sim["susqueue"]["items"][0][1] = 0
 
 
 def _queue_seq_past_counter(sim):
-    sim["susqueue"]["items"][-1][2] = sim["susqueue"]["seq"] + 1
+    sim["susqueue"]["items"][-1][1] = sim["susqueue"]["seq"] + 1
+
+
+def _queue_v3_record(sim):
+    # The v3 record carried the suspension tick between task and seq.
+    items = sim["susqueue"]["items"]
+    items[0] = [items[0][0], 0, items[0][1]]
 
 
 @pytest.mark.parametrize("backend", ["array", "scan"])
@@ -218,12 +224,13 @@ def _queue_seq_past_counter(sim):
         _queue_repeated_seq,
         _queue_seq_zero,
         _queue_seq_past_counter,
+        _queue_v3_record,
     ],
     ids=lambda fn: fn.__name__.strip("_"),
 )
 def test_golden_tampered_queue_state_rejected(backend, tamper):
-    """A suspension-queue record naming an unknown, non-suspended or
-    repeated task, or carrying a bad sequence number, is a typed
+    """A suspension-queue record of the wrong arity, naming an unknown,
+    non-suspended or repeated task, or carrying a bad sequence number, is a typed
     ConfigurationError on either backend — not a KeyError, and not a
     resumed run that crashes later on an illegal task transition."""
     data = json.loads((GOLDEN / "snapshot.json").read_text())

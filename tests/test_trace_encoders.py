@@ -1,4 +1,4 @@
-"""The canonical-line encoder table against its oracle, and the line-only bus.
+"""The canonical-line encoder table against its oracle, and the bus's one route.
 
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` defines the
 canonical line (:func:`repro.trace.events.json_line`).  The compiled
@@ -6,8 +6,9 @@ per-type encoders behind :func:`~repro.trace.events.canonical_line` and
 their positional twins (:func:`~repro.trace.events.line_encoder`, the hot
 loop's) must reproduce it exactly for every value — directly where the
 values have the spec's kinds, through the fallback everywhere else.  A
-positional ``TraceBus.emit`` must give those bytes on a line-only, an event
-and a mixed bus alike, and all three must digest a campaign identically.
+positional ``TraceBus.emit`` encodes those bytes once and hands them to
+every sink — file, digest and memory alike — and a ``MemorySink`` decodes
+them back into the events, on the generic path and the hot loop alike.
 """
 
 import ast
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.framework.campaign import FaultCampaignSpec, build_campaign
+from repro.framework.hotloop import hot_eligible
 from repro.resources.counters import SearchCounters
 from repro.trace import DigestSink, JsonlSink, MemorySink, TraceBus, TraceEvent, digest_of
 from repro.trace import events as ev
@@ -165,24 +167,22 @@ def test_non_spec_shapes_examples(ev_type, fields):
     assert event.canonical() == json_line(2, 30, ev_type, fields)
 
 
-# -- positional emission: line-only, event and mixed buses ------------------------
+# -- positional emission: every sink takes the one encoded line ------------------
 
 
 class _Recorder:
-    """An event sink and a line sink appending to one shared log, so a test
-    can see the order a mixed bus fans out in."""
+    """A sink appending what it is handed to a log shared with other sinks."""
 
-    def __init__(self, log, tag, lines):
+    def __init__(self, log, tag):
         self.log, self.tag = log, tag
-        if lines:
-            self.write_lines = lambda data, count: log.append((tag, data.decode("utf-8")))
 
-    def write(self, event):
-        self.log.append((self.tag, event))
+    def write_lines(self, data, count):
+        self.log.append((self.tag, data, count))
 
 
 def _buses(counters):
-    """A line-only, an event-only and a mixed bus over fresh sinks."""
+    """Three buses over fresh sinks: a file and a digest, a memory sink
+    alone, and a memory sink with a file."""
     line_fh, mixed_fh = io.StringIO(), io.StringIO()
     event_mem, mixed_mem = MemorySink(), MemorySink()
     buses = [
@@ -216,41 +216,39 @@ def test_every_bus_emits_the_json_line(ev_type, spec, data):
     expected = json_line(3, 11, ev_type, fields)
     assert line_fh.getvalue() == mixed_fh.getvalue() == expected + "\n"
     for mem in (event_mem, mixed_mem):
+        assert mem.data == (expected + "\n").encode("utf-8")
         (event,) = mem.events
         assert (event.seq, event.time, event.type) == (3, 11, ev_type)
         assert event.fields == fields
         assert event.canonical() == expected
 
 
-def test_mixed_bus_fans_out_in_attach_order():
+def test_bus_hands_every_sink_the_same_line():
     log = []
-    bus = TraceBus(
-        _Recorder(log, "a", lines=False),
-        _Recorder(log, "b", lines=True),
-        _Recorder(log, "c", lines=False),
-        counters=SearchCounters(),
-    )
-    assert not bus.line_only
+    bus = TraceBus(_Recorder(log, "a"), _Recorder(log, "b"), counters=SearchCounters())
+    bus.attach(_Recorder(log, "c"))
     bus.emit(line_encoder(ev.NODE_REPAIRED, "node"), 4)
-    assert [tag for tag, _ in log] == ["a", "b", "c"]
-    (_, a), (_, b), (_, c) = log
-    assert a is c  # one event for every event sink
-    assert b == a.canonical() + "\n"
+    assert [tag for tag, _, _ in log] == ["a", "b", "c"]
+    (_, a, a_count), (_, b, _), (_, c, _) = log
+    assert a is b is c  # encoded once, for every sink
+    assert a_count == 1
+    assert a == (json_line(0, 0, ev.NODE_REPAIRED, {"node": 4, "ss": 0, "hk": 0}) + "\n").encode()
 
 
 @pytest.mark.parametrize("stamped", [True, False], ids=["counters", "no-counters"])
 def test_mid_run_attach_moves_the_bus_between_paths(stamped):
+    """A sink attached mid-run joins the bus's one path: it sees exactly the
+    later lines, globally numbered and stamped, and the digest of a sink
+    attached from the start cannot tell."""
     counters = SearchCounters() if stamped else None
     placed = line_encoder(ev.PLACED, "task", "kind", "node", "cfg", "ctime", "avail", "sw",
                           "closest")
     bus = TraceBus(DigestSink(), counters=counters)
     whole = DigestSink()
     bus.attach(whole)
-    assert bus.line_only
     bus.emit(placed, 1, "configuration", 4, 2, 5, 100, 7, False)
     late = MemorySink()
-    bus.attach(late)  # line-only -> mixed
-    assert not bus.line_only
+    bus.attach(late)
     if counters is not None:
         counters.charge_scheduling(3)
     bus.emit(placed, 2, "allocation", 4, 2, 0, 60, 7, True)
@@ -286,16 +284,10 @@ def test_emit_rejects_a_value_count_the_shape_does_not_name(sinks, stamped):
         bus.emit(discarded, 1, "no_config", 2)
 
 
-def test_line_only_flag_follows_the_sinks():
-    assert TraceBus().line_only
-    bus = TraceBus(DigestSink())
-    assert bus.line_only
-    bus.attach(MemorySink())
-    assert not bus.line_only
-    assert not TraceBus(MemorySink(), DigestSink()).line_only
-
-
 def test_line_only_bus_writes_the_event_path_lines(tmp_path):
+    """A file sink writes the same bytes beside a digest as beside a memory
+    sink, and the memory sink keeps exactly those bytes."""
+
     def emit_all(bus):
         bus.emit(line_encoder(ev.TASK_ARRIVED, "task", "pref", "req"), 1, 2, 30)
         bus.emit(
@@ -303,7 +295,7 @@ def test_line_only_bus_writes_the_event_path_lines(tmp_path):
                          "closest"),
             1, "configuration", 4, 2, 5, 100, 7, False,
         )
-        bus.emit(line_encoder(ev.DISCARDED, "task", "reason"), 2, 'odd "reason" é')
+        bus.emit(line_encoder(ev.DISCARDED, "task", "reason"), 2, 'odd "reason" é\u2028')
         bus.emit(line_encoder(ev.CONFIG_EVICTED, "node", "cfgs", "area"), 4, [2, 3], 9)
 
     lines_path, events_path = tmp_path / "lines.jsonl", tmp_path / "events.jsonl"
@@ -313,9 +305,9 @@ def test_line_only_bus_writes_the_event_path_lines(tmp_path):
     with JsonlSink(events_path) as jsonl:
         mem = MemorySink()
         emit_all(TraceBus(mem, jsonl))
-    assert lines_path.read_bytes() == events_path.read_bytes()
+    assert lines_path.read_bytes() == events_path.read_bytes() == mem.data
     assert digest.hexdigest() == digest_of(mem)
-    assert digest.count == len(mem) == 4
+    assert digest.count == len(mem) == len(mem.events) == 4
 
 
 def test_emitters_outside_trace_pass_values_positionally():
@@ -342,7 +334,7 @@ def test_emitters_outside_trace_pass_values_positionally():
     assert keyword_emits == []
 
 
-# -- campaign differential: line-only bus vs event bus ---------------------------
+# -- campaign differential: digest bus vs memory bus, generic path vs hot loop --
 
 _CAMPAIGNS = {
     "clean": FaultCampaignSpec(nodes=30, configs=12, tasks=300, seed=5),
@@ -372,28 +364,30 @@ def _generic_run(spec, backend, bus, mid_run_sink=None):
 @pytest.mark.parametrize("backend", ["array", "scan"])
 @pytest.mark.parametrize("campaign", sorted(_CAMPAIGNS))
 def test_line_only_bus_digests_like_the_event_bus(campaign, backend):
+    """A digest-only bus and a digest + memory bus digest a campaign alike;
+    the memory sink's lines re-digest to the same hash and decode to the
+    same events whether the run took the generic path or ``sim.run()``
+    (the hot loop, on the array backend)."""
     spec = _CAMPAIGNS[campaign]
     lines = DigestSink()
-    line_bus = TraceBus(lines)
-    _generic_run(spec, backend, line_bus)
+    _generic_run(spec, backend, TraceBus(lines))
 
     events, mem = DigestSink(), MemorySink()
-    mixed_bus = TraceBus(events, mem)
-    _generic_run(spec, backend, mixed_bus)
-    assert not mixed_bus.line_only
+    _generic_run(spec, backend, TraceBus(events, mem))
     assert lines.hexdigest() == events.hexdigest() == digest_of(mem)
-    only_events = MemorySink()
-    _generic_run(spec, backend, TraceBus(only_events))
-    assert only_events.events == mem.events
+    whole_run = MemorySink()
+    sim, _ = build_campaign(spec, backend=backend, trace=TraceBus(whole_run))
+    assert hot_eligible(sim) == (backend == "array")
+    sim.run()
+    assert whole_run.data == mem.data
+    assert whole_run.events == mem.events
 
-    # A MemorySink attached mid-run moves the bus to the event path; the
-    # digest cannot tell, and the sink sees exactly the stream's tail.
+    # A MemorySink attached mid-run sees exactly the stream's tail, and the
+    # digest cannot tell.
     switched, late = DigestSink(), MemorySink()
-    switched_bus = TraceBus(switched)
-    _generic_run(spec, backend, switched_bus, mid_run_sink=late)
-    assert not switched_bus.line_only
+    _generic_run(spec, backend, TraceBus(switched), mid_run_sink=late)
     assert 0 < len(late) < len(mem)
     assert switched.hexdigest() == lines.hexdigest()
+    assert mem.data.endswith(late.data)
     tail = mem.events[len(mem) - len(late):]
-    assert [e.canonical() for e in late] == [e.canonical() for e in tail]
-    assert late.events[0].seq == tail[0].seq
+    assert late.events == tail

@@ -111,8 +111,8 @@ def whole_runs(draw):
 
 
 def build(workload, sim_kwargs, knobs, path):
-    """One drawn run on one execution path, with a line-only bus attached:
-    a digest and the JSONL lines (read back for the placements)."""
+    """One drawn run on one execution path, with a bus attached: a digest
+    and the JSONL lines (read back for the placements)."""
     rng = RNG(seed=workload["seed"])
     node_kwargs = {}
     if workload["node_area"] is not None:

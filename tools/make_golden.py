@@ -38,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.framework.campaign import FaultCampaignSpec, run_campaign  # noqa: E402
-from repro.trace import DigestSink, JsonlSink, TraceBus  # noqa: E402
+from repro.trace import DigestSink, MemorySink, TraceBus  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -79,8 +79,6 @@ def make_snapshot_golden() -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from repro.framework.campaign import build_campaign
     from repro.service.snapshot import snapshot_of
-    from repro.trace import MemorySink
-    from repro.trace.bus import write_jsonl
     from tests.snapshot_harness import SEU, baseline
 
     SNAPSHOT_DIR.mkdir(parents=True, exist_ok=True)
@@ -99,15 +97,14 @@ def make_snapshot_golden() -> None:
         sim.env.step()
     snap = snapshot_of(sim, injector, digest=dig.hexdigest())
     snap.write(SNAPSHOT_DIR / "snapshot.json")
-    prefix = list(mem)
-    write_jsonl(SNAPSHOT_DIR / "prefix.jsonl", prefix)
+    (SNAPSHOT_DIR / "prefix.jsonl").write_bytes(mem.data)
     expected = {
         "campaign": (
             "SEU (tests/snapshot_harness.py), 20 nodes / 10 configs / "
             "200 tasks, seed 42, partial, array backend"
         ),
         "cut_kernel_steps": SNAPSHOT_CUT_STEPS,
-        "cut_trace_events": len(prefix),
+        "cut_trace_events": len(mem),
         "expected_final_digest": base.digest,
         "expected_total_events": base.event_count,
     }
@@ -115,7 +112,7 @@ def make_snapshot_golden() -> None:
         json.dumps(expected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(
-        f"snapshot golden: cut at {len(prefix)} trace events, "
+        f"snapshot golden: cut at {len(mem)} trace events, "
         f"final digest {base.digest}"
     )
 
@@ -126,10 +123,9 @@ def main() -> int:
     digests: dict[str, str] = {}
     for name, kwargs in SCENARIOS.items():
         path = GOLDEN_DIR / f"{name}.jsonl"
-        digest = DigestSink()
-        with JsonlSink(path) as sink:
-            bus = TraceBus(sink, digest)
-            run_campaign(FaultCampaignSpec(**kwargs), trace=bus)
+        digest, mem = DigestSink(), MemorySink()
+        run_campaign(FaultCampaignSpec(**kwargs), trace=TraceBus(mem, digest))
+        path.write_bytes(mem.data)
         digests[name] = digest.hexdigest()
         print(f"{name}: {digest.count} events, digest {digests[name]}")
     manifest = GOLDEN_DIR / "digests.json"

@@ -227,8 +227,8 @@ def run_trace_overhead(nodes: int, tasks: int, partial: bool, seed: int, repeats
     Three timings (min over ``repeats``, array backend): tracing disabled
     (``trace=None`` — the default every other benchmark row uses, paying
     only the per-site ``is not None`` guards), tracing into a
-    :class:`DigestSink` only, and tracing with digest plus an in-memory
-    event list.  The disabled run *is* the headline configuration, so
+    :class:`DigestSink` only, and tracing with digest plus a
+    :class:`MemorySink` keeping the lines.  The disabled run *is* the headline configuration, so
     comparing the headline across commits measures the guards' cost;
     ``digest_overhead_pct`` is the opt-in price of a digest-producing run.
     """
