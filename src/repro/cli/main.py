@@ -612,7 +612,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Advances the simulator ``--window`` ticks at a time, optionally writing
     a versioned snapshot every ``--checkpoint-every`` simulated ticks and a
-    mid-run Table I view every ``--report-every``.  ``--resume FROM`` picks
+    mid-run Table I view every ``--report-every``, until the workload is
+    finished and the source (if any) exhausted; then it drains the rest of
+    the run, fault tail included, in one go.  ``--resume FROM`` picks
     a previous invocation up from its snapshot file: the JSONL trace it
     wrote (``--trace``) supplies the verified prefix, and the final digest
     and report come out byte-identical to the uninterrupted run.
@@ -682,6 +684,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     while True:
         now += window
         svc.advance_to(now)
+        source_alive = svc.source is not None and not svc.source.exhausted
+        if not source_alive and (
+            svc.sim.workload_finished or svc.sim.env.pending_count == 0
+        ):
+            # Whatever is still queued is the fault tail (stale completions,
+            # repairs): drain() fires it, so windows past it would only
+            # print views and checkpoints of a finished workload.
+            break
         if next_view is not None and now >= next_view:
             view = svc.report_view()
             print(
@@ -695,9 +705,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             path = snap.write(cp_dir / f"snapshot-{snap.key}.json")
             print(f"checkpoint at t={now} -> {path}")
             next_cp += args.checkpoint_every
-        source_alive = svc.source is not None and not svc.source.exhausted
-        if svc.sim.env.pending_count == 0 and not source_alive:
-            break
     result = svc.drain()
     label = (
         f"serve / {args.mode} / {spec.nodes} nodes / "

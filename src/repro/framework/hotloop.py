@@ -1,4 +1,4 @@
-"""The flat-table hot loop: a specialised whole-run driver for ``backend="array"``.
+"""The flat-table hot loop: a specialised run driver for ``backend="array"``.
 
 The generic :class:`~repro.framework.simulator.DReAMSim` run loop routes
 every arrival and completion through the event kernel, the four-phase
@@ -10,6 +10,9 @@ the event heap, phase-0..4 placement, suspension-queue maintenance,
 monitor/load sampling and the metric accumulators all run as straight-line
 code over the packed integer arrays.  Fault campaigns run here too: the
 failure injector's kernel events fire in place (see *Kernel events* below).
+So do service windows: the loop is resumable at a window bound (see
+*Windows* below), and a batch run and every ``DReAMSim.advance`` window
+drive the same loop.
 
 **The hot loop is an implementation of the same semantics, not a variant.**
 Every simulated quantity — scheduling/housekeeping step charges, task
@@ -30,14 +33,12 @@ only engages for configurations whose behaviour it replicates completely
   with the exact stamps the generic path's ``TraceBus.emit`` would produce
   and hands them to the bus in batches — the digest, the JSONL file and a
   ``MemorySink``'s lines stay byte-identical to the generic path's;
-* no GPP pool and no debug invariant checking;
-* a fresh run: clock at 0, all nodes in service, nothing placed or queued.
-  Pending kernel events are allowed — an armed
-  :class:`~repro.framework.failures.FailureInjector` (SEU, crash, burst,
-  retry backoff, quarantine) schedules its first events at ``arm()``.
+* no GPP pool and no debug invariant checking.
 
-Anything else falls back to the generic loop — correctness first, speed
-where the envelope allows.
+The run's state is not part of the envelope: a fresh run, a run already
+advanced on the generic path, and a run restored from a snapshot all
+qualify.  Anything else falls back to the generic loop — correctness
+first, speed where the envelope allows.
 
 **Kernel events.**  The loop's heap *is* ``env._queue`` and its sequence
 counter continues ``env._seq``, so its own ``(time, seq, task, node, entry)``
@@ -51,13 +52,38 @@ barrier: ``sync_out`` writes the hoisted locals back to the shared objects
 loop runs, the injector's ``sim._submit`` (retries, instant resubmits,
 ``_kick``) and ``sim._redispatch_from`` (scrub finish) reach the loop's own
 ``submit`` and ``redispatch`` through the same barrier in reverse, so no
-second copy of the scheduler exists.  Placement stores the record's ``seq``
-in ``sim._placements`` as a token; the injector pops it on interrupt, so a
-completion whose token no longer matches is *stale* and is skipped before
-the per-tick housekeeping charge, exactly as the generic ``_on_complete``
-skips it.  Kernel events charge no per-tick housekeeping.  A run that
-starts with no kernel event queued can never see one, so it skips the
-kernel-record test and the tokens.
+second copy of the scheduler exists.  Placement stores a token in
+``sim._placements`` — the completion record's ``seq`` with the placement's
+kind, evicted area and closest-match flag; the injector pops it on
+interrupt, so a completion whose token no longer matches is *stale* and is
+skipped before the per-tick housekeeping charge, exactly as the generic
+``_on_complete`` skips it.  Kernel events charge no per-tick housekeeping.
+A batch run that starts with no kernel event queued can never see one, so
+it skips the kernel-record test and the tokens.
+
+**Windows.**  :func:`hot_loop` is a generator; :func:`run_hot` builds it on
+a run's first drive, keeps it on the simulator, and resumes it with each
+bound (``None`` for a batch run or ``run_to_end``).  A window fires every
+record at or before its bound and leaves the clock at the last one fired,
+then publishes the whole state — ``sync_out`` plus the pending arrival,
+the arrival counts and the accumulators — and yields; the next window
+reloads it through ``sync_in``.  The hoisted tables are bound once, and
+the heap is never converted between windows: while the loop is paused the
+simulator reads like a generic run between events, except that its heap
+holds loop records.  Three seams know that:
+
+* on its first drive the loop adopts what the generic path queued
+  (:func:`_adopt`: ``start()``'s arrival event, a restored snapshot's
+  arrival and completion events, stale completions as no-ops), once;
+* ``DReAMSim.ingest`` re-primes a dry arrival chain with a loop record
+  (:func:`queue_arrival`), taking the sequence number ``call_at`` would;
+* ``DReAMSim.export_state`` reads the heap and the placement tokens
+  through :func:`export_pending`, so a checkpoint cut from a paused loop
+  is byte-identical to the generic path's at the same moment.
+
+The loop takes arrivals as ``DReAMSim._feed_next_arrival`` does: the
+constructor stream first, then the ingest buffer, and the feed is done
+only once ingest is closed.
 
 This module intentionally reaches into manager/susqueue internals — it *is*
 the manager's hot path, hoisted out of per-call method dispatch; dreamlint's
@@ -69,8 +95,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from math import sqrt
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
+from repro.core.base import Placement, PlacementKind
 from repro.core.policies import PlacementPolicy, SelectionCriterion
 from repro.core.scheduler import DreamScheduler
 from repro.model.task import Task, TaskStatus
@@ -82,12 +109,18 @@ from repro.resources.arraycore import (
     ArrayRIM,
 )
 from repro.resources.susqueue import NO_KEY
+from repro.sim.core import Event, SimulationError
+from repro.sim.environment import EXPORT_PRIORITY
 from repro.trace import events as ev
 from repro.trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.framework.simulator import DReAMSim
     from repro.model.node import Node
+    from repro.sim.environment import Environment
+
+#: The bound of an unbounded send: later than any simulated tick.
+_NO_BOUND = 1 << 62
 
 
 def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
@@ -115,18 +148,19 @@ def hot_eligible(sim: "DReAMSim") -> bool:
 
     Every condition here guards a semantic the hot loop does not reimplement
     (a subclassed or foreign-stamped bus, GPP offload, policy ablations,
-    debug invariant checking) or a run that is not fresh.  Pending kernel
-    events (an armed failure injector) are inside the envelope.  The check
-    is cheap and runs once per :meth:`DReAMSim.run`.
+    debug invariant checking).  The run's state is not a condition: pending
+    kernel events (an armed failure injector), a run advanced in windows,
+    and a run restored from a snapshot are all inside the envelope — the
+    loop adopts whatever the generic path left queued (:func:`_adopt`).
+    The check is O(1); :meth:`DReAMSim.run`, ``run_to_end`` and ``advance``
+    make it until a loop exists, which then drives every later window.
     """
-    rim = sim.rim
-    susq = sim.susqueue
     sched = sim.scheduler
     pol = sched.policy
     min_area = SelectionCriterion.MIN_AREA
-    key_fn = susq.key_fn
+    key_fn = sim.susqueue.key_fn
     return (
-        type(rim) is ArrayRIM
+        type(sim.rim) is ArrayRIM
         and _digest_capable(sim.trace, sim)
         and sim.gpp is None
         and sched.gpp_pool is None
@@ -135,26 +169,139 @@ def hot_eligible(sim: "DReAMSim") -> bool:
         and pol.idle is min_area
         and pol.blank is min_area
         and pol.partially_blank is min_area
-        and sim.env._now == 0
-        and not sim.tasks
-        and not sim._placements
-        and sim._pending_retries == 0
-        and not rim._quarantined
-        and rim._failed_count == 0
-        and all(rim.t_live)
-        and not susq._order
         and getattr(key_fn, "__func__", None) is DreamScheduler.matched_config_no
         and getattr(key_fn, "__self__", None) is sched
     )
 
 
-def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
-    """Run ``sim`` to completion through the flat-table hot loop.
+def _noop() -> None:
+    """The callback of a stale completion adopted as a kernel record."""
 
-    Mutates ``sim`` exactly as ``sim.env.run()`` would have under the
-    :func:`hot_eligible` envelope; the caller (:meth:`DReAMSim.run`)
-    finishes up (final-time housekeeping, report) identically for both
-    paths.
+
+def _adopt(sim: "DReAMSim") -> bool:
+    """Rewrite the generic path's pending events as loop records, once.
+
+    The pending arrival event becomes an arrival record and each live
+    completion event a completion record, with its placement kept in
+    ``sim._placements`` as the loop's ``(seq, kind, evicted, closest)``
+    token.  A stale completion becomes a ``("noop", task_no)`` kernel
+    record — the form a snapshot restores it in — and every other event
+    (the injector's, a restored no-op) stays a kernel record.  Records keep
+    their ``(time, seq)`` keys, so replacing them in place keeps the heap
+    ordered.  Returns whether any kernel record remains.
+    """
+    heap = sim.env._queue
+    placements = sim._placements
+    registered = sim._completion_events
+    kernel = False
+    for i, (when, seq, event) in enumerate(heap):
+        tag = event.tag
+        kind = tag[0] if tag else None
+        if kind == "arrival":
+            pending = sim._pending_arrival
+            assert pending is not None
+            heap[i] = (when, seq, pending.task, None, None)
+            continue
+        if kind == "complete":
+            task_no = tag[1]
+            p = placements.get(task_no)
+            if p is not None and registered.get(task_no) is event:
+                heap[i] = (when, seq, p.entry.task, p.node, p.entry)
+                placements[task_no] = (seq, p.kind.value, p.evicted_area, p.used_closest_match)
+                continue
+            heap[i] = (when, seq, Event(_noop, ("noop", task_no)))
+        kernel = True
+    registered.clear()
+    return kernel
+
+
+def queue_arrival(env: "Environment", at: int, task: Task) -> None:
+    """Queue the next arrival of a run the loop drives (``ingest``'s re-prime).
+
+    The loop's form of ``env.call_at(at, ..., tag=("arrival",))``: the same
+    sequence number, an arrival record in place of the event.
+    """
+    env._seq += 1
+    heappush(env._queue, (at, env._seq, task, None, None))
+
+
+def export_pending(sim: "DReAMSim") -> tuple[list, dict[int, Placement]]:
+    """A paused loop's heap as :meth:`Environment.export_pending` records.
+
+    Each loop record gets the tag its generic event would carry —
+    ``("arrival",)``, ``("complete", task_no)`` while its placement token
+    matches, else ``("noop", task_no)`` — and the live placements come back
+    as the :class:`Placement` objects the generic path keeps, so a
+    checkpoint cut from a paused loop is byte-identical to one cut from the
+    generic path at the same moment.
+    """
+    placements = sim._placements
+    out = []
+    live: dict[int, Placement] = {}
+    for rec in sorted(sim.env._queue):
+        when, seq = rec[0], rec[1]
+        if len(rec) == 3:
+            tag = rec[2].tag
+            if tag is None:
+                raise SimulationError(
+                    "cannot snapshot: pending event without a tag "
+                    f"(scheduled for t={when})"
+                )
+        elif rec[3] is None:
+            tag = ("arrival",)
+        else:
+            task = rec[2]
+            task_no = task.task_no
+            tok = placements.get(task_no)
+            if tok is None or tok[0] != seq:
+                tag = ("noop", task_no)
+            else:
+                tag = ("complete", task_no)
+                live[task_no] = Placement(
+                    kind=PlacementKind(tok[1]),
+                    node=rec[3],
+                    entry=rec[4],
+                    config=task.assigned_config,
+                    config_time=task.config_time_paid,
+                    comm_time=task.comm_time,
+                    evicted_area=tok[2],
+                    used_closest_match=tok[3],
+                )
+        out.append((when, EXPORT_PRIORITY, seq, tag))
+    return out, {no: live[no] for no in placements}
+
+
+def run_hot(sim: "DReAMSim", until: Optional[int] = None) -> None:
+    """Fire every record at or before ``until`` on ``sim``'s flat-table loop.
+
+    ``until=None`` runs until the heap drains (a batch run, ``run_to_end``);
+    an int is one window (``DReAMSim.advance``): the clock stays at the last
+    fired record, as ``Environment.run(until, idle_advance=False)`` leaves
+    it.  The first call builds the loop (:func:`hot_loop`), which adopts
+    whatever the generic path left queued; every later call resumes it, so
+    a batch run and every window of a service session drive the same loop.
+    """
+    loop = sim._hot
+    if loop is None:
+        loop = sim._hot = hot_loop(sim, windowed=until is not None)
+        next(loop)
+    loop.send(until)
+
+
+def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], None]:  # noqa: C901 - deliberately monolithic
+    """The loop itself: a generator resumed with each window's bound.
+
+    Mutates ``sim`` exactly as the generic path's events would have under
+    the :func:`hot_eligible` envelope.  Each ``send(until)`` fires every
+    record at or before ``until`` (``None``: all of them), then publishes
+    the hoisted state through the ``sync_out`` barrier (plus the
+    accumulators only a window bound needs) and yields; the next send
+    reloads it through ``sync_in`` — the hoisted tables and locals are built
+    once, not per window.  While paused, ``sim`` reads like a generic run
+    between events (reports, ``ingest``, ``export_state``), except that its
+    heap holds loop records (see :func:`queue_arrival` and
+    :func:`export_pending`).  ``windowed`` (the first send has a bound)
+    keeps the placement tokens a checkpoint needs even on a clean run.
 
     The bodies of ``ArrayRIM.assign_task`` / ``complete_task`` (including
     ``Node.add_task`` / ``remove_task`` and the ``_busy_shift`` node-table
@@ -230,7 +377,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     # external calls (configure_node / evict_entries / scan_any_idle)
     # charge ``counters`` themselves, so the locals are synced to the
     # shared object around those calls; kernel events sync everything
-    # through sync_out/sync_in; the rest flushes once at the end.
+    # through sync_out/sync_in, as does every window bound.
     sched_steps = counters.scheduling_steps
     hk_steps = counters.housekeeping_steps
     st_scheduled = stats.scheduled
@@ -242,7 +389,7 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
 
     # Hot aggregates of the inlined assign/complete code (configure/evict
     # never touch them; fault transitions do, behind the barrier), hoisted
-    # to locals for the run and written back at the end.
+    # to locals and written back at every barrier and window bound.
     running_count = rim.running_tasks_count
     load_sum_i = rim._load_sum_i
     load_sumsq_i = rim._load_sumsq_i
@@ -296,31 +443,23 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     l_jain = load.jain_col.append
     l_max = load.max_col.append
 
-    # RunningStats (Welford) locals for placement waste — written back at
-    # the end; the identical op order keeps the floats bit-identical.
+    # RunningStats (Welford) locals for placement waste (``pw_*``) and the
+    # simulator's accumulators (``last_hk``, ``sys_waste``, ``waste_samples``,
+    # ``placed``) are loaded when each window starts and written back at
+    # its bound; the identical op order keeps the floats bit-identical.
     pw = sim.placement_waste
-    pw_n = pw.n
-    pw_total = pw.total
-    pw_mean = pw._mean
-    pw_m2 = pw._m2
-    pw_min = pw.min
-    pw_max = pw.max
     sample_system = sim._sample_system
     tasks_append = sim.tasks.append
     per_tick = sim._per_tick_hk
-    last_hk = sim._last_hk_time
-    sys_waste = sim.system_waste_total
-    waste_samples = sim._system_waste_samples
-    placed = sim._placed_count
 
     # -- inline trace emission ------------------------------------------
     # Each event type's positional line function is looked up once, by its
     # field names, and called with the ``ss``/``hk`` stamps the bus would
     # read from the counters at that point; the lines are batched in
     # ``tr_buf`` and handed, encoded once, to the bus's ``write_lines``.
-    # The caller (DReAMSim.run) detaches ``rim.trace`` for the duration so
+    # ``rim.trace`` is detached while the loop runs (sync_in) so
     # configure_node/evict_entries do not also emit through the bus;
-    # sync_out re-attaches it while kernel events run.
+    # sync_out re-attaches it for kernel events and at every window bound.
     tb = sim.trace
     trace_on = tb is not None
     tr_buf: list = []
@@ -350,17 +489,22 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
     # order; allocating ``seq`` from the kernel's counter at the same call
     # sites as the generic path's ``Environment.call_at`` reproduces its
     # tie-breaks exactly.  ``placements`` maps a placed task to its
-    # completion record's seq (the stale-completion token).
+    # ``(seq, kind, evicted, closest)`` token: the completion record's seq
+    # (the stale-completion test) and what a checkpoint's placement row
+    # needs beyond the record.
     env = sim.env
     heap = env._queue
     seq = env._seq
     events = 0
     now = env._now
     placements = sim._placements
-    # Only a caller (an armed injector) queues kernel events before the run,
-    # and only their callbacks queue more: a run that starts without any has
-    # no kernel records to test for and no stale completions to detect.
-    faults = bool(heap)
+    # Only a caller (an armed injector, a restore) queues kernel events
+    # before the loop starts, and only their callbacks queue more: a run
+    # that starts without any has no kernel records to test for and no
+    # stale completions to detect.  Placement tokens are kept whenever a
+    # fault, a window bound or a restored placement can read them.
+    faults = _adopt(sim)
+    track = faults or windowed or bool(placements)
 
     def matched_cno(task: Task) -> Optional[int]:
         # DreamScheduler.matched_config: memoised exact-then-closest match.
@@ -753,8 +897,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
             sample(now)
         placed += 1
         seq += 1
-        if faults:
-            placements[task.task_no] = seq
+        if track:
+            placements[task.task_no] = (seq, kind, evicted, used_closest)
         hpush(
             heap, (now + config_time + comm + task.required_time, seq, task, node, entry)
         )
@@ -825,8 +969,8 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
                     tr_seq += 1
 
     # The injector's re-entry points (retries, resubmits, _kick, scrub
-    # finish), shadowed on the instance for the run: the barrier in reverse
-    # around the loop's own submit/redispatch.
+    # finish), shadowed on the instance while a window runs: the barrier in
+    # reverse around the loop's own submit/redispatch.
     def reenter_submit(task: Task, now: int) -> None:
         sync_in()
         submit(task, now)
@@ -837,152 +981,177 @@ def run_hot(sim: "DReAMSim") -> None:  # noqa: C901 - deliberately monolithic
         redispatch(node, now)
         sync_out(now)
 
-    # -- main event loop ---------------------------------------------------
+    # -- the arrival chain (DReAMSim._feed_next_arrival): the constructor
+    #    stream first, then the ingest buffer.  ``arrival`` is the pending
+    #    arrival record's TaskArrival, None while the chain is dry; a dry
+    #    chain is re-primed by ``ingest`` between windows (queue_arrival).
     arr_iter = sim._arrivals
+    ingest_buf = sim._ingest_buffer
     arrivals_done = sim._arrivals_done
-    arrival = next(arr_iter, None)
-    if arrival is None:
-        arrivals_done = True
-    else:
-        seq += 1
-        at = arrival.at
-        hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
 
-    sim._submit = reenter_submit  # type: ignore[method-assign]
-    sim._redispatch_from = reenter_redispatch  # type: ignore[method-assign]
-    try:
-        while heap:
-            if trace_on and len(tr_buf) >= 1024:
-                flush()
-            rec = hpop(heap)
-            events += 1
-            if faults and len(rec) == 3:
-                # -- kernel event (a failure-injector callback), in place --
-                now = rec[0]
-                sync_out(now)
-                rec[2].fn()
-                sync_in()
-                continue
-            now, rseq, task, cnode, centry = rec
-            if faults and cnode is not None:
-                tno = task.task_no
-                if placements.get(tno) != rseq:
-                    continue  # stale completion: a fault interrupted the task
-                del placements[tno]
-            if now > last_hk:
-                if per_tick:
-                    hk_steps += (now - last_hk) * per_tick
-                last_hk = now
-            if cnode is None:
-                # -- arrival (DReAMSim._on_arrival) -----------------------
-                task.create_time = now
-                task._history.append((now, created_s))
-                tasks_append(task)
+    until = yield
+    while True:
+        # -- resume: reload everything a window bound publishes (ingest may
+        #    have queued an arrival and moved the sequence counter) -------
+        sync_in()
+        now = env._now
+        arrival = sim._pending_arrival
+        consumed = sim._arrivals_consumed
+        last_hk = sim._last_hk_time
+        sys_waste = sim.system_waste_total
+        waste_samples = sim._system_waste_samples
+        placed = sim._placed_count
+        pw_n, pw_total, pw_mean, pw_m2 = pw.n, pw.total, pw._mean, pw._m2
+        pw_min, pw_max = pw.min, pw.max
+        bound = _NO_BOUND if until is None else until
+        sim._submit = reenter_submit  # type: ignore[method-assign]
+        sim._redispatch_from = reenter_redispatch  # type: ignore[method-assign]
+        try:
+            while heap and heap[0][0] <= bound:
+                if trace_on and len(tr_buf) >= 1024:
+                    flush()
+                rec = hpop(heap)
+                events += 1
+                if faults and len(rec) == 3:
+                    # -- kernel event (an injector callback, a no-op), in place --
+                    now = rec[0]
+                    sync_out(now)
+                    rec[2].fn()
+                    sync_in()
+                    continue
+                now, rseq, task, cnode, centry = rec
+                if track and cnode is not None:
+                    tno = task.task_no
+                    tok = placements.get(tno)
+                    if tok is None or tok[0] != rseq:
+                        continue  # stale completion: a fault interrupted the task
+                    del placements[tno]
+                if now > last_hk:
+                    if per_tick:
+                        hk_steps += (now - last_hk) * per_tick
+                    last_hk = now
+                if cnode is None:
+                    # -- arrival (DReAMSim._on_arrival) -------------------
+                    task.create_time = now
+                    task._history.append((now, created_s))
+                    tasks_append(task)
+                    if trace_on:
+                        tr_app(arrived_line(tr_seq, now, sched_steps, hk_steps, task.task_no,
+                                            task.pref_config.config_no, task.required_time))
+                        tr_seq += 1
+                    submit(task, now)
+                    arrival = next(arr_iter, None)
+                    if arrival is not None:
+                        consumed += 1
+                    elif ingest_buf:
+                        arrival = ingest_buf.popleft()
+                    if arrival is None:
+                        if not sim._ingest_open:
+                            arrivals_done = True
+                    else:
+                        seq += 1
+                        at = arrival.at
+                        hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
+                    continue
+                # -- completion (DReAMSim._on_complete) -------------------
+                task.status = completed_s
+                task._history.append((now, completed_s))
+                task.completion_time = now
                 if trace_on:
-                    tr_app(arrived_line(tr_seq, now, sched_steps, hk_steps, task.task_no,
-                                        task.pref_config.config_no, task.required_time))
+                    tr_app(completed_line(tr_seq, now, sched_steps, hk_steps, task.task_no, cnode.node_no,
+                                          task.waiting_time, task.running_time, task.used_closest_match))
                     tr_seq += 1
-                submit(task, now)
-                arrival = next(arr_iter, None)
-                if arrival is None:
-                    arrivals_done = True
+                # ArrayRIM.complete_task (incl. Node.remove_task), inlined:
+                # the event carries the busy entry, so no per-node scan;
+                # liveness branch drops out as in assign.
+                centry.task = None
+                ecfg = centry.config
+                req = ecfg.req_area
+                cno = ecfg.config_no
+                cnode._busy_count -= 1
+                cnode._busy_area -= req
+                pos = pos_of[cnode]
+                ba0 = t_busy_area[pos]
+                ba1 = ba0 - req
+                bc1 = t_busy_cnt[pos] - 1
+                t_busy_area[pos] = ba1
+                t_busy_cnt[pos] = bc1
+                running_count -= 1
+                total = t_total[pos]
+                if bc1 == 0:
+                    sc_busy -= 1
+                    sc_idle += 1
+                okey = (total - ba0) << pos_bits | pos
+                del sr[bl(sr, okey)]
+                ins(sr, (total - ba1) << pos_bits | pos)
+                if bc1 == 0:
+                    tkey = total << pos_bits | pos
+                    del sb[bl(sb, tkey)]
+                    del busy_pos[bl(busy_pos, pos)]
+                    ins(sa, tkey)
+                    rim._idle_node_entries += t_nent[pos]  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
+                # _apply_load_delta, inlined.
+                old = (ba0 / total, pos)
+                del sl[bl(sl, old)]
+                ins(sl, (ba1 / total, pos))
+                w = load_w[pos]
+                d = (ba1 - ba0) * w
+                load_sum_i += d
+                load_sumsq_i += d * ((ba1 + ba0) * w)
+                del busy_m[cno][centry]
+                hk_steps += 1
+                idle_m[cno][centry] = None
+                # _idle_append, inlined (allocates a chain sequence number).
+                rim._chain_seq = cseq = rim._chain_seq + 1  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
+                akey = t_avail[pos] << seq_bits | cseq
+                centry._akey = akey  # type: ignore[attr-defined]
+                entry_by_seq[cseq] = centry
+                ins(ie[cno], akey)
+                hk_steps += 1
+
+                if mon_last is None or now - mon_last >= ml:
+                    sample(now)
+                # LoadBalancer.observe, inlined (fast_queries O(1) aggregates).
+                s1 = load_sum_i / load_den
+                s2 = load_sumsq_i / load_den_sq
+                max_load = sl[-1][0] if sl else 0.0
+                mean = s1 / n_nodes if n_nodes else 0.0
+                if n_nodes and mean > 0:
+                    var = s2 / n_nodes - mean * mean
+                    cv = sqrt(var) / mean if var > 0.0 else 0.0
+                    jain = min((s1 * s1) / (n_nodes * s2), 1.0) if s2 > 0.0 else 1.0
                 else:
-                    seq += 1
-                    at = arrival.at
-                    hpush(heap, (at if at > now else now, seq, arrival.task, None, None))
-                continue
-            # -- completion (DReAMSim._on_complete) -----------------------
-            task.status = completed_s
-            task._history.append((now, completed_s))
-            task.completion_time = now
+                    cv, jain = 0.0, 1.0
+                l_time(now)
+                l_mean(mean)
+                l_cv(cv)
+                l_jain(jain)
+                l_max(max_load)
+                redispatch(cnode, now)
+        finally:
+            del sim._submit
+            del sim._redispatch_from
             if trace_on:
-                tr_app(completed_line(tr_seq, now, sched_steps, hk_steps, task.task_no, cnode.node_no,
-                                      task.waiting_time, task.running_time, task.used_closest_match))
-                tr_seq += 1
-            # ArrayRIM.complete_task (incl. Node.remove_task), inlined: the
-            # event carries the busy entry, so no per-node scan; liveness
-            # branch drops out as in assign.
-            centry.task = None
-            ecfg = centry.config
-            req = ecfg.req_area
-            cno = ecfg.config_no
-            cnode._busy_count -= 1
-            cnode._busy_area -= req
-            pos = pos_of[cnode]
-            ba0 = t_busy_area[pos]
-            ba1 = ba0 - req
-            bc1 = t_busy_cnt[pos] - 1
-            t_busy_area[pos] = ba1
-            t_busy_cnt[pos] = bc1
-            running_count -= 1
-            total = t_total[pos]
-            if bc1 == 0:
-                sc_busy -= 1
-                sc_idle += 1
-            okey = (total - ba0) << pos_bits | pos
-            del sr[bl(sr, okey)]
-            ins(sr, (total - ba1) << pos_bits | pos)
-            if bc1 == 0:
-                tkey = total << pos_bits | pos
-                del sb[bl(sb, tkey)]
-                del busy_pos[bl(busy_pos, pos)]
-                ins(sa, tkey)
-                rim._idle_node_entries += t_nent[pos]  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
-            # _apply_load_delta, inlined.
-            old = (ba0 / total, pos)
-            del sl[bl(sl, old)]
-            ins(sl, (ba1 / total, pos))
-            w = load_w[pos]
-            d = (ba1 - ba0) * w
-            load_sum_i += d
-            load_sumsq_i += d * ((ba1 + ba0) * w)
-            del busy_m[cno][centry]
-            hk_steps += 1
-            idle_m[cno][centry] = None
-            # _idle_append, inlined (allocates a chain sequence number).
-            rim._chain_seq = cseq = rim._chain_seq + 1  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
-            akey = t_avail[pos] << seq_bits | cseq
-            centry._akey = akey  # type: ignore[attr-defined]
-            entry_by_seq[cseq] = centry
-            ins(ie[cno], akey)
-            hk_steps += 1
+                rim.trace = tb
 
-            if mon_last is None or now - mon_last >= ml:
-                sample(now)
-            # LoadBalancer.observe, inlined (fast_queries O(1) aggregates).
-            s1 = load_sum_i / load_den
-            s2 = load_sumsq_i / load_den_sq
-            max_load = sl[-1][0] if sl else 0.0
-            mean = s1 / n_nodes if n_nodes else 0.0
-            if n_nodes and mean > 0:
-                var = s2 / n_nodes - mean * mean
-                cv = sqrt(var) / mean if var > 0.0 else 0.0
-                jain = min((s1 * s1) / (n_nodes * s2), 1.0) if s2 > 0.0 else 1.0
-            else:
-                cv, jain = 0.0, 1.0
-            l_time(now)
-            l_mean(mean)
-            l_cv(cv)
-            l_jain(jain)
-            l_max(max_load)
-            redispatch(cnode, now)
-    finally:
-        del sim._submit
-        del sim._redispatch_from
-
-    # -- write back state the generic loop keeps on the objects ------------
-    sync_out(now)
-    sim._last_hk_time = last_hk
-    sim.system_waste_total = sys_waste
-    sim._system_waste_samples = waste_samples
-    sim._placed_count = placed
-    pw.n = pw_n
-    pw.total = pw_total
-    pw._mean = pw_mean
-    pw._m2 = pw_m2
-    pw.min = pw_min
-    pw.max = pw_max
-    env._event_count += events
+        # -- window bound: publish the state the generic path keeps on the
+        #    objects, then wait for the next bound ------------------------
+        sync_out(now)
+        sim._pending_arrival = arrival
+        sim._arrivals_consumed = consumed
+        sim._last_hk_time = last_hk
+        sim.system_waste_total = sys_waste
+        sim._system_waste_samples = waste_samples
+        sim._placed_count = placed
+        pw.n = pw_n
+        pw.total = pw_total
+        pw._mean = pw_mean
+        pw._m2 = pw_m2
+        pw.min = pw_min
+        pw.max = pw_max
+        env._event_count += events
+        events = 0
+        until = yield
 
 
-__all__ = ["hot_eligible", "run_hot"]
+__all__ = ["export_pending", "hot_eligible", "hot_loop", "queue_arrival", "run_hot"]

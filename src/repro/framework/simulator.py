@@ -24,7 +24,7 @@ import gc
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Optional
 
 from repro.core.base import Placement, PlacementKind, ScheduleOutcome, ScheduleResult
 from repro.core.policies import PlacementPolicy
@@ -52,7 +52,7 @@ from repro.trace.events import (
 )
 from repro.workload.generator import TaskArrival
 
-from repro.framework.hotloop import hot_eligible, run_hot
+from repro.framework.hotloop import export_pending, hot_eligible, queue_arrival, run_hot
 from repro.framework.loadbalance import LoadBalancer
 from repro.framework.monitoring import Monitor
 
@@ -135,9 +135,9 @@ class DReAMSim:
     backend:
         Resource-manager backend: ``"array"`` (the default, also for
         ``None``: :class:`repro.resources.arraycore.ArrayRIM`, and the
-        flat-table hot loop inside its envelope, fault campaigns included)
-        or ``"scan"`` (the reference linear-scan manager, the differential
-        baseline).  Both share one
+        flat-table hot loop inside its envelope, fault campaigns and
+        :meth:`advance` windows included) or ``"scan"`` (the reference
+        linear-scan manager, the differential baseline).  Both share one
         :class:`~repro.resources.susqueue.SuspensionQueue`.  A heterogeneous
         (device-family) system runs on the scan manager either way.
     trace:
@@ -241,6 +241,10 @@ class DReAMSim:
             per_tick_housekeeping = len(self.rim.nodes)
         self._per_tick_hk = per_tick_housekeeping
         self._last_hk_time = 0
+        # The flat-table loop once a drive has taken it (repro.framework.
+        # hotloop.run_hot): paused between windows, it owns the heap, whose
+        # arrival and completion records are then loop records.
+        self._hot: Optional[Generator[None, Optional[int], None]] = None
 
     # -- public API --------------------------------------------------------------
 
@@ -255,48 +259,63 @@ class DReAMSim:
         return self._done
 
     def run(self, until: Optional[int] = None) -> SimulationResult:
-        """Run to completion (or to time ``until``) and build the report."""
+        """Run to completion (or to time ``until``) and build the report.
+
+        A bounded run idles the clock forward to ``until``, as
+        :meth:`Environment.run` does.
+        """
         if self._done:
             raise RuntimeError("simulation already ran; create a new DReAMSim")
-        if not self._started and until is None and hot_eligible(self):
-            # Array-backend run in the envelope: the flat-table hot loop
-            # replays the exact event/charge/sampling semantics of the
-            # generic path several times faster (see repro.framework.hotloop).
-            # An armed failure injector is inside the envelope: its pending
-            # kernel events fire in place from the loop's shared heap.
-            # A digest-capable bus (every sink accepts ``write_lines``) is
-            # inside the envelope: RunStarted is emitted here exactly as
-            # start() would, the loop formats every in-run event's canonical
-            # line inline, and finish() emits RunFinished — byte-identical
-            # to the generic path's stream.  ``rim.trace`` is detached for
-            # the duration (the loop re-attaches it around kernel events) so
-            # configure/evict do not double-emit through the bus.  run_hot
-            # pulls arrivals itself, so the feed must NOT be primed (that is
-            # why the hot branch bypasses start()).
-            if self.trace is not None:
-                self._emit_run_started()
-            self._started = True
-            rim_trace = self.rim.trace
-            self.rim.trace = None
-            try:
-                with _gc_paused():
-                    run_hot(self)
-            finally:
-                self.rim.trace = rim_trace
-            return self.finish()
         if not self._started:
             self.start()
         with _gc_paused():
-            self.env.run(until=until)
+            self._advance(until)
+            if until is not None:
+                # Nothing at or before ``until`` is left queued: this only
+                # moves the clock.
+                self.env.run(until=until)
         return self.finish()
+
+    def advance(self, until: int) -> None:
+        """Fire every event at or before ``until`` (one service window).
+
+        The clock ends at the last fired event, not at ``until``, so a run
+        driven in windows produces the same event stream, byte for byte, as
+        one driven straight through.  Windows must be non-decreasing; an
+        ``until`` that is not an ``int`` raises :class:`TypeError`, one
+        before the clock :class:`ValueError`.
+        """
+        if not self._started or self._done:
+            raise RuntimeError("advance requires a started, unfinished run")
+        with _gc_paused():
+            self._advance(until)
+
+    def _advance(self, until: Optional[int]) -> None:
+        """One drive of the run: the hot loop inside its envelope, else the kernel.
+
+        Array-backend runs in the envelope take the flat-table hot loop
+        (:mod:`repro.framework.hotloop`), which replays the exact
+        event/charge/sampling semantics of the generic path several times
+        faster; its first drive adopts whatever the generic path queued
+        (``start()``'s arrival, a restored snapshot's events, an armed
+        injector's), and it then drives every later window of the run.
+        """
+        if until is not None:
+            if type(until) is not int:
+                raise TypeError(f"until={until!r} is not an integer tick")
+            if until < self.env.now:
+                raise ValueError(f"until={until} is in the past (now={self.env.now})")
+        if self._hot is not None or hot_eligible(self):
+            run_hot(self, until)
+        else:
+            self.env.run(until=until, idle_advance=False)
 
     def start(self) -> None:
         """Begin a run without draining it (service mode / snapshot harness).
 
         Emits ``RunStarted`` and primes the lazy arrival feed; the caller
-        then drives the kernel itself (``env.run(until=...)`` windows, or a
-        restore) and seals the run with :meth:`finish` or
-        :meth:`run_to_end`.
+        then drives the run (:meth:`advance` windows, or a restore) and
+        seals it with :meth:`finish` or :meth:`run_to_end`.
         """
         if self._done:
             raise RuntimeError("simulation already ran; create a new DReAMSim")
@@ -321,7 +340,8 @@ class DReAMSim:
         """Drain every pending event, then seal a started run."""
         if not self._started or self._done:
             raise RuntimeError("run_to_end requires a started, unfinished run")
-        self.env.run()
+        with _gc_paused():
+            self._advance(None)
         return self.finish()
 
     def finish(self) -> SimulationResult:
@@ -336,6 +356,9 @@ class DReAMSim:
         if self.trace is not None:
             self.trace.emit(_RUN_FINISHED, final)
         self._done = True
+        # The paused loop's frame holds the simulator: dropping it lets a
+        # sealed run be freed by reference counting, not the cyclic collector.
+        self._hot = None
         report = self.make_report()
         return SimulationResult(
             report=report,
@@ -357,8 +380,8 @@ class DReAMSim:
         """Accept externally pushed arrivals (see :mod:`repro.service`).
 
         While ingest is open the workload is never considered finished —
-        more tasks may arrive — so bounded-horizon windows
-        (``env.run(until=...)``) interleave with :meth:`ingest` calls.
+        more tasks may arrive — so :meth:`advance` windows interleave with
+        :meth:`ingest` calls.
         """
         if self._done:
             raise RuntimeError("cannot open ingest on a finished run")
@@ -465,30 +488,51 @@ class DReAMSim:
         ):
             self._arrivals_done = True
 
-    def _final_time(self) -> int:
-        """Eq. 5's total simulation time: the tick the workload finished.
+    def _workload_end(self) -> Optional[int]:
+        """The tick the workload finished, or None while it is unfinished.
 
-        When every task is terminal, this is the last terminal event's time
-        (stray non-workload events — e.g. a failure scheduled past the end —
-        must not inflate it); on a bounded-horizon run it is the clock.
+        That is the last terminal event's time: stray non-workload events
+        (e.g. a failure scheduled past the end) must not inflate it.
         """
         fold = self._fold
         fold.advance(self.tasks)
         if fold.cursor < len(self.tasks) or not self._arrivals_done:
-            return self.env.now  # workload unfinished: use the clock
+            return None
         return fold.last_time
 
+    def _final_time(self) -> int:
+        """Eq. 5's total simulation time: the tick the workload finished,
+        or the clock on a bounded-horizon run."""
+        end = self._workload_end()
+        return self.env.now if end is None else end
+
     def make_report(self) -> MetricsReport:
-        """Assemble Table I from current state (``MakeReport``)."""
-        self._fold.advance(self.tasks)
+        """Assemble Table I from current state (``MakeReport``).
+
+        Before the run is sealed, a finished workload's report already
+        includes the per-tick housekeeping :meth:`finish` bills up to the
+        final time, so a view in the fault tail equals the sealed report;
+        ``counters`` itself is not charged.
+        """
+        end = self._workload_end()
+        final = self._final_value
+        counters = self.counters
+        if final is None:
+            final = self.env.now if end is None else end
+            due = 0 if end is None else self._tick_housekeeping_due(end)
+            if due:
+                counters = SearchCounters(
+                    scheduling_steps=counters.scheduling_steps,
+                    housekeeping_steps=counters.housekeeping_steps + due,
+                )
         return compute_report(
             tasks=self.tasks,
             nodes=self.rim.nodes,
             configs=self.rim.configs,
-            counters=self.counters,
+            counters=counters,
             scheduler_stats=self.scheduler.stats,
             reconfig_count_by_config=self.rim.reconfig_count_by_config,
-            final_time=self._final_value if self._final_value is not None else self._final_time(),
+            final_time=final,
             total_used_nodes=self.rim.total_used_nodes,
             placement_waste=self.placement_waste,
             system_waste_total=self.system_waste_total,
@@ -531,13 +575,21 @@ class DReAMSim:
             return
         self._pending_arrival = arrival
         at = max(arrival.at, self.env.now)
-        self.env.call_at(at, lambda: self._on_arrival(arrival), tag=("arrival",))
+        if self._hot is not None:
+            queue_arrival(self.env, at, arrival.task)
+        else:
+            self.env.call_at(at, lambda: self._on_arrival(arrival), tag=("arrival",))
+
+    def _tick_housekeeping_due(self, now: int) -> int:
+        """The per-tick housekeeping not yet billed for the ticks up to ``now``."""
+        elapsed = now - self._last_hk_time
+        return elapsed * self._per_tick_hk if elapsed > 0 else 0
 
     def _charge_tick_housekeeping(self, now: int) -> None:
         """Bill the reference's per-tick state maintenance for elapsed ticks."""
-        elapsed = now - self._last_hk_time
-        if elapsed > 0 and self._per_tick_hk:
-            self.counters.charge_housekeeping(elapsed * self._per_tick_hk)
+        due = self._tick_housekeeping_due(now)
+        if due:
+            self.counters.charge_housekeeping(due)
         self._last_hk_time = max(self._last_hk_time, now)
 
     def _on_arrival(self, arrival: TaskArrival) -> None:
@@ -739,7 +791,11 @@ class DReAMSim:
             raise RuntimeError("cannot snapshot: run not started")
         if self._done:
             raise RuntimeError("cannot snapshot: run already finished")
-        pending = self.env.export_pending(rewrite=self._export_tag)
+        if self._hot is not None:
+            pending, placements = export_pending(self)
+        else:
+            pending = self.env.export_pending(rewrite=self._export_tag)
+            placements = self._placements
         fold, rows = self._fold.export_state(self.tasks)
         return {
             "backend": self.backend,
@@ -767,7 +823,7 @@ class DReAMSim:
             },
             "placements": [
                 [no, self._export_placement(p)]
-                for no, p in sorted(self._placements.items())
+                for no, p in sorted(placements.items())
             ],
             "placement_waste": self.placement_waste.export_state(),
             "system_waste_total": float(self.system_waste_total).hex(),

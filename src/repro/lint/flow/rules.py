@@ -97,6 +97,12 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
             "(snapshot_of requires a started, unfinished simulation)"
         ),
         "_config_by_no": _DERIVED_STATIC,
+        "_hot": (
+            "the hot loop driving the run, not run state: a paused loop "
+            "publishes everything to the simulator's own fields at each "
+            "window bound, and a restored run's first drive builds a new "
+            "loop that adopts the restored events"
+        ),
     },
     "model/gpp.py::GppPool": {
         "count": _CONSTRUCTION,

@@ -184,11 +184,12 @@ class ServiceSimulator:
     def advance_to(self, t: int) -> int:
         """Ingest arrivals due by ``t`` and fire everything due by then.
 
-        Returns the number of arrivals ingested this window.  The clock ends
-        at the last fired event (not idled forward to ``t``), so a run that
-        finishes mid-window seals with exactly the byte stream a straight
-        batch run produces.  Call again with a later ``t`` (windows must be
-        non-decreasing).
+        Returns the number of arrivals ingested this window.  The window is
+        :meth:`DReAMSim.advance` — on the array backend, the same hot loop
+        a batch run takes.  The clock ends at the last fired event (not
+        idled forward to ``t``), so a run that finishes mid-window seals
+        with exactly the byte stream a straight batch run produces.  Call
+        again with a later ``t`` (windows must be non-decreasing).
         """
         if self.result is not None:
             raise RuntimeError("service run already finished")
@@ -198,9 +199,7 @@ class ServiceSimulator:
             taken = self.sim.ingest(self.source.take_until(t))
             if self.source.exhausted:
                 self.sim.close_ingest()
-        # The collector runs between windows, never inside one.
-        with _gc_paused():
-            self.sim.env.run(until=t, idle_advance=False)
+        self.sim.advance(t)
         return taken
 
     def drain(self) -> SimulationResult:

@@ -88,7 +88,7 @@ class TestRunCommand:
 
         hot_runs = []
         run_hot = simulator.run_hot
-        monkeypatch.setattr(simulator, "run_hot", lambda s: hot_runs.append(run_hot(s)))
+        monkeypatch.setattr(simulator, "run_hot", lambda s, *bound: hot_runs.append(run_hot(s, *bound)))
         path = tmp_path / "run.jsonl"
         rc = main(["run", "--nodes", "8", "--tasks", "40", "--configs", "5", "--seed", "1",
                    "--trace", str(path), "--trace-digest"])
@@ -320,6 +320,36 @@ class TestServeCommand:
         assert "truncated" in out
         assert "resumed from" in out
         assert f"trace digest: {digest}" in out
+
+    def test_serve_drains_the_fault_tail_without_more_windows(self, tmp_path, capsys):
+        """A fault campaign's stale completions and repairs outlive its
+        workload.  ``serve`` drains them instead of windowing through them:
+        the digest and report equal the batch run's, and no checkpoint is
+        cut past the workload's final tick."""
+        campaign = [
+            "--nodes", "20", "--tasks", "200", "--configs", "10", "--seed", "42",
+            "--mtbf", "3000", "--seu-rate", "2000", "--retry-budget", "4",
+            "--backoff-base", "8",
+        ]
+        assert main(["run", *campaign, "--trace-digest"]) == 0
+        batch_out = capsys.readouterr().out
+        assert main(["serve", *campaign, "--window", "500", "--checkpoint-every", "5000",
+                     "--checkpoint-dir", str(tmp_path)]) == 0
+        serve_out = capsys.readouterr().out
+
+        def table_one(out):
+            block = out.split(" ==\n", 1)[1]
+            return block[: block.index("==")]
+
+        digest = batch_out.rsplit("trace digest: ", 1)[1].split()[0]
+        assert f"trace digest: {digest}" in serve_out
+        report = table_one(batch_out)
+        assert table_one(serve_out) == report
+        final = int(report.split("total_simulation_time", 1)[1].split()[0])
+        cuts = [int(line.split("t=", 1)[1].split()[0])
+                for line in serve_out.splitlines() if line.startswith("checkpoint at")]
+        assert cuts
+        assert max(cuts) < final
 
     def test_resume_without_trace_is_an_error(self, tmp_path, capsys):
         rc = main(self.BASE + ["--resume", str(tmp_path / "nope.json")])

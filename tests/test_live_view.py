@@ -31,17 +31,19 @@ def batch_view(svc, events):
     so far."""
     stream = list(events)
     if svc.result is None:
-        final = svc.sim._final_time()
+        sim = svc.sim
+        final = sim._final_time()
+        hk = sim.counters.housekeeping_steps
+        if sim.workload_finished:
+            # finish() bills the per-tick housekeeping up to the final time
+            # before it stamps RunFinished.
+            hk += max(final - sim._last_hk_time, 0) * sim._per_tick_hk
         stream.append(
             TraceEvent(
                 seq=svc.bus.events_emitted,
-                time=int(svc.sim.env.now),
+                time=int(sim.env.now),
                 type=ev.RUN_FINISHED,
-                fields={
-                    "final": final,
-                    "ss": svc.sim.counters.scheduling_steps,
-                    "hk": svc.sim.counters.housekeeping_steps,
-                },
+                fields={"final": final, "ss": sim.counters.scheduling_steps, "hk": hk},
             )
         )
     replayer = TraceReplayer(stream).replay()
@@ -132,6 +134,23 @@ def test_view_in_the_fault_tail_equals_the_sealed_run():
         for view in tail_views:
             assert view.report.total_simulation_time == result.report.total_simulation_time
             assert view.resilience == resilience
+
+
+def test_every_fault_tail_view_equals_the_drained_report():
+    """In the fault tail every view's whole Table I — the total scheduler
+    workload included, which needs the per-tick housekeeping the seal
+    bills up to the final time — equals the drained run's."""
+    svc = ServiceSimulator(SEU, backend="array")
+    tail = []
+    now = 0
+    while svc.sim.env.pending_count:
+        now += 500
+        svc.advance_to(now)
+        if svc.sim.workload_finished and svc.sim.env.pending_count:
+            tail.append(svc.report_view().report.as_dict())
+    drained = svc.drain().report.as_dict()
+    assert len(tail) > 10
+    assert all(view == drained for view in tail)
 
 
 @pytest.fixture

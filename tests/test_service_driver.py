@@ -94,6 +94,26 @@ def test_finished_service_refuses_further_driving():
         svc.drain()
 
 
+@pytest.mark.parametrize("backend", ["array", "scan"])
+def test_window_bounds_are_integer_and_non_decreasing(backend):
+    """The hot loop's windows check their bound as the kernel's do: a
+    non-``int`` bound or one before the clock is refused, and a refused
+    window leaves the run intact."""
+    svc = ServiceSimulator(CLEAN_SMALL, backend=backend)
+    svc.advance_to(2_000)
+    now = svc.sim.env.now
+    assert now > 0
+    for bad in (2_500.0, True):
+        with pytest.raises(TypeError, match="integer tick"):
+            svc.advance_to(bad)
+    with pytest.raises(ValueError, match="in the past"):
+        svc.advance_to(now - 1)
+    assert svc.sim.env.now == now
+    with pytest.raises(RuntimeError, match="started"):
+        ServiceSimulator(CLEAN_SMALL, backend=backend).sim.advance(100)
+    assert svc.drain().report == baseline(CLEAN_SMALL, backend).report
+
+
 def test_resume_rejects_mismatched_prefix():
     svc = ServiceSimulator(SEU_SMALL, backend="array")
     mem = MemorySink()

@@ -19,7 +19,12 @@ must hold for every draw:
    :class:`~repro.service.ServiceSimulator` windows, with two
    checkpoint/resume cuts (each onto either backend, so the second
    re-exports a restored task fold), seal with the batch run's digest,
-   Table I and resilience report.
+   Table I and resilience report.  Every window of an array-backed
+   session, fresh or resumed, runs on the hot loop.
+
+Pinned cases add that a checkpoint cut between hot-loop windows has the
+generic path's bytes, and that an arrival chain left dry between windows
+is re-primed exactly once.
 
 Tier-1 runs a small derandomised profile; the ``chaos`` marker selects a
 deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
@@ -27,6 +32,7 @@ deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
 
 import io
 import json
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -40,7 +46,8 @@ from repro.framework.campaign import FaultCampaignSpec, build_campaign, run_camp
 from repro.framework.hotloop import hot_eligible
 from repro.model.task import TaskStatus
 from repro.rng.distributions import UniformInt
-from repro.service import ServiceSimulator, Snapshot
+from repro.service import ReplaySource, ServiceSimulator, Snapshot
+from repro.service.snapshot import snapshot_of
 from repro.trace import DigestSink, JsonlSink, MemorySink, TraceBus
 from repro.workload.generator import generate_configs, generate_nodes, generate_task_stream
 
@@ -260,14 +267,27 @@ def service_runs(draw):
     return spec, window, (cut, second), (draw(backends), draw(backends))
 
 
+def _generic_window(*args, **kwargs):
+    raise AssertionError("a window of an array-backed session left the hot loop")
+
+
+def on_the_loop(svc, backend):
+    """Make every generic window of an array-backed session fail: its
+    windows and its drain must all run on the hot loop."""
+    if backend == "array":
+        svc.sim.env.run = _generic_window
+    return svc
+
+
 def check_service_equals_batch(run):
     """Windows with two checkpoint/resume cuts: the second exports a
-    restored fold again (advanced past the first cut's live tasks)."""
+    restored fold again (advanced past the first cut's live tasks).  An
+    array-backed session, fresh or resumed, runs every window on the loop."""
     spec, window, cuts, resume_backends = run
     digest = DigestSink()
     result, injector = run_campaign(spec, backend="array", trace=TraceBus(digest))
 
-    svc = ServiceSimulator(spec, backend="array")
+    svc = on_the_loop(ServiceSimulator(spec, backend="array"), "array")
     prefix = MemorySink()
     svc.bus.attach(prefix)
     events = []
@@ -281,6 +301,7 @@ def check_service_equals_batch(run):
         svc = ServiceSimulator.resume(
             snap, spec, backend=backend, prefix_events=list(events)
         )
+        on_the_loop(svc, backend)
         prefix = MemorySink()
         svc.bus.attach(prefix)
     while not svc.sim.workload_finished and t < 40 * window:
@@ -310,3 +331,98 @@ def test_service_windows_with_a_resume_cut_equal_batch(run):
 @given(run=service_runs())
 def test_service_windows_with_a_resume_cut_equal_batch_deep(run):
     check_service_equals_batch(run)
+
+
+# -- checkpoints cut from a paused hot loop --------------------------------------
+
+CHECKPOINT_CAMPAIGNS = {
+    "clean": FaultCampaignSpec(nodes=20, configs=10, tasks=200, seed=42),
+    "seu-crash-retry": FaultCampaignSpec(
+        nodes=20, configs=10, tasks=200, seed=42, mtbf=3000, seu_rate=2000,
+        retry_budget=4, backoff_base=8,
+    ),
+}
+
+
+def arrivals_of(spec):
+    """The arrivals ``build_campaign`` draws for ``spec``, as fresh tasks."""
+    rng = RNG(seed=spec.seed)
+    generate_nodes(NodeSpec(count=spec.nodes), rng)
+    configs = generate_configs(ConfigSpec(count=spec.configs), rng)
+    return list(generate_task_stream(TaskSpec(count=spec.tasks), configs, rng))
+
+
+def windowed(spec, fed, **sim_kwargs):
+    """A started session on the array backend: the spec's own task stream,
+    or (``fed``) the same arrivals pushed through ``ingest`` each window."""
+    bus, digest = TraceBus(), DigestSink()
+    bus.attach(digest)
+    source = ReplaySource(arrivals_of(spec)) if fed else None
+    if fed:
+        spec = replace(spec, tasks=0)
+    sim, injector = build_campaign(spec, backend="array", trace=bus, **sim_kwargs)
+    if fed:
+        sim.open_ingest()
+    sim.start()
+    return sim, injector, digest, source
+
+
+def window(sim, source, t):
+    if source is not None and sim.ingest_open:
+        sim.ingest(source.take_until(t))
+        if source.exhausted:
+            sim.close_ingest()
+    sim.advance(t)
+
+
+@pytest.mark.parametrize("fed", [False, True], ids=["stream", "ingest"])
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_CAMPAIGNS))
+def test_checkpoint_after_hot_windows_equals_the_generic_paths(name, fed):
+    """A checkpoint cut after hot windows — placement rows (kind, evicted
+    area), ``("noop", …)`` stale completions, the pending arrival, the
+    sequence counter (ingest's re-primes included) — has the same bytes as
+    one cut at the same window on the forced-generic path."""
+    spec = CHECKPOINT_CAMPAIGNS[name]
+    hot, hot_injector, hot_digest, hot_source = windowed(spec, fed)
+    generic, generic_injector, generic_digest, generic_source = windowed(
+        spec, fed, debug_invariants_every=10**9
+    )
+    assert hot_eligible(hot) and not hot_eligible(generic)
+    t = 0
+    while not hot.workload_finished:
+        t += 3_000
+        window(hot, hot_source, t)
+        window(generic, generic_source, t)
+        cut = snapshot_of(hot, hot_injector, digest=hot_digest.hexdigest())
+        oracle = snapshot_of(generic, generic_injector, digest=generic_digest.hexdigest())
+        assert cut.to_json() == oracle.to_json(), t
+    assert t > 30_000
+    assert hot.run_to_end().report == generic.run_to_end().report
+    assert hot_digest.hexdigest() == generic_digest.hexdigest()
+
+
+def test_a_dry_arrival_chain_is_re_primed_once():
+    """A source with no arrival due for whole windows leaves the loop's
+    arrival chain dry; the next ``ingest`` re-primes it.  The session seals
+    with the batch digest, and every task arrives exactly once."""
+    spec = FaultCampaignSpec(nodes=20, configs=10, tasks=120, seed=7)
+    digest = DigestSink()
+    result, _ = run_campaign(spec, backend="array", trace=TraceBus(digest))
+    arrivals = arrivals_of(spec)
+
+    svc = ServiceSimulator(replace(spec, tasks=0), backend="array")
+    svc.source = ReplaySource(arrivals)
+    on_the_loop(svc, "array")
+    width = 5
+    dry = 0
+    t = 0
+    while not svc.source.exhausted:
+        t += width
+        dry += svc.advance_to(t) == 0
+    final = svc.drain()
+
+    assert dry > 10
+    assert svc.hexdigest() == digest.hexdigest()
+    assert final.report == result.report
+    numbers = [task.task_no for task in svc.sim.tasks]
+    assert sorted(numbers) == [a.task.task_no for a in arrivals]

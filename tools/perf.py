@@ -23,6 +23,11 @@ Usage::
     PYTHONPATH=src python tools/perf.py --quick         # small smoke matrix
     PYTHONPATH=src python tools/perf.py --seed 7 -o out.json
 
+Beyond the backend matrix it times the tracing overhead, an SEU campaign on
+both backends, a windowed service session (the bench's ``service`` spec,
+forced-generic windows against the hot loop), the parallel sweep engine and
+one dreamlint pass, and records the host (Python, platform, CPU count).
+
 The headline scale (200 nodes / 20k tasks, partial reconfiguration) is the
 acceptance gate: the array backend must be >= 10x faster than scan, end to
 end.  The 200 nodes / 100k tasks row is
@@ -328,6 +333,105 @@ def run_faults_scenario(seed: int, repeats: int, quick: bool):
     return row
 
 
+#: The windowed ``service`` session of ``bench/run.py``: window width and
+#: the report/checkpoint cadence, in windows.
+SERVICE_WINDOW, SERVICE_REPORT_EVERY, SERVICE_CHECKPOINT_EVERY = 2000, 10, 50
+
+
+def _service_child(spec: FaultCampaignSpec, path: str, conn) -> None:
+    """Child half of :func:`run_service_windows`: one timed session.
+
+    The arrivals are the ones ``build_campaign`` would draw for the spec,
+    fed through a :class:`ReplaySource` to a service built with
+    ``tasks=0``, as the bench feeds its JSONL tail.  ``path="generic"``
+    declines the hot loop for the whole child, so every window takes the
+    kernel, the scheduler and the manager.
+    """
+    import dataclasses
+
+    import repro.framework.simulator as simulator
+    from repro.rng import RNG
+    from repro.service import ReplaySource, ServiceSimulator
+
+    if path == "generic":
+        simulator.hot_eligible = lambda sim: False
+    rng = RNG(seed=spec.seed)
+    generate_nodes(NodeSpec(count=spec.nodes), rng)
+    configs = generate_configs(ConfigSpec(count=spec.configs), rng)
+    arrivals = list(generate_task_stream(TaskSpec(count=spec.tasks), configs, rng))
+    svc = ServiceSimulator(dataclasses.replace(spec, tasks=0), backend="array")
+    svc.source = ReplaySource(arrivals)
+    t0 = time.perf_counter()
+    advance_s = 0.0
+    now = windows = 0
+    while not (svc.sim.workload_finished and svc.source.exhausted):
+        now += SERVICE_WINDOW
+        t1 = time.perf_counter()
+        svc.advance_to(now)
+        advance_s += time.perf_counter() - t1
+        windows += 1
+        if windows % SERVICE_REPORT_EVERY == 0:
+            svc.report_view()
+        if windows % SERVICE_CHECKPOINT_EVERY == 0:
+            svc.checkpoint().to_json()
+    result = svc.drain()
+    elapsed = time.perf_counter() - t0
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    conn.send((elapsed, advance_s, windows, svc.hexdigest(), result.report.as_dict(), peak_kb))
+    conn.close()
+
+
+def run_service_windows(seed: int, repeats: int, quick: bool):
+    """Time a windowed service session: forced-generic windows vs the hot loop.
+
+    The bench's ``service`` spec (200 nodes / 5 000 tasks, 2 000-tick
+    windows, a report view every 10 windows, a checkpoint every 50), each
+    arm in a forked child (min wall-clock over ``repeats``, max peak RSS).
+    The two arms must seal with the same digest and Table I.
+    """
+    nodes, tasks = (50, 500) if quick else (200, 5000)
+    spec = FaultCampaignSpec(nodes=nodes, tasks=tasks, seed=seed)
+    paths = ("generic", "hot")
+    seconds = {p: float("inf") for p in paths}
+    advance = {p: float("inf") for p in paths}
+    peaks = {p: 0 for p in paths}
+    outputs = {}
+    for _ in range(repeats):
+        for path in paths:
+            parent_conn, child_conn = _FORK.Pipe(duplex=False)
+            proc = _FORK.Process(target=_service_child, args=(spec, path, child_conn))
+            proc.start()
+            child_conn.close()
+            elapsed, advance_s, windows, digest, report, peak_kb = parent_conn.recv()
+            proc.join()
+            seconds[path] = min(seconds[path], elapsed)
+            advance[path] = min(advance[path], advance_s)
+            peaks[path] = max(peaks[path], peak_kb)
+            outputs[path] = (digest, report)
+    row = {
+        "scale": f"{nodes} nodes / {tasks} tasks (partial, array backend, "
+        f"{SERVICE_WINDOW}-tick windows, a view every {SERVICE_REPORT_EVERY} "
+        f"and a checkpoint every {SERVICE_CHECKPOINT_EVERY} windows)",
+        "windows": windows,
+        "generic_seconds": round(seconds["generic"], 3),
+        "hot_seconds": round(seconds["hot"], 3),
+        "generic_advance_seconds": round(advance["generic"], 3),
+        "hot_advance_seconds": round(advance["hot"], 3),
+        "speedup": round(seconds["generic"] / seconds["hot"], 2),
+        "generic_peak_rss_mb": round(peaks["generic"] / 1024, 1),
+        "hot_peak_rss_mb": round(peaks["hot"] / 1024, 1),
+        "digest": outputs["hot"][0],
+        "outputs_equal": outputs["generic"] == outputs["hot"],
+    }
+    print(
+        f"service windows @ {row['scale']}: generic {seconds['generic']:6.2f}s  "
+        f"hot {seconds['hot']:6.2f}s  {row['speedup']:.2f}x  "
+        f"(advance {advance['generic']:5.2f}s -> {advance['hot']:5.2f}s)  "
+        f"outputs_equal={row['outputs_equal']}"
+    )
+    return row
+
+
 def run_sweep_engine(seed: int, repeats: int, quick: bool):
     """Time the parallel sweep engine: jobs=1 vs jobs=4, cold vs warm cache.
 
@@ -524,6 +628,7 @@ def main(argv=None) -> int:
         args.seed, max(1, args.repeats),
     )
     faults = run_faults_scenario(args.seed, max(1, args.repeats), args.quick)
+    service = run_service_windows(args.seed, max(1, args.repeats), args.quick)
     sweep_engine = run_sweep_engine(args.seed, max(1, args.repeats), args.quick)
     static_analysis = run_dreamlint_timing(max(1, args.repeats))
 
@@ -544,6 +649,7 @@ def main(argv=None) -> int:
         ),
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "cpus": os.cpu_count(),
         "command": "PYTHONPATH=src python tools/perf.py"
         + (" --quick" if args.quick else ""),
         "headline": {
@@ -556,6 +662,7 @@ def main(argv=None) -> int:
         "results": rows,
         "tracing_overhead": tracing,
         "faults": faults,
+        "service_windows": service,
         "sweep_engine": sweep_engine,
         "static_analysis": static_analysis,
     }
