@@ -684,10 +684,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     while True:
         now += window
         svc.advance_to(now)
-        source_alive = svc.source is not None and not svc.source.exhausted
-        if not source_alive and (
-            svc.sim.workload_finished or svc.sim.env.pending_count == 0
-        ):
+        if svc.ready_to_drain:
             # Whatever is still queued is the fault tail (stale completions,
             # repairs): drain() fires it, so windows past it would only
             # print views and checkpoints of a finished workload.

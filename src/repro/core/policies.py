@@ -81,9 +81,8 @@ class PlacementPolicy:
     ) -> Optional[ConfigTaskEntry]:
         """Choose a direct-allocation target among idle entries of ``config``.
 
-        The paper's MIN_AREA rule delegates to the manager's query (which
-        the array backend serves from its idle-entry array); the ablation
-        criteria walk the chain here.
+        The paper's MIN_AREA rule delegates to the manager's query; the
+        ablation criteria walk the chain here.
         """
         if self.idle is SelectionCriterion.MIN_AREA:
             return rim.find_best_idle_entry(config)

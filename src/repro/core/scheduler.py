@@ -61,6 +61,9 @@ _Decision = tuple[ScheduleResult, Optional[Placement]]
 class DreamScheduler:
     """Four-phase scheduler over a resource information manager.
 
+    It runs on the scan manager; over the array manager the hot loop runs
+    the same phases and uses only its statistics, match memo and queue key.
+
     Parameters
     ----------
     rim:
@@ -104,8 +107,6 @@ class DreamScheduler:
         # static for a run, so a task's match never changes.
         self._match_memo: dict[int, Optional[Configuration]] = {}
         self._min_config_area = min((c.req_area for c in rim.configs), default=0)
-        # config_no -> req_area, for the redispatch fallback's key filter.
-        self._req_of: dict[int, int] = {c.config_no: c.req_area for c in rim.configs}
         self.gpp_pool = gpp_pool
 
     # -- public API -----------------------------------------------------------
@@ -158,20 +159,12 @@ class DreamScheduler:
             if reclaimable < self._min_config_area:
                 return None  # no configuration can fit in the reclaimable region
 
-            if self.rim.fast_queries:
-                # The fit test depends only on the record's key (the matched
-                # configuration number), so the per-key index answers it
-                # without walking the queue; charging is identical to the
-                # reference walk below.
-                rec = self.susqueue.first_matching_key(self._req_of, reclaimable)
-            else:
+            def fits(task: Task) -> bool:
+                cfg = self.matched_config(task)
+                return cfg is not None and cfg.req_area <= reclaimable
 
-                def fits(task: Task) -> bool:
-                    cfg = self.matched_config(task)
-                    return cfg is not None and cfg.req_area <= reclaimable
-
-                # Reference fallback: linear queue walk with early exit.
-                rec = self.susqueue.search(fits)
+            # Reference fallback: linear queue walk with early exit.
+            rec = self.susqueue.search(fits)
         if rec is None:
             return None
         return self.susqueue.remove(rec)

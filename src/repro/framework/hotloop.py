@@ -1,4 +1,4 @@
-"""The flat-table hot loop: a specialised run driver for ``backend="array"``.
+"""The flat-table hot loop: the run driver of every ``backend="array"`` run.
 
 The generic :class:`~repro.framework.simulator.DReAMSim` run loop routes
 every arrival and completion through the event kernel, the four-phase
@@ -16,29 +16,28 @@ drive the same loop.
 
 **The hot loop is an implementation of the same semantics, not a variant.**
 Every simulated quantity — scheduling/housekeeping step charges, task
-timestamps and state history, monitor and load series, waste accumulators,
+timestamps and state history, monitor series, waste accumulators,
 scheduler statistics, event ordering (``(time, insertion sequence)`` heap
-ties) — is produced exactly as the generic path produces it, so a hot run
-and a generic run of the same inputs are bit-identical
-(``tests/test_array_differential.py`` asserts this).  The loop therefore
-only engages for configurations whose behaviour it replicates completely
-(:func:`hot_eligible`):
+ties) — is produced exactly as the generic path over the scan manager
+produces it, so a hot run and a scan run of the same inputs are
+bit-identical, the beyond-paper load series to a few ULPs
+(``tests/test_array_differential.py`` asserts this).  ``DReAMSim`` gives an
+``array`` request the scan manager unless the loop replicates it completely
+(:func:`in_hot_envelope`), so every ``ArrayRIM`` run is a hot-loop run:
 
-* array backend (``ArrayRIM``), homogeneous;
+* array backend, homogeneous;
 * the paper's MIN_AREA placement policy;
-* no trace bus attached, or a plain :class:`~repro.trace.bus.TraceBus`
-  stamped from the simulator's counters: every sink takes pre-encoded
-  canonical lines (``write_lines``), so the loop formats each line through
-  the table's positional encoders (``repro.trace.events.line_encoder``)
-  with the exact stamps the generic path's ``TraceBus.emit`` would produce
-  and hands them to the bus in batches — the digest, the JSONL file and a
-  ``MemorySink``'s lines stay byte-identical to the generic path's;
+* no trace bus attached, or a plain :class:`~repro.trace.bus.TraceBus`:
+  every sink takes pre-encoded canonical lines (``write_lines``), so the
+  loop formats each line through the table's positional encoders
+  (``repro.trace.events.line_encoder``) with the exact stamps the generic
+  path's ``TraceBus.emit`` would produce and hands them to the bus in
+  batches — the digest, the JSONL file and a ``MemorySink``'s lines stay
+  byte-identical to the generic path's;
 * no GPP pool and no debug invariant checking.
 
-The run's state is not part of the envelope: a fresh run, a run already
-advanced on the generic path, and a run restored from a snapshot all
-qualify.  Anything else falls back to the generic loop — correctness
-first, speed where the envelope allows.
+The run's state is not part of the envelope: a fresh run, an armed fault
+campaign and a run restored from a snapshot all qualify.
 
 **Kernel events.**  The loop's heap *is* ``env._queue`` and its sequence
 counter continues ``env._seq``, so its own ``(time, seq, task, node, entry)``
@@ -72,14 +71,15 @@ the heap is never converted between windows: while the loop is paused the
 simulator reads like a generic run between events, except that its heap
 holds loop records.  Three seams know that:
 
-* on its first drive the loop adopts what the generic path queued
-  (:func:`_adopt`: ``start()``'s arrival event, a restored snapshot's
-  arrival and completion events, stale completions as no-ops), once;
+* on its first drive the loop adopts what the simulator queued before
+  it (:func:`_adopt`: ``start()``'s arrival event, a restored snapshot's
+  arrival and completion events), once;
 * ``DReAMSim.ingest`` re-primes a dry arrival chain with a loop record
   (:func:`queue_arrival`), taking the sequence number ``call_at`` would;
 * ``DReAMSim.export_state`` reads the heap and the placement tokens
   through :func:`export_pending`, so a checkpoint cut from a paused loop
-  is byte-identical to the generic path's at the same moment.
+  is byte-identical to the scan manager's at the same moment (the
+  ``backend`` provenance field aside).
 
 The loop takes arrivals as ``DReAMSim._feed_next_arrival`` does: the
 constructor stream first, then the ingest buffer, and the feed is done
@@ -97,9 +97,8 @@ from heapq import heappop, heappush
 from math import sqrt
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.core.base import Placement, PlacementKind
+from repro.core.base import PlacementKind
 from repro.core.policies import PlacementPolicy, SelectionCriterion
-from repro.core.scheduler import DreamScheduler
 from repro.model.task import Task, TaskStatus
 from repro.resources.arraycore import (
     _POS_BITS,
@@ -109,13 +108,14 @@ from repro.resources.arraycore import (
     ArrayRIM,
 )
 from repro.resources.susqueue import NO_KEY
-from repro.sim.core import Event, SimulationError
+from repro.sim.core import SimulationError
 from repro.sim.environment import EXPORT_PRIORITY
 from repro.trace import events as ev
 from repro.trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.framework.simulator import DReAMSim
+    from repro.model.gpp import GppPool
     from repro.model.node import Node
     from repro.sim.environment import Environment
 
@@ -123,76 +123,46 @@ if TYPE_CHECKING:  # pragma: no cover
 _NO_BOUND = 1 << 62
 
 
-def _digest_capable(trace: Optional[TraceBus], sim: "DReAMSim") -> bool:
-    """True when the hot loop can feed ``trace`` inline.
+def in_hot_envelope(
+    policy: Optional[PlacementPolicy],
+    gpp: Optional["GppPool"],
+    debug_every: Optional[int],
+    trace: Optional[TraceBus],
+) -> bool:
+    """True when the hot loop replicates a run built with these options.
 
-    Requires a plain :class:`TraceBus` (no subclassed ``emit``), stamped
-    from the simulator's own counters — every component must share the one
-    bus (the constructor wires it that way) so suppressing the component
-    emissions and emitting inline is a pure reordering of the same code.
+    Every condition guards a semantic the loop does not reimplement: policy
+    ablations, GPP offload, debug invariant checking and a bus subclass (an
+    ``emit`` of its own).  ``DReAMSim`` asks when it is built.
     """
-    if trace is None:
-        return True
-    return (
-        type(trace) is TraceBus
-        and trace.counters is sim.counters
-        and sim.scheduler.trace is trace
-        and sim.rim.trace is trace
-        and sim.susqueue.trace is trace
-        and sim.monitor.trace is trace
+    paper = policy is None or (
+        type(policy) is PlacementPolicy
+        and policy.idle is policy.blank is policy.partially_blank is SelectionCriterion.MIN_AREA
     )
+    plain_bus = trace is None or type(trace) is TraceBus
+    return paper and plain_bus and gpp is None and debug_every is None
 
 
 def hot_eligible(sim: "DReAMSim") -> bool:
-    """True when the flat-table hot loop replicates ``sim`` exactly.
-
-    Every condition here guards a semantic the hot loop does not reimplement
-    (a subclassed or foreign-stamped bus, GPP offload, policy ablations,
-    debug invariant checking).  The run's state is not a condition: pending
-    kernel events (an armed failure injector), a run advanced in windows,
-    and a run restored from a snapshot are all inside the envelope — the
-    loop adopts whatever the generic path left queued (:func:`_adopt`).
-    The check is O(1); :meth:`DReAMSim.run`, ``run_to_end`` and ``advance``
-    make it until a loop exists, which then drives every later window.
-    """
-    sched = sim.scheduler
-    pol = sched.policy
-    min_area = SelectionCriterion.MIN_AREA
-    key_fn = sim.susqueue.key_fn
-    return (
-        type(sim.rim) is ArrayRIM
-        and _digest_capable(sim.trace, sim)
-        and sim.gpp is None
-        and sched.gpp_pool is None
-        and sim._debug_every is None
-        and type(pol) is PlacementPolicy
-        and pol.idle is min_area
-        and pol.blank is min_area
-        and pol.partially_blank is min_area
-        and getattr(key_fn, "__func__", None) is DreamScheduler.matched_config_no
-        and getattr(key_fn, "__self__", None) is sched
-    )
-
-
-def _noop() -> None:
-    """The callback of a stale completion adopted as a kernel record."""
+    """True when ``sim`` runs on the hot loop: it has the array manager,
+    which it only gets inside :func:`in_hot_envelope`."""
+    return type(sim.rim) is ArrayRIM
 
 
 def _adopt(sim: "DReAMSim") -> bool:
-    """Rewrite the generic path's pending events as loop records, once.
+    """Rewrite the simulator's pending events as loop records, once.
 
-    The pending arrival event becomes an arrival record and each live
-    completion event a completion record, with its placement kept in
+    The pending arrival event becomes an arrival record and each completion
+    event (a restored snapshot's: all live, its stale ones restore as
+    no-ops) a completion record, with its placement kept in
     ``sim._placements`` as the loop's ``(seq, kind, evicted, closest)``
-    token.  A stale completion becomes a ``("noop", task_no)`` kernel
-    record — the form a snapshot restores it in — and every other event
-    (the injector's, a restored no-op) stays a kernel record.  Records keep
-    their ``(time, seq)`` keys, so replacing them in place keeps the heap
-    ordered.  Returns whether any kernel record remains.
+    token.  Every other event (the injector's, a restored no-op) stays a
+    kernel record.  Records keep their ``(time, seq)`` keys, so replacing
+    them in place keeps the heap ordered.  Returns whether any kernel record
+    remains.
     """
     heap = sim.env._queue
     placements = sim._placements
-    registered = sim._completion_events
     kernel = False
     for i, (when, seq, event) in enumerate(heap):
         tag = event.tag
@@ -201,17 +171,13 @@ def _adopt(sim: "DReAMSim") -> bool:
             pending = sim._pending_arrival
             assert pending is not None
             heap[i] = (when, seq, pending.task, None, None)
-            continue
-        if kind == "complete":
-            task_no = tag[1]
-            p = placements.get(task_no)
-            if p is not None and registered.get(task_no) is event:
-                heap[i] = (when, seq, p.entry.task, p.node, p.entry)
-                placements[task_no] = (seq, p.kind.value, p.evicted_area, p.used_closest_match)
-                continue
-            heap[i] = (when, seq, Event(_noop, ("noop", task_no)))
-        kernel = True
-    registered.clear()
+        elif kind == "complete":
+            p = placements[tag[1]]
+            heap[i] = (when, seq, p.entry.task, p.node, p.entry)
+            placements[tag[1]] = (seq, p.kind.value, p.evicted_area, p.used_closest_match)
+        else:
+            kernel = True
+    sim._completion_events.clear()
     return kernel
 
 
@@ -225,19 +191,26 @@ def queue_arrival(env: "Environment", at: int, task: Task) -> None:
     heappush(env._queue, (at, env._seq, task, None, None))
 
 
-def export_pending(sim: "DReAMSim") -> tuple[list, dict[int, Placement]]:
-    """A paused loop's heap as :meth:`Environment.export_pending` records.
+#: A placement token's kind (a :class:`PlacementKind` value) -> the name a
+#: checkpoint's placement row carries.
+_KIND_NAME = {kind.value: kind.name for kind in PlacementKind}
+
+
+def export_pending(sim: "DReAMSim") -> tuple[list, list]:
+    """A paused loop's heap and placements, as a checkpoint writes them.
 
     Each loop record gets the tag its generic event would carry —
     ``("arrival",)``, ``("complete", task_no)`` while its placement token
-    matches, else ``("noop", task_no)`` — and the live placements come back
-    as the :class:`Placement` objects the generic path keeps, so a
-    checkpoint cut from a paused loop is byte-identical to one cut from the
-    generic path at the same moment.
+    matches, else ``("noop", task_no)`` — in
+    :meth:`Environment.export_pending` form.  Each live placement's row is
+    encoded by ``DReAMSim._export_placement`` straight from its token and
+    completion record, in task order, so a checkpoint cut from a paused
+    loop is byte-identical to one cut from the scan manager at the same
+    moment.
     """
     placements = sim._placements
     out = []
-    live: dict[int, Placement] = {}
+    live: dict[int, tuple] = {}
     for rec in sorted(sim.env._queue):
         when, seq = rec[0], rec[1]
         if len(rec) == 3:
@@ -250,25 +223,23 @@ def export_pending(sim: "DReAMSim") -> tuple[list, dict[int, Placement]]:
         elif rec[3] is None:
             tag = ("arrival",)
         else:
-            task = rec[2]
-            task_no = task.task_no
+            task_no = rec[2].task_no
             tok = placements.get(task_no)
             if tok is None or tok[0] != seq:
                 tag = ("noop", task_no)
             else:
                 tag = ("complete", task_no)
-                live[task_no] = Placement(
-                    kind=PlacementKind(tok[1]),
-                    node=rec[3],
-                    entry=rec[4],
-                    config=task.assigned_config,
-                    config_time=task.config_time_paid,
-                    comm_time=task.comm_time,
-                    evicted_area=tok[2],
-                    used_closest_match=tok[3],
-                )
+                live[task_no] = rec
         out.append((when, EXPORT_PRIORITY, seq, tag))
-    return out, {no: live[no] for no in placements}
+    rows = []
+    for task_no in sorted(placements):
+        _seq, kind, evicted, closest = placements[task_no]
+        _when, _seq, task, node, entry = live[task_no]
+        rows.append([task_no, sim._export_placement(
+            _KIND_NAME[kind], node, entry, task.assigned_config,
+            task.config_time_paid, task.comm_time, evicted, closest,
+        )])
+    return out, rows
 
 
 def run_hot(sim: "DReAMSim", until: Optional[int] = None) -> None:
@@ -278,7 +249,7 @@ def run_hot(sim: "DReAMSim", until: Optional[int] = None) -> None:
     an int is one window (``DReAMSim.advance``): the clock stays at the last
     fired record, as ``Environment.run(until, idle_advance=False)`` leaves
     it.  The first call builds the loop (:func:`hot_loop`), which adopts
-    whatever the generic path left queued; every later call resumes it, so
+    whatever the simulator queued before it; every later call resumes it, so
     a batch run and every window of a service session drive the same loop.
     """
     loop = sim._hot
@@ -291,8 +262,8 @@ def run_hot(sim: "DReAMSim", until: Optional[int] = None) -> None:
 def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], None]:  # noqa: C901 - deliberately monolithic
     """The loop itself: a generator resumed with each window's bound.
 
-    Mutates ``sim`` exactly as the generic path's events would have under
-    the :func:`hot_eligible` envelope.  Each ``send(until)`` fires every
+    Mutates ``sim`` exactly as the generic path's events would over the
+    scan manager, inside :func:`in_hot_envelope`.  Each ``send(until)`` fires every
     record at or before ``until`` (``None``: all of them), then publishes
     the hoisted state through the ``sync_out`` barrier (plus the
     accumulators only a window bound needs) and yields; the next send
@@ -1111,7 +1082,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
 
                 if mon_last is None or now - mon_last >= ml:
                     sample(now)
-                # LoadBalancer.observe, inlined (fast_queries O(1) aggregates).
+                # LoadBalancer.observe from the O(1) exact-integer aggregates.
                 s1 = load_sum_i / load_den
                 s2 = load_sumsq_i / load_den_sq
                 max_load = sl[-1][0] if sl else 0.0
@@ -1154,4 +1125,11 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         until = yield
 
 
-__all__ = ["export_pending", "hot_eligible", "hot_loop", "queue_arrival", "run_hot"]
+__all__ = [
+    "export_pending",
+    "hot_eligible",
+    "hot_loop",
+    "in_hot_envelope",
+    "queue_arrival",
+    "run_hot",
+]

@@ -72,37 +72,26 @@ class LoadBalancer:
     def observe(self, now: int) -> None:
         """Sample the load distribution and record the imbalance summary.
 
-        Runs once per task completion.  On a ``fast_queries`` manager (the
-        array backend) it reads the O(1) exact-integer utilization
-        aggregates (``Var X = E[X²] − (E[X])²`` in place of the two-pass
-        variance); the scan manager keeps the original O(nodes) walk.  The
-        sums are exact on both (so an idle system reports ``cv == 0``
-        identically), but ``mean``/``cv``/``jain`` can still differ by a few
-        ULPs of final-operation rounding, so the differential tests compare
-        these beyond-paper series with a tight tolerance while everything
-        paper-facing stays exact.
+        Runs once per task completion on the generic path: an O(nodes)
+        walk with the two-pass variance.  The hot loop keeps the same series
+        from O(1) exact-integer utilization aggregates (``Var X = E[X²] −
+        (E[X])²``); both sums are exact (so an idle system reports
+        ``cv == 0`` identically), but ``mean``/``cv``/``jain`` can still
+        differ by a few ULPs of final-operation rounding, so the
+        differential tests compare these beyond-paper series with a tight
+        tolerance while everything paper-facing stays exact.
         """
         n = len(self.rim.nodes)
-        if self.rim.fast_queries:
-            s1, s2, max_load = self.rim.load_stats()
-            mean = s1 / n if n else 0.0
-            if n and mean > 0:
-                var = s2 / n - mean * mean
-                cv = math.sqrt(var) / mean if var > 0.0 else 0.0
-                jain = min((s1 * s1) / (n * s2), 1.0) if s2 > 0.0 else 1.0
-            else:
-                cv, jain = 0.0, 1.0
+        loads = [node_load(x) for x in self.rim.nodes]
+        mean = sum(loads) / n if n else 0.0
+        max_load = max(loads) if loads else 0.0
+        if n and mean > 0:
+            var = sum((x - mean) ** 2 for x in loads) / n
+            cv = math.sqrt(var) / mean
+            sq = sum(x * x for x in loads)
+            jain = (sum(loads) ** 2) / (n * sq) if sq > 0 else 1.0
         else:
-            loads = [node_load(x) for x in self.rim.nodes]
-            mean = sum(loads) / n if n else 0.0
-            max_load = max(loads) if loads else 0.0
-            if n and mean > 0:
-                var = sum((x - mean) ** 2 for x in loads) / n
-                cv = math.sqrt(var) / mean
-                sq = sum(x * x for x in loads)
-                jain = (sum(loads) ** 2) / (n * sq) if sq > 0 else 1.0
-            else:
-                cv, jain = 0.0, 1.0
+            cv, jain = 0.0, 1.0
         self.times.append(now)
         self.mean_col.append(mean)
         self.cv_col.append(cv)

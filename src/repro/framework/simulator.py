@@ -34,7 +34,7 @@ from repro.metrics.table1 import MetricsReport, compute_report
 from repro.metrics.taskfold import TaskFold
 from repro.model.config import Configuration
 from repro.model.errors import ConfigurationError
-from repro.model.node import Node
+from repro.model.node import ConfigTaskEntry, Node
 from repro.model.task import Task, export_task, restore_task
 from repro.resources import create_manager, resolve_backend
 from repro.resources.counters import SearchCounters
@@ -52,7 +52,13 @@ from repro.trace.events import (
 )
 from repro.workload.generator import TaskArrival
 
-from repro.framework.hotloop import export_pending, hot_eligible, queue_arrival, run_hot
+from repro.framework.hotloop import (
+    export_pending,
+    hot_eligible,
+    in_hot_envelope,
+    queue_arrival,
+    run_hot,
+)
 from repro.framework.loadbalance import LoadBalancer
 from repro.framework.monitoring import Monitor
 
@@ -134,12 +140,15 @@ class DReAMSim:
         Sample Eq. 6 at every placement (O(nodes) each; on by default).
     backend:
         Resource-manager backend: ``"array"`` (the default, also for
-        ``None``: :class:`repro.resources.arraycore.ArrayRIM`, and the
-        flat-table hot loop inside its envelope, fault campaigns and
-        :meth:`advance` windows included) or ``"scan"`` (the reference
-        linear-scan manager, the differential baseline).  Both share one
-        :class:`~repro.resources.susqueue.SuspensionQueue`.  A heterogeneous
-        (device-family) system runs on the scan manager either way.
+        ``None``: :class:`repro.resources.arraycore.ArrayRIM`, driven by the
+        flat-table hot loop, fault campaigns and :meth:`advance` windows
+        included) or ``"scan"`` (the reference linear-scan manager, the
+        differential baseline).  Both share one
+        :class:`~repro.resources.susqueue.SuspensionQueue`.  An ``"array"``
+        request outside the hot loop's envelope — a GPP pool, a non-default
+        ``policy``, ``debug_invariants_every``, a ``TraceBus`` subclass
+        (:func:`repro.framework.hotloop.in_hot_envelope`) — runs on the
+        scan manager, as a heterogeneous (device-family) system does.
     trace:
         Optional :class:`repro.trace.TraceBus`.  The simulator wires its
         clock and counters onto the bus and hands it to every subsystem, so
@@ -173,9 +182,11 @@ class DReAMSim:
             trace.clock = lambda: self.env.now
             trace.counters = self.counters
         self.backend = resolve_backend(backend)
+        manager = self.backend
+        if not in_hot_envelope(policy, gpp, debug_invariants_every, trace):
+            manager = "scan"
         self.rim = create_manager(
-            list(nodes), list(configs), self.counters,
-            backend=self.backend, trace=trace,
+            list(nodes), list(configs), self.counters, backend=manager, trace=trace
         )
         self.susqueue = SuspensionQueue(
             self.counters,
@@ -291,12 +302,12 @@ class DReAMSim:
             self._advance(until)
 
     def _advance(self, until: Optional[int]) -> None:
-        """One drive of the run: the hot loop inside its envelope, else the kernel.
+        """One drive of the run: the hot loop on the array manager, else the kernel.
 
-        Array-backend runs in the envelope take the flat-table hot loop
+        An array-backed run takes the flat-table hot loop
         (:mod:`repro.framework.hotloop`), which replays the exact
         event/charge/sampling semantics of the generic path several times
-        faster; its first drive adopts whatever the generic path queued
+        faster; its first drive adopts whatever was queued before it
         (``start()``'s arrival, a restored snapshot's events, an armed
         injector's), and it then drives every later window of the run.
         """
@@ -305,7 +316,7 @@ class DReAMSim:
                 raise TypeError(f"until={until!r} is not an integer tick")
             if until < self.env.now:
                 raise ValueError(f"until={until} is in the past (now={self.env.now})")
-        if self._hot is not None or hot_eligible(self):
+        if hot_eligible(self):
             run_hot(self, until)
         else:
             self.env.run(until=until, idle_advance=False)
@@ -729,30 +740,43 @@ class DReAMSim:
             return tag
         return ("noop", task_no)
 
-    def _export_placement(self, p: Placement) -> dict:
+    def _export_placement(
+        self,
+        kind: str,
+        node: Optional[Node],
+        entry: Optional[ConfigTaskEntry],
+        config: Configuration,
+        config_time: int,
+        comm_time: int,
+        evicted_area: int,
+        closest: bool,
+        gpp_slot: Optional[object] = None,
+        exec_time: Optional[int] = None,
+    ) -> dict:
+        """One checkpoint placement row, from a :class:`Placement`'s fields
+        (``kind`` is its :class:`PlacementKind` name) or from the hot loop's
+        token and completion record (:func:`export_pending`)."""
         entry_idx: Optional[int] = None
-        if p.entry is not None:
-            assert p.node is not None
+        if entry is not None:
+            assert node is not None
             # Identity scan: ConfigTaskEntry has value equality, so
             # list.index could hit a different-but-equal entry.
-            entry_idx = next(
-                i for i, e in enumerate(p.node.entries) if e is p.entry
-            )
+            entry_idx = next(i for i, e in enumerate(node.entries) if e is entry)
         return {
-            "kind": p.kind.name,
-            "node": p.node.node_no if p.node is not None else None,
+            "kind": kind,
+            "node": node.node_no if node is not None else None,
             "entry": entry_idx,
-            "config": [p.config.config_no, p.config.req_area, p.config.config_time],
-            "config_time": p.config_time,
-            "comm_time": p.comm_time,
-            "evicted_area": p.evicted_area,
-            "closest": p.used_closest_match,
+            "config": [config.config_no, config.req_area, config.config_time],
+            "config_time": config_time,
+            "comm_time": comm_time,
+            "evicted_area": evicted_area,
+            "closest": closest,
             "gpp_slot": (
-                self.gpp.slot_index(p.gpp_slot)  # type: ignore[arg-type]
-                if p.gpp_slot is not None and self.gpp is not None
+                self.gpp.slot_index(gpp_slot)  # type: ignore[arg-type]
+                if gpp_slot is not None and self.gpp is not None
                 else None
             ),
-            "exec_time": p.exec_time,
+            "exec_time": exec_time,
         }
 
     def _restore_placement(
@@ -795,7 +819,14 @@ class DReAMSim:
             pending, placements = export_pending(self)
         else:
             pending = self.env.export_pending(rewrite=self._export_tag)
-            placements = self._placements
+            placements = [
+                [no, self._export_placement(
+                    p.kind.name, p.node, p.entry, p.config, p.config_time,
+                    p.comm_time, p.evicted_area, p.used_closest_match,
+                    p.gpp_slot, p.exec_time,
+                )]
+                for no, p in sorted(self._placements.items())
+            ]
         fold, rows = self._fold.export_state(self.tasks)
         return {
             "backend": self.backend,
@@ -821,10 +852,7 @@ class DReAMSim:
                 "ss": self.counters.scheduling_steps,
                 "hk": self.counters.housekeeping_steps,
             },
-            "placements": [
-                [no, self._export_placement(p)]
-                for no, p in sorted(placements.items())
-            ],
+            "placements": placements,
             "placement_waste": self.placement_waste.export_state(),
             "system_waste_total": float(self.system_waste_total).hex(),
             "system_waste_samples": self._system_waste_samples,

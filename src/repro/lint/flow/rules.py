@@ -283,8 +283,8 @@ class SnapshotFieldCoverage(Rule):
 # -- DL011: charge-on-all-paths -----------------------------------------------
 
 #: Manager methods that must bill simulated steps on every non-exceptional
-#: return path.  Peek/read-side views (peek_*, load_stats,
-#: node_count_by_state, configured_in_service, total_configured_area,
+#: return path, on each class that defines them.  Peek/read-side views
+#: (peek_*, node_count_by_state, configured_in_service, total_configured_area,
 #: quarantine predicates) are deliberately uncharged observability surfaces;
 #: total_wasted_area charges only when the caller opts in (charge=True);
 #: export/restore are out-of-band service machinery.
@@ -314,9 +314,7 @@ MANAGER_CHARGED = frozenset(
 #: Suspension-queue methods with the same obligation.  first_with_key
 #: delegates the charging decision to the caller by contract (the scheduler
 #: bills the enclosing scan); expired is uncharged bookkeeping.
-SUSQUEUE_CHARGED = frozenset(
-    {"add", "remove", "search", "charge_full_scan", "first_matching_key"}
-)
+SUSQUEUE_CHARGED = frozenset({"add", "remove", "search", "charge_full_scan"})
 
 #: (module rel path, class name) → the methods under obligation.
 DL011_METHODS: dict[tuple[str, str], frozenset[str]] = {
@@ -484,12 +482,23 @@ DL013_PAIRS: tuple[tuple[tuple[str, str], tuple[str, str]], ...] = (
     ),
 )
 
+_GENERIC_PATH_ONLY = (
+    "scan-manager-only query of the generic path (scheduler, monitor, entry "
+    "back-references), which runs over the scan manager alone; the hot loop "
+    "reads the array tables itself"
+)
+
 #: Sanctioned asymmetries, keyed by (reference, substitute) class names.
 DL013_ALLOW: dict[tuple[str, str], dict[str, str]] = {
     ("ResourceInformationManager", "ArrayRIM"): {
-        "load_stats": (
-            "array-backend-only O(1) utilization read behind the load "
-            "balancer's fast_queries branch; the scan backend walks the nodes"
+        **dict.fromkeys(
+            (
+                "find_preferred_config", "find_closest_config", "find_best_idle_entry",
+                "find_best_blank_node", "find_best_partially_blank_node",
+                "find_any_idle_node", "busy_candidate_exists", "has_quarantined",
+                "node_count_by_state", "attach_entry_backrefs",
+            ),
+            _GENERIC_PATH_ONLY,
         ),
         "validate_structures": (
             "array-backend-only deep invariant checker used by the "

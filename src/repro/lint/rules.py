@@ -43,8 +43,6 @@ DL002_ALLOW: dict[str, frozenset[str]] = {
     "model/gpp.py": frozenset({"*"}),
     # Availability is a ratio in [0, 1]; integer facts in, float ratio out.
     "framework/failures.py": frozenset({"FailureInjector.availability"}),
-    # load_stats() divides the exact integer sums once, on read.
-    "resources/arraycore.py": frozenset({"ArrayRIM.load_stats"}),
 }
 
 #: Modules on hot simulated paths where deepcopy is banned (DL007).

@@ -18,9 +18,9 @@ Implements §IV-B's "dynamic data structures for resource management":
   FindAnyIdleNode) and all housekeeping mutations, with search-step counting
   per Table I.
 * :class:`~repro.resources.arraycore.ArrayRIM` — the flat-table backend
-  (``backend="array"``): same queries, charges and trace events served from
-  packed integer arrays (see the module docstring for the layout).  Its
-  mutators change the node table through two transitions only,
+  (``backend="array"``): the same state in packed integer arrays, from
+  which the hot loop answers the same queries with the same charges and
+  trace events (see the module docstring for the layout).  Its mutators change the node table through two transitions only,
   ``_busy_shift`` (regions turning busy or idle) and ``_regions_shift``
   (regions loaded or freed), and ``_derive_tables`` builds the same tables
   from the nodes for construction, restore and the invariant check.  Both
@@ -31,12 +31,14 @@ Implements §IV-B's "dynamic data structures for resource management":
   Fig. 4 (bounded-retry FIFO of suspended tasks in slot columns), the one
   queue both backends and the array hot loop use.
 * :mod:`~repro.resources.invariants` — a full-state consistency checker used
-  by the tests and by the simulator's optional debug mode.
+  by the tests and by the simulator's optional debug mode (which runs on
+  the scan manager).
 
 The two backends are selected through :func:`create_manager`:
 ``"array"`` (flat tables, the default) and ``"scan"`` (object manager,
-reference linear scans — the executable spec).  Both produce bit-identical
-placements, counters, reports and trace digests.
+reference linear scans — the executable spec, which the generic
+scheduler drives).  Both produce bit-identical placements, counters,
+reports and trace digests.
 """
 
 from typing import Optional, Sequence

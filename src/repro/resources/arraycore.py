@@ -1,8 +1,8 @@
-"""The array-backed simulation core — the ``backend="array"`` hot loop.
+"""The array-backed resource manager — the tables of the ``backend="array"`` hot loop.
 
-:class:`ArrayRIM` is a drop-in replacement for
-:class:`repro.resources.manager.ResourceInformationManager` whose *entire*
-query state lives in flat integer tables instead of object graphs:
+:class:`ArrayRIM` keeps the state of the scan manager with its *entire*
+query state in flat integer tables, which the hot loop
+(:mod:`repro.framework.hotloop`) answers the placement queries from:
 
 * **node table** — parallel ``list[int]`` columns (``total``, ``avail``,
   ``busy_area``, ``busy_cnt``, ``n_entries``, ``live``) indexed by the
@@ -37,17 +37,18 @@ mutated through the same :class:`~repro.model.node.Node` methods), so the
 report generator, the failure injector and the shared invariant checks read
 them unchanged — but no query or charge-accounting path ever walks them.
 
-**Exactness contract**: every query bills exactly the simulated scheduling
-steps the reference scan would explore, every mutation charges the same
-housekeeping steps *in the same order relative to trace emissions* (the bus
-stamps cumulative counters into each event), and chain sequence numbers are
-allocated at exactly the same points — so trace digests are byte-for-byte
-identical to the ``scan`` manager's, clean and under fault campaigns
+**Exactness contract**: every query the hot loop answers from these tables
+bills exactly the simulated scheduling steps the reference scan would
+explore, every mutation charges the same housekeeping steps *in the same
+order relative to trace emissions* (the bus stamps cumulative counters into
+each event), and chain sequence numbers are allocated at exactly the same
+points — so trace digests are byte-for-byte identical to the ``scan``
+manager's, clean and under fault campaigns
 (``tests/test_array_differential.py``).
 
 The array backend requires the paper's homogeneous single-family system
-(the packed keys cannot encode per-pair compatibility); the
-:func:`create_manager` seam routes any other system to the scan manager.
+(the packed keys cannot encode per-pair compatibility) and a run inside the
+hot loop's envelope; anything else runs on the scan manager.
 """
 
 from __future__ import annotations
@@ -91,14 +92,10 @@ _SEQ_MASK = (1 << _SEQ_BITS) - 1
 class ArrayRIM:
     """Flat-table resource information manager (``backend="array"``).
 
-    Same public surface and identical simulated-step/trace behaviour as the
-    scan :class:`~repro.resources.manager.ResourceInformationManager`; see
-    the module docstring for the layout.  ``fast_queries`` tells the
-    scheduler and load balancer to take their keyed / O(1)-aggregate paths.
+    Same state transitions, charges and trace events as the scan
+    :class:`~repro.resources.manager.ResourceInformationManager`; see the
+    module docstring for the layout and the hot loop for the queries.
     """
-
-    fast_queries = True
-    backend = "array"
 
     def __init__(
         self,
@@ -461,70 +458,7 @@ class ArrayRIM:
         i = bisect_left(keys, pref.req_area << _POS_BITS)
         return self.configs[keys[i] & _POS_MASK] if i < len(keys) else None
 
-    def find_preferred_config(self, pref: Configuration) -> Optional[Configuration]:
-        """Exact match, billing the reference linear scan's steps."""
-        hit = self._config_by_no.get(pref.config_no)
-        if hit is None:
-            self.counters.scheduling_steps += len(self.configs)
-            return None
-        self.counters.scheduling_steps += hit[0] + 1
-        return hit[1]
-
-    def find_closest_config(self, pref: Configuration) -> Optional[Configuration]:
-        """Minimal sufficient ``ReqArea``, billing the full-list scan."""
-        self.counters.scheduling_steps += len(self.configs)
-        return self.peek_closest_config(pref)
-
-    # -- scheduler queries ----------------------------------------------------
-
-    def find_best_idle_entry(self, config: Configuration) -> Optional[ConfigTaskEntry]:
-        """Idle entry on the node with minimum ``AvailableArea`` (§V)."""
-        cno = config.config_no
-        self.counters.scheduling_steps += len(self._idle_m[cno])
-        lst = self._ie[cno]
-        if not lst:
-            return None
-        return self._entry_by_seq[lst[0] & _SEQ_MASK]
-
-    def find_best_blank_node(self, config: Configuration) -> Optional[Node]:
-        """Blank node with minimal sufficient ``TotalArea`` for ``config``."""
-        self.counters.scheduling_steps += len(self._blank_m)
-        lst = self._sq
-        i = bisect_left(lst, config.req_area << _SEQ_BITS)
-        if i == len(lst):
-            return None
-        return self._node_by_bseq[lst[i] & _SEQ_MASK]
-
-    def find_best_partially_blank_node(self, config: Configuration) -> Optional[Node]:
-        """Configured node with minimal sufficient free region (§V)."""
-        self.counters.scheduling_steps += len(self.nodes) - self.state_counts["blank"]
-        lst = self._sp
-        i = bisect_left(lst, config.req_area << _POS_BITS)
-        if i == len(lst):
-            return None
-        return self.nodes[lst[i] & _POS_MASK]
-
-    def _configured_node_count(self) -> int:
-        """Nodes currently holding ≥ 1 configuration (failed nodes are blank)."""
-        return len(self.nodes) - self.state_counts["blank"]
-
-    def find_any_idle_node(
-        self, config: Configuration, require_all_idle: bool = False
-    ) -> tuple[Optional[Node], list[ConfigTaskEntry]]:
-        """Alg. 1 (``FindAnyIdleNode``) over the flat node table.
-
-        Prefilters feasibility on the packed reclaimable/all-idle arrays
-        (their max is the last element), bulk-charging the failed scan when
-        no candidate can exist; otherwise runs the scan over the integer
-        columns, billing exactly the reference per-node/per-entry steps.
-        """
-        req = config.req_area
-        bound = req << _POS_BITS
-        lst = self._sa if require_all_idle else self._sr
-        if not lst or lst[-1] < bound:
-            self.counters.scheduling_steps += self._failed_scan_steps(require_all_idle)
-            return None, []
-        return self._scan_any_idle_node(config, require_all_idle)
+    # -- Alg. 1 (FindAnyIdleNode): the hot loop's phase 4 ----------------------
 
     def _failed_scan_steps(self, require_all_idle: bool) -> int:
         """Steps the Alg. 1 scan explores when no candidate exists."""
@@ -591,26 +525,6 @@ class ArrayRIM:
                         return node, list(node.entries)
                     return node, collected
         raise AssertionError("reclaimable-area prefilter admitted an infeasible node")
-
-    def busy_candidate_exists(self, config: Configuration) -> bool:
-        """§V last resort: any busy node whose ``TotalArea`` could host it.
-
-        A definite "no" (read off the packed busy array) bulk-charges the
-        full scan; a "yes" finds the first busy candidate in table order by
-        walking the (short) busy-position list, charging its position — the
-        exact cost of the reference early-exit scan.
-        """
-        req = config.req_area
-        sb = self._sb
-        if not sb or sb[-1] < req << _POS_BITS:
-            self.counters.scheduling_steps += len(self.nodes)
-            return False
-        t_total = self.t_total
-        for pos in self._busy_pos:
-            if t_total[pos] >= req:
-                self.counters.scheduling_steps += pos + 1
-                return True
-        raise AssertionError("busy-area prefilter admitted an infeasible query")
 
     # -- mutations (housekeeping) ---------------------------------------------
 
@@ -773,10 +687,6 @@ class ArrayRIM:
 
     # -- quarantine ---------------------------------------------------------------
 
-    def has_quarantined(self) -> bool:
-        """O(1) guard for the scheduler's last-resort hook."""
-        return bool(self._quarantined)
-
     def is_quarantined(self, node: Node) -> bool:
         """Is this node currently held in the quarantine table?"""
         return node.node_no in self._quarantined
@@ -830,30 +740,11 @@ class ArrayRIM:
         """Area currently occupied by loaded configurations, system-wide."""
         return self._configured_total
 
-    def node_count_by_state(self) -> dict[str, int]:
-        """O(1) blank/idle/busy node counts (incrementally maintained)."""
-        return dict(self.state_counts)
-
     def configured_in_service(self) -> Sequence[Node]:
         """In-service nodes holding ≥ 1 configuration, in table order (the
         SEU target set); uncharged.  Kept by :meth:`_regions_shift`; the
         caller must not mutate it."""
         return self._live_cfg
-
-    def load_stats(self) -> tuple[float, float, float]:
-        """O(1) utilization aggregates: ``(Σ load, Σ load², max load)``.
-
-        The sums are exact integers over a common denominator, so an
-        all-idle system reads exactly zero; the max is read off the sorted
-        load list.  The scan manager has no counterpart: the load balancer
-        walks the node table there.
-        """
-        sl = self._sl
-        return (
-            self._load_sum_i / self._load_den,
-            self._load_sumsq_i / self._load_den_sq,
-            sl[-1][0] if sl else 0.0,
-        )
 
     # -- snapshot support --------------------------------------------------------
 
@@ -943,24 +834,6 @@ class ArrayRIM:
         }
         self._quarantined = quarantine_records(self.nodes, state["quarantined"])
 
-    # -- internal ----------------------------------------------------------------
-
-    def _node_of(self, entry: ConfigTaskEntry) -> Node:
-        node = getattr(entry, "_node", None)
-        if node is None:
-            for n in self.nodes:
-                if entry in n.entries:
-                    entry._node = n  # type: ignore[attr-defined]
-                    return n
-            raise ConfigurationError(f"entry {entry!r} belongs to no known node")
-        return node
-
-    def attach_entry_backrefs(self) -> None:
-        """Cache entry→node back-references for O(1) ``_node_of``."""
-        for node in self.nodes:
-            for entry in node.entries:
-                entry._node = node  # type: ignore[attr-defined]
-
     # -- structure validation (invariant checker capability hook) ----------------
 
     def validate_structures(self) -> None:
@@ -1010,7 +883,7 @@ class ArrayRIM:
                 key = entry._akey  # type: ignore[attr-defined]
                 if key is not None:
                     keyed += 1
-                    node = self._node_of(entry)
+                    node = entry._node  # type: ignore[attr-defined]
                     if key >> _SEQ_BITS != node.available_area:
                         raise InvariantViolation(
                             f"stale idle key for {entry!r}: "
@@ -1018,7 +891,7 @@ class ArrayRIM:
                         )
                     if self._entry_by_seq.get(key & _SEQ_MASK) is not entry:
                         raise InvariantViolation(f"idle seq mapping broken for {entry!r}")
-                elif self._node_of(entry).in_service:
+                elif entry._node.in_service:  # type: ignore[attr-defined]
                     raise InvariantViolation(f"unkeyed live idle entry {entry!r}")
             lst = self._ie[cno]
             expected_keys = sorted(

@@ -74,11 +74,6 @@ class ResourceInformationManager:
         event.  ``None`` (default) costs one attribute check per mutation.
     """
 
-    #: The scheduler and load balancer take their keyed / O(1)-aggregate
-    #: paths only on a manager that sets this (the array backend); here they
-    #: run the reference walks.
-    fast_queries = False
-
     def __init__(
         self,
         nodes: Sequence[Node],

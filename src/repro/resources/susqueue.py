@@ -14,9 +14,10 @@ configuration is one of these") from a per-key index, so wall-clock cost
 stays O(1) per lookup while the simulated counters match the reference
 traversal.  Callers provide the key function (the scheduler keys records by
 matched configuration number).  :meth:`SuspensionQueue.search` keeps the
-reference walk itself, predicate by predicate; the scan backend's scheduler
-uses it, and the backend differentials hold the indexed
-:meth:`~SuspensionQueue.first_matching_key` to it.
+reference walk itself, predicate by predicate, for the scheduler's
+reconfiguration fallback; the array hot loop answers that fallback from
+the key index instead, and the backend differentials hold the two to the
+same charges.
 
 Records live in parallel columns with free-list slot recycling; the record
 handle is the (truthy, ≥ 1) slot integer, so both backends and the array
@@ -32,7 +33,7 @@ charging semantics are identical.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from repro.model.errors import ConfigurationError
 from repro.model.task import Task, TaskStatus
@@ -225,35 +226,6 @@ class SuspensionQueue:
         n = len(self._order)
         self.counters.scheduling_steps += n
         return n
-
-    def first_matching_key(self, area_of: Mapping[Hashable, int], limit: int) -> Optional[int]:
-        """Earliest record (service order) whose key maps, in ``area_of``, to
-        an area of at most ``limit``.
-
-        Indexed counterpart of :meth:`search` for predicates that depend only
-        on the record's key (the scheduler passes its static configuration
-        number → ``ReqArea`` map and the freed node's reclaimable area):
-        instead of walking the queue, compare the head of each matching key
-        bucket (O(#distinct keys)).  Keys absent from ``area_of`` — ``NO_KEY``
-        among them — never match.
-
-        Charges exactly what the reference :meth:`search` walk would have:
-        one housekeeping step per record up to and including the hit, or the
-        whole queue on a miss.
-        """
-        best: Optional[tuple[float, int, int]] = None
-        for key, bucket in self._by_key.items():
-            area = area_of.get(key)
-            if area is None or area > limit:
-                continue
-            head = bucket[0]
-            if best is None or head < best:
-                best = head
-        if best is None:
-            self.counters.housekeeping_steps += len(self._order)
-            return None
-        self.counters.housekeeping_steps += bisect_left(self._order, best) + 1
-        return best[2]
 
     def search(self, predicate: Callable[[Task], bool]) -> Optional[int]:
         """``SearchSusQueue``: first record whose task satisfies ``predicate``.

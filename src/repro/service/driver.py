@@ -9,7 +9,8 @@ a :class:`~repro.trace.bus.MemorySink` to :attr:`ServiceSimulator.bus`
 before the first window.  The driver advances simulated time with
 :meth:`advance_to`, pulling each window's due arrivals from its
 :class:`~repro.service.sources.ArrivalSource` through the simulator's
-ingest seam, and :meth:`drain` seals the run.
+ingest seam, until :attr:`ServiceSimulator.ready_to_drain`, and
+:meth:`drain` seals the run.
 
 :meth:`report_view` answers "what does Table I look like *right now*" from
 the simulator's own state: ``DReAMSim.make_report`` (the ``MakeReport``
@@ -201,6 +202,20 @@ class ServiceSimulator:
                 self.sim.close_ingest()
         self.sim.advance(t)
         return taken
+
+    @property
+    def ready_to_drain(self) -> bool:
+        """True once only the fault tail is left: the run has started, no
+        source is alive, and the workload is finished or nothing is pending.
+
+        What is still queued then (stale completions, repairs) changes no
+        task: window with :meth:`advance_to` until this holds, then
+        :meth:`drain`.
+        """
+        sim = self.sim
+        source_alive = self.source is not None and not self.source.exhausted
+        finished = sim.workload_finished or sim.env.pending_count == 0
+        return sim.started and not source_alive and finished
 
     def drain(self) -> SimulationResult:
         """Ingest everything left, run to completion, seal the run."""

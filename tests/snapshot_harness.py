@@ -17,7 +17,9 @@ here, not in production), and restored with
 Entry points
 ------------
 * :func:`baseline` — the uninterrupted run's ``(digest, report)``.
-* :func:`cut_and_resume` — run ``cut`` events, checkpoint, restore, finish.
+* :func:`cut_and_resume` — run ``cut`` events, checkpoint, restore, finish
+  (on the array backend, also cut the hot loop at that tick's window
+  bound).
 * :func:`assert_cut_equivalence` — the one-call form the tests use: for a
   spec × backend, check every cut in ``cuts`` (or a stratified sample of
   all event boundaries) against the baseline.
@@ -112,13 +114,37 @@ def cut_and_resume(
 ) -> tuple[str, object]:
     """Run ``cut`` kernel events, checkpoint, restore fresh, run to the end.
 
-    The checkpoint goes through a full ``Snapshot`` JSON round trip, and the
-    resumed system may use a different ``resume_backend`` (the snapshot
-    format is backend-neutral).  Returns the resumed run's final
-    ``(digest, report)`` for comparison against :func:`baseline`.
+    The checkpoint goes through a full ``Snapshot`` JSON round trip and is
+    resumed on ``resume_backend`` (default ``backend``; the snapshot format
+    is backend-neutral).  Only the generic path can stop between two events
+    of one tick, so the event-count cut is taken on the scan backend.  On
+    ``backend="array"`` the hot loop is also cut, at the window bound of the
+    same tick (:meth:`DReAMSim.advance`), and resumed the same way; both
+    resumes must agree.  Returns the resumed run's final ``(digest,
+    report)`` for comparison against :func:`baseline`.
     """
     if resume_backend is None:
         resume_backend = backend
+    sim, injector, mem, dig = _traced_start(spec, "scan")
+    for _ in range(cut):
+        if sim.env.pending_count == 0:
+            break
+        sim.env.step()
+    resumed = _checkpoint_and_resume(sim, injector, mem, dig, spec, resume_backend)
+    if backend == "array":
+        until = sim.env.now
+        sim, injector, mem, dig = _traced_start(spec, "array")
+        sim.advance(until)
+        at_bound = _checkpoint_and_resume(sim, injector, mem, dig, spec, resume_backend)
+        assert at_bound == resumed, (
+            f"a hot-loop cut at the window bound t={until} and the scan cut "
+            f"after {cut} events resume to different runs"
+        )
+    return resumed
+
+
+def _traced_start(spec: FaultCampaignSpec, backend: str):
+    """A started campaign with a memory and a digest sink on its bus."""
     bus = TraceBus()
     mem = MemorySink()
     dig = DigestSink()
@@ -126,14 +152,15 @@ def cut_and_resume(
     bus.attach(dig)
     sim, injector = build_campaign(spec, backend=backend, trace=bus)
     sim.start()
-    for _ in range(cut):
-        if sim.env.pending_count == 0:
-            break
-        sim.env.step()
+    return sim, injector, mem, dig
+
+
+def _checkpoint_and_resume(sim, injector, mem, dig, spec, backend) -> tuple[str, object]:
+    """Checkpoint ``sim`` through JSON and finish it on a fresh ``backend``."""
     snap = Snapshot.from_json(
         snapshot_of(sim, injector, digest=dig.hexdigest()).to_json()
     )
-    return resume_to_end(snap, list(mem), spec, resume_backend)
+    return resume_to_end(snap, list(mem), spec, backend)
 
 
 def resume_to_end(

@@ -1,25 +1,27 @@
-"""Backend differential: the array backend vs the reference scan manager.
+"""Backend differential: the array hot loop vs the reference scan manager.
 
-The array backend (``backend="array"``, the flat-table hot core) must be
-observationally identical to the reference linear-scan manager
-(``backend="scan"``, the executable spec) in everything *simulated*:
-per-task placements and status, per-task ``SL``, Table I counters, the
-report, the monitor series, resilience metrics under fault campaigns, and
-the byte-exact structured trace stream.  Only wall-clock time may differ.
+Every ``backend="array"`` run is a hot-loop run (``DReAMSim`` routes an
+array request outside the loop's envelope to the scan manager when it is
+built), and it must be observationally identical to the reference
+linear-scan manager (``backend="scan"``, the executable spec, driven by the
+generic scheduler and event loop) in everything *simulated*: per-task
+placements and status, per-task ``SL``, Table I counters, the report, the
+monitor series, resilience metrics under fault campaigns, and the
+byte-exact structured trace stream.  Only wall-clock time may differ, and
+the beyond-paper load series by a few ULPs.
 
 Four layers of evidence:
 
 1. **Campaign differential** — {clean, SEU, quarantine, crash, burst} ×
    {partial, full} campaigns run once per execution path (the array hot
-   loop, the array manager under the generic event loop, and the scan
-   manager); reports, resilience reports and BLAKE2b trace digests must
-   match byte for byte.
-2. **Hot-vs-generic differential** — the specialized hot loop
+   loop and the scan manager); reports, resilience reports and BLAKE2b
+   trace digests must match byte for byte.  Array requests outside the
+   envelope build the scan manager and keep their pinned outputs, and the
+   array manager's tables pass the invariant checker at every window bound
+   of a fault campaign.
+2. **Hot-vs-generic differential** — the hot loop
    (:func:`repro.framework.hotloop.run_hot`) against the generic event
-   loop on the same array backend, field by field and by trace digest
-   (the generic path is forced by an unreachable ``debug_invariants_every``
-   threshold, which makes ``hot_eligible`` decline without ever running
-   the checker).
+   loop over the scan manager, field by field and by trace digest.
 3. **Property-based free-list interleavings** — random add/remove/expired
    scripts against :class:`~repro.resources.susqueue.SuspensionQueue`,
    twinned with a linear-list model of the paper's ``SusList`` and
@@ -34,19 +36,33 @@ series at 100–200 nodes, with and without failures) is
 ``tests/test_indexed_differential.py``.
 """
 
+import hashlib
+import json
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
+from pytest import approx
+
+from tests.snapshot_harness import SEU
 
 from repro import RNG, ConfigSpec, DReAMSim, NodeSpec, TaskSpec
 from repro.core.policies import PlacementPolicy
 from repro.framework.campaign import FaultCampaignSpec, build_campaign, run_campaign
 from repro.framework.failures import FailureInjector
 from repro.framework.hotloop import hot_eligible
+from repro.framework.loadbalance import LeastLoadedPolicy
 from repro.model import Configuration, Node, Task
 from repro.model.gpp import GppPool
 from repro.model.task import TaskStatus
-from repro.resources import BACKENDS, check_invariants, create_manager
+from repro.resources import (
+    BACKENDS,
+    ArrayRIM,
+    ResourceInformationManager,
+    check_invariants,
+    create_manager,
+)
+from repro.resources.arraycore import _POS_BITS
 from repro.resources.counters import SearchCounters
 from repro.resources.susqueue import SuspensionQueue
 from repro.rng.distributions import Constant, UniformInt
@@ -58,13 +74,10 @@ from repro.workload.generator import (
     generate_task_stream,
 )
 
-#: The three implementations of one semantics.  "array" is the flat-table
-#: hot loop (fault campaigns included); an unreachable invariant-check
-#: threshold makes ``hot_eligible`` decline, so "array-generic" drives the
-#: same manager through the generic event loop; "scan" is the reference.
+#: The two implementations of one semantics: the flat-table hot loop (fault
+#: campaigns included) and the reference scan manager.
 PATHS = {
     "array": {"backend": "array"},
-    "array-generic": {"backend": "array", "debug_invariants_every": 10**9},
     "scan": {"backend": "scan"},
 }
 
@@ -117,7 +130,8 @@ def run_backend(path, partial, knobs):
 @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
 @pytest.mark.parametrize("partial", [True, False], ids=["partial", "full"])
 def test_three_backends_identical(campaign, partial):
-    """Hot loop, array generic path and scan agree byte for byte."""
+    """The hot loop and scan agree byte for byte (an array request outside
+    the envelope, the third way in, is scan: see the routing test below)."""
     knobs = CAMPAIGNS[campaign]
     runs = {path: run_backend(path, partial, knobs) for path in PATHS}
     ref_result, ref_injector, ref_resilience, ref_digest = runs["scan"]
@@ -147,28 +161,104 @@ def test_fault_campaigns_run_on_the_hot_loop(campaign):
     spec = FaultCampaignSpec(nodes=30, configs=15, tasks=400, seed=11, **CAMPAIGNS[campaign])
     sim, injector = build_campaign(spec, trace=TraceBus(DigestSink()), **PATHS["array"])
     assert injector is not None and sim.env.pending_count > 0
-    assert hot_eligible(sim)
-    generic, _ = build_campaign(spec, trace=TraceBus(DigestSink()), **PATHS["array-generic"])
-    assert not hot_eligible(generic)
+    assert type(sim.rim) is ArrayRIM and hot_eligible(sim)
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [
-        {"debug_invariants_every": 50},
-        {"gpp": GppPool(count=2)},
-        {"policy": PlacementPolicy.first_fit()},
-        {"policy": PlacementPolicy.worst_fit()},
-    ],
-    ids=["debug", "gpp", "first-fit", "worst-fit"],
-)
+class CountingBus(TraceBus):
+    """A bus subclass with an ``emit`` of its own: outside the envelope."""
+
+    def __init__(self, *sinks):
+        super().__init__(*sinks)
+        self.calls = 0
+
+    def emit(self, *args, **kwargs):
+        self.calls += 1
+        return super().emit(*args, **kwargs)
+
+
+#: Array requests outside the hot loop's envelope, with the trace digest and
+#: a hash of Table I plus the resilience report that the SEU campaign below
+#: printed on the generic array path before every such request was routed to
+#: the scan manager.
+ROUTED = {
+    "debug": (
+        lambda: {"debug_invariants_every": 50},
+        "16d4f9dada9c2c3bd598a7d92d42875b", "ee53598cece7c9f3",
+    ),
+    "gpp": (
+        lambda: {"gpp": GppPool(count=2)},
+        "5ae37f1157f6e70b8261e3036c300603", "6b7075b3f281386f",
+    ),
+    "first-fit": (
+        lambda: {"policy": PlacementPolicy.first_fit()},
+        "f80c468de6dbc34c4c43aa7f1c8bd02c", "d4a0764f58962e15",
+    ),
+    "worst-fit": (
+        lambda: {"policy": PlacementPolicy.worst_fit()},
+        "28e2dfd9e8b553b56c7bfaec50751b38", "c8821bb094d383fe",
+    ),
+    "least-loaded": (
+        lambda: {"policy": LeastLoadedPolicy()},
+        "5041fcbeecc0801681460ad5ee4bef16", "3dbb605dc621b963",
+    ),
+    "bus-subclass": (
+        lambda: {},
+        "16d4f9dada9c2c3bd598a7d92d42875b", "ee53598cece7c9f3",
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", sorted(ROUTED))
 def test_hot_envelope_excludes_generic_only_semantics(extra):
-    """Invariant checking, GPP offload and policy ablations keep an armed
-    campaign on the generic path."""
-    spec = FaultCampaignSpec(nodes=30, configs=15, tasks=50, seed=11, **CAMPAIGNS["seu"])
-    sim, injector = build_campaign(spec, backend="array", **extra)
+    """Invariant checking, GPP offload, policy ablations and a bus subclass
+    are outside the hot loop's envelope: an array request carrying one
+    builds the scan manager, and prints the same trace, Table I and
+    resilience report as it did on the generic array path."""
+    options, want_digest, want_outputs = ROUTED[extra]
+    digest = DigestSink()
+    bus = CountingBus(digest) if extra == "bus-subclass" else TraceBus(digest)
+    spec = FaultCampaignSpec(nodes=30, configs=15, tasks=400, seed=11, **CAMPAIGNS["seu"])
+    sim, injector = build_campaign(spec, backend="array", trace=bus, **options())
     assert injector is not None
-    assert not hot_eligible(sim)
+    assert type(sim.rim) is ResourceInformationManager and not hot_eligible(sim)
+    assert sim.backend == "array"
+    result = sim.run()
+    outputs = json.dumps(
+        {
+            "report": result.report.as_dict(),
+            "resilience": injector.resilience(result).as_dict(),
+        },
+        sort_keys=True,
+    )
+    assert digest.hexdigest() == want_digest
+    assert hashlib.blake2b(outputs.encode(), digest_size=8).hexdigest() == want_outputs
+    if extra == "bus-subclass":
+        assert bus.calls == digest.count
+
+
+def test_invariants_hold_at_every_hot_window_bound():
+    """The array manager's tables and the queue index pass the full checker
+    at every window bound of an SEU + crash campaign on the hot loop, and
+    the windowed run seals with the batch digest."""
+    batch = DigestSink()
+    run_campaign(SEU, backend="array", trace=TraceBus(batch))
+    digest = DigestSink()
+    sim, injector = build_campaign(SEU, backend="array", trace=TraceBus(digest))
+    assert injector is not None and hot_eligible(sim)
+    sim.start()
+    bounds = 0
+    t = 0
+    while not sim.workload_finished:
+        t += 1_000
+        sim.advance(t)
+        check_invariants(sim.rim)
+        sim.susqueue.validate_index()
+        assert type(sim.env.now) is int
+        bounds += 1
+    sim.run_to_end()
+    check_invariants(sim.rim)
+    assert bounds > 100
+    assert digest.hexdigest() == batch.hexdigest()
 
 
 def test_quarantine_campaign_quarantines_nodes():
@@ -226,7 +316,7 @@ def test_kick_restarts_an_idled_system():
     ]
 
 
-# -- 2. hot loop vs generic event loop on the array backend --------------------
+# -- 2. hot loop vs the generic event loop over the scan manager ---------------
 
 
 def full_fingerprint(res):
@@ -264,6 +354,19 @@ def full_fingerprint(res):
         (s.time, s.mean_load, s.cv, s.jain, s.max_load) for s in res.load.snapshots
     ]
     return (res.report.as_dict(), res.final_time, tasks, samples, snaps)
+
+
+def assert_fingerprints_match(result, reference, label=""):
+    """``full_fingerprint`` equality, the beyond-paper load series aside:
+    the hot loop keeps ``mean``/``cv``/``jain`` from exact aggregates and
+    the scan path from a two-pass walk, so those agree to a tight tolerance
+    (``max_load`` and the sample times exactly)."""
+    *exact, load = full_fingerprint(result)
+    *ref_exact, ref_load = full_fingerprint(reference)
+    assert exact == ref_exact, label
+    assert [(s[0], s[4]) for s in load] == [(s[0], s[4]) for s in ref_load], label
+    stats = [x for s in load for x in s[1:4]]
+    assert stats == approx([x for s in ref_load for x in s[1:4]], rel=1e-9, abs=1e-12), label
 
 
 HOT_CASES = [
@@ -305,13 +408,9 @@ def test_hot_loop_matches_generic_loop(case):
     hot_digest, generic_digest = DigestSink(), DigestSink()
     hot = build_sim(backend="array", trace=TraceBus(hot_digest), **case)
     assert hot_eligible(hot)
-    # An unreachable invariant-check threshold makes hot_eligible decline,
-    # forcing the generic event loop without ever running the checker.
-    generic = build_sim(
-        backend="array", trace=TraceBus(generic_digest), debug_invariants_every=10**9, **case
-    )
+    generic = build_sim(backend="scan", trace=TraceBus(generic_digest), **case)
     assert not hot_eligible(generic)
-    assert full_fingerprint(hot.run()) == full_fingerprint(generic.run())
+    assert_fingerprints_match(hot.run(), generic.run())
     assert hot_digest.hexdigest() == generic_digest.hexdigest()
     assert hot_digest.count == generic_digest.count > 0
 
@@ -437,10 +536,13 @@ def test_array_susqueue_free_list_interleavings(ops, order, max_retries):
             live = [(s, r) for s, r in live if s != slot]
             assert queue.remove(slot).task_no == model.remove(rec).task_no
         elif op == "match":
-            # The indexed key query against the model's walk, charges included.
+            # The key index and the charged reference walk against the
+            # model's walk, charges included.
             wanted = {idx % 3, (idx + 1) % 3} if idx % 2 else {idx % 3}
-            slot = queue.first_matching_key(dict.fromkeys(wanted, 0), 0)
+            indexed = queue.first_with_key(wanted)
+            slot = queue.search(lambda t: key_fn(t) in wanted)
             rec = model.search_key(wanted.__contains__)
+            assert indexed == slot
             assert (slot is None) == (rec is None)
             if slot is not None:
                 assert queue.task_of(slot).task_no == rec[0].task_no
@@ -521,30 +623,53 @@ def drive(rim):
     e2 = rim.configure_node(nodes[1], configs[0])
     start_task(rim, 0, nodes[0], e0)
     running = start_task(rim, 1, nodes[1], e2)
-    # Queries from every fast path, recording results + charges.
+    # The views both managers share, plus Alg. 1, recording results + charges.
     results = [
-        rim.find_preferred_config(configs[1]),
-        rim.find_closest_config(cfg(99, configs[1].req_area - 1)),
-        rim.find_best_idle_entry(configs[1]),
-        rim.find_best_blank_node(configs[0]),
-        rim.find_best_partially_blank_node(configs[0]),
-        rim.find_any_idle_node(configs[0]),
-        rim.busy_candidate_exists(configs[0]),
+        rim.peek_preferred_config(configs[1]),
+        rim.peek_closest_config(cfg(99, configs[1].req_area - 1)),
+        chain_view(rim, configs),
+        find_any_idle_node(rim, configs[0]),
     ]
     # Fail a busy node, then a repair round trip.
     interrupted = rim.fail_node(nodes[0])
     results.append([t.task_no for t in interrupted])
-    results.append(rim.find_best_blank_node(configs[0]))
+    results.append(chain_view(rim, configs))
     rim.repair_node(nodes[0])
     rim.configure_node(nodes[0], configs[0])
-    results.append(rim.find_best_idle_entry(configs[0]))
+    results.append(chain_view(rim, configs))
     # Completion + eviction + blanking.
     rim.complete_task(running, nodes[1])
     rim.evict_entries(nodes[1], [e2])
     rim.blank_node(nodes[1])
-    results.append(rim.find_any_idle_node(configs[0], require_all_idle=True))
+    results.append(find_any_idle_node(rim, configs[0], require_all_idle=True))
+    results.append(chain_view(rim, configs))
     check_invariants(rim)
     return summarize(results), rim.counters.snapshot(), rim.export_state()
+
+
+def chain_view(rim, configs):
+    """The Fig. 3 chains, the node states and the SEU target set, by number."""
+    return (
+        [[e.config.config_no for e in rim.idle_chain(c)] for c in configs],
+        [[e.task.task_no for e in rim.busy_chain(c)] for c in configs],
+        [n.node_no for n in rim.blank_chain],
+        dict(rim.state_counts),
+        [n.node_no for n in rim.configured_in_service()],
+        (rim.total_wasted_area(), rim.total_configured_area(), rim.running_tasks_count),
+    )
+
+
+def find_any_idle_node(rim, config, require_all_idle=False):
+    """Alg. 1 as each manager runs it: the scan manager's walk, or the two
+    pieces of the hot loop's phase 4 on the array manager — the miss charge
+    read off the packed arrays, else the table scan."""
+    if type(rim) is not ArrayRIM:
+        return rim.find_any_idle_node(config, require_all_idle)
+    lst = rim._sa if require_all_idle else rim._sr
+    if not lst or lst[-1] < config.req_area << _POS_BITS:
+        rim.counters.scheduling_steps += rim._failed_scan_steps(require_all_idle)
+        return None, []
+    return rim._scan_any_idle_node(config, require_all_idle)
 
 
 def summarize(results):
@@ -589,8 +714,8 @@ def test_fail_repair_invariants_stepwise(backend):
     rim.repair_node(nodes[0])
     check_invariants(rim)
     assert nodes[0].in_service
-    # The repaired node is discoverable again through the blank-node query.
-    assert rim.find_best_blank_node(configs[0]) is not None
+    # The repaired node is back on the blank chain the placement queries read.
+    assert nodes[0] in list(rim.blank_chain)
 
 
 def scrub_task(task_no, entry):
@@ -648,7 +773,9 @@ def test_seu_scrub_stepwise_identical_and_invariant():
 
 
 class TestFindAnyIdleNodeCharging:
-    """Each node visited by the scan costs exactly one step, every branch."""
+    """Each node visited by the scan costs exactly one step, every branch
+    (on the array manager: the hot loop's phase-4 pieces, as
+    :func:`find_any_idle_node` above calls them)."""
 
     def _rim(self, backend, node_areas, configure=()):
         rim = build_rim(backend, node_areas, [400, 1800])
@@ -662,7 +789,7 @@ class TestFindAnyIdleNodeCharging:
         # first node and must charge 1 step (the regression was charging 0).
         rim = self._rim(backend, [2000], configure=[(0, 0)])
         before = rim.counters.scheduling_steps
-        node, evict = rim.find_any_idle_node(rim.configs[0])
+        node, evict = find_any_idle_node(rim, rim.configs[0])
         assert node is rim.nodes[0] and evict == []
         assert rim.counters.scheduling_steps - before == 1
 
@@ -671,7 +798,7 @@ class TestFindAnyIdleNodeCharging:
         # Node 0 blank (skipped, but visited: 1 step); node 1 hosts the hit.
         rim = self._rim(backend, [2000, 2000], configure=[(1, 0)])
         before = rim.counters.scheduling_steps
-        node, _ = rim.find_any_idle_node(rim.configs[0])
+        node, _ = find_any_idle_node(rim, rim.configs[0])
         assert node is rim.nodes[1]
         assert rim.counters.scheduling_steps - before == 2
 
@@ -684,8 +811,8 @@ class TestFindAnyIdleNodeCharging:
             # host it, so the scan fails after visiting the whole table.
             rim = self._rim(backend, [1500, 1400, 1000], configure=[(0, 0), (1, 0)])
             before = rim.counters.scheduling_steps
-            node, evict = rim.find_any_idle_node(
-                rim.configs[1], require_all_idle=require_all_idle
+            node, evict = find_any_idle_node(
+                rim, rim.configs[1], require_all_idle=require_all_idle
             )
             assert (node, evict) == (None, [])
             return rim.counters.scheduling_steps - before
@@ -700,7 +827,7 @@ class TestFindAnyIdleNodeCharging:
             rim = self._rim(backend, [1500, 1000], configure=[(0, 0)])
             start_task(rim, 0, rim.nodes[0], rim.nodes[0].entries[0])
             before = rim.counters.scheduling_steps
-            assert rim.find_any_idle_node(rim.configs[1]) == (None, [])
+            assert find_any_idle_node(rim, rim.configs[1]) == (None, [])
             charged.append(rim.counters.scheduling_steps - before)
         assert charged[0] == charged[1] >= 2
 

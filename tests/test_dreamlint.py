@@ -150,17 +150,17 @@ def test_dl002_integer_math_is_clean(tmp_path: Path) -> None:
     assert "DL002" not in rules_hit(report)
 
 
-def test_dl002_allowlist_covers_load_stats(tmp_path: Path) -> None:
+def test_dl002_allowlist_covers_availability(tmp_path: Path) -> None:
     src = (
-        "class ArrayRIM:\n"
-        "    def load_stats(self) -> float:\n"
-        "        return self._load_sum / self.n\n"
+        "class FailureInjector:\n"
+        "    def availability(self) -> float:\n"
+        "        return self.up / self.total\n"
         "    def other(self) -> float:\n"
         "        return self.a / self.b\n"
     )
-    report = lint_tree(tmp_path, {"resources/arraycore.py": src})
+    report = lint_tree(tmp_path, {"framework/failures.py": src})
     findings = [f for f in report.findings if f.rule == "DL002"]
-    assert len(findings) == 1  # only `other`; load_stats is allowlisted
+    assert len(findings) == 1  # only `other`; availability is allowlisted
     assert findings[0].line == 5
 
 

@@ -193,7 +193,6 @@ class TestHeterogeneousRouting:
         nodes, configs = make_cluster()
         rim = create_manager(nodes, configs, backend="array")
         assert type(rim) is ResourceInformationManager
-        assert not rim.fast_queries
 
     def test_array_request_matches_explicit_scan_run(self):
         requested = mixed_cluster_run("array")

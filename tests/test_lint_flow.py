@@ -295,10 +295,10 @@ def test_dl010_fires_when_a_restore_field_read_is_deleted(mutated_tree):
 
 def test_dl011_fires_when_an_early_return_skips_the_charge(mutated_tree):
     report = mutated_tree(
-        "resources/arraycore.py",
-        """            self.counters.scheduling_steps += self._failed_scan_steps(require_all_idle)
-            return None, []""",
-        "            return None, []",
+        "resources/manager.py",
+        """                self.counters.charge_scheduling()
+                return node, []""",
+        "                return node, []",
         "DL011",
     )
     hits = [f for f in report.errors if f.rule == "DL011"]

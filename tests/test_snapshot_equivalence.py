@@ -85,8 +85,7 @@ def test_snapshot_json_roundtrip_is_stable():
     bus.attach(dig)
     sim, injector = build_campaign(SEU_SMALL, backend="array", trace=bus)
     sim.start()
-    for _ in range(50):
-        sim.env.step()
+    sim.advance(1_100)
     snap = snapshot_of(sim, injector, digest=dig.hexdigest())
     text = snap.to_json()
     again = Snapshot.from_json(text)
@@ -100,8 +99,7 @@ def test_restore_requires_matching_injector_pairing():
     bus.attach(DigestSink())
     sim, injector = build_campaign(SEU_SMALL, backend="array", trace=bus)
     sim.start()
-    for _ in range(20):
-        sim.env.step()
+    sim.advance(520)
     snap = snapshot_of(sim, injector)
 
     fresh_sim, _ = build_campaign(SEU_SMALL, backend="array", arm=False)
@@ -140,8 +138,7 @@ def test_restore_rejects_mode_mismatch():
     bus.attach(DigestSink())
     sim, injector = build_campaign(SEU_SMALL, backend="array", trace=bus)
     sim.start()
-    for _ in range(10):
-        sim.env.step()
+    sim.advance(330)
     snap = snapshot_of(sim, injector)
     other, other_inj = build_campaign(
         SEU_SMALL.with_mode(False), backend="array", arm=False

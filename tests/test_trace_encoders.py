@@ -349,13 +349,11 @@ _CAMPAIGNS = {
 }
 
 
-def _windowed_run(spec, backend, bus, mid_run_sink=None, generic=True):
+def _windowed_run(spec, backend, bus, mid_run_sink=None):
     """Run in two drives (start, a window, drain), optionally attaching a
-    sink between them, halfway through the arrivals.  ``generic`` forces
-    the generic path (an unreachable invariant-check threshold); otherwise
-    the array backend runs both drives on the hot loop."""
-    extra = {"debug_invariants_every": 10**9} if generic else {}
-    sim, _ = build_campaign(spec, backend=backend, trace=bus, **extra)
+    sink between them, halfway through the arrivals: the array backend runs
+    both drives on the hot loop, the scan backend on the generic path."""
+    sim, _ = build_campaign(spec, backend=backend, trace=bus)
     sim.start()
     sim.advance(spec.tasks * 12)
     if mid_run_sink is not None:
@@ -369,9 +367,9 @@ def _windowed_run(spec, backend, bus, mid_run_sink=None, generic=True):
 def test_line_only_bus_digests_like_the_event_bus(campaign, backend):
     """A digest-only bus and a digest + memory bus digest a campaign alike;
     the memory sink's lines re-digest to the same hash and decode to the
-    same events whether the run took the generic path or ``sim.run()``
-    (the hot loop, on the array backend); a sink attached between two
-    windows, on either path, sees exactly the stream's tail."""
+    same events whether the run went in two drives or one ``sim.run()``
+    (the hot loop on the array backend, the generic path on scan); a sink
+    attached between two windows sees exactly the stream's tail."""
     spec = _CAMPAIGNS[campaign]
     lines = DigestSink()
     _windowed_run(spec, backend, TraceBus(lines))
@@ -388,12 +386,10 @@ def test_line_only_bus_digests_like_the_event_bus(campaign, backend):
 
     # A MemorySink attached mid-run sees exactly the stream's tail, and the
     # digest cannot tell.
-    # A sink attached between two hot-loop windows sees the same tail.
-    for generic in (True, False):
-        switched, late = DigestSink(), MemorySink()
-        _windowed_run(spec, backend, TraceBus(switched), mid_run_sink=late, generic=generic)
-        assert 0 < len(late) < len(mem)
-        assert switched.hexdigest() == lines.hexdigest()
-        assert mem.data.endswith(late.data)
-        tail = mem.events[len(mem) - len(late):]
-        assert late.events == tail
+    switched, late = DigestSink(), MemorySink()
+    _windowed_run(spec, backend, TraceBus(switched), mid_run_sink=late)
+    assert 0 < len(late) < len(mem)
+    assert switched.hexdigest() == lines.hexdigest()
+    assert mem.data.endswith(late.data)
+    tail = mem.events[len(mem) - len(late):]
+    assert late.events == tail

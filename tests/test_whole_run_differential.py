@@ -7,14 +7,13 @@ campaign (SEU, crash, burst, retry/backoff including the instant
 ``backoff_base=0`` resubmit, health-aware quarantine) — and two properties
 must hold for every draw:
 
-1. **Paths agree.**  The array backend on the flat-table hot loop, the same
-   manager on the generic event loop (forced by an unreachable
-   ``debug_invariants_every``) and the reference scan manager produce the
-   same trace digest, Table I, resilience report and per-task/monitor
-   fingerprint, and every completed task paid its own node's delay as
-   ``t_comm``.  The scan manager's beyond-paper load statistics come from
-   a two-pass walk rather than exact aggregates, so those floats are
-   compared with a tight tolerance, as in ``tests/test_indexed_differential.py``.
+1. **Paths agree.**  The array backend on the flat-table hot loop and the
+   reference scan manager on the generic event loop produce the same trace
+   digest, Table I, resilience report and per-task/monitor fingerprint, and
+   every completed task paid its own node's delay as ``t_comm``.  The scan
+   manager's beyond-paper load statistics come from a two-pass walk rather
+   than exact aggregates, so those floats are compared with a tight
+   tolerance, as in ``tests/test_indexed_differential.py``.
 2. **Service equals batch.**  The same arrivals driven through
    :class:`~repro.service.ServiceSimulator` windows, with two
    checkpoint/resume cuts (each onto either backend, so the second
@@ -23,8 +22,10 @@ must hold for every draw:
    session, fresh or resumed, runs on the hot loop.
 
 Pinned cases add that a checkpoint cut between hot-loop windows has the
-generic path's bytes, and that an arrival chain left dry between windows
-is re-primed exactly once.
+scan manager's bytes, that an arrival chain left dry between windows is
+re-primed exactly once, and that a session windowed until
+:attr:`~repro.service.ServiceSimulator.ready_to_drain` and then drained
+seals with the batch digest in no more windows than the workload needs.
 
 Tier-1 runs a small derandomised profile; the ``chaos`` marker selects a
 deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
@@ -37,9 +38,9 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
-from pytest import approx
 
-from tests.test_array_differential import PATHS, full_fingerprint
+from tests.snapshot_harness import SEU
+from tests.test_array_differential import PATHS, assert_fingerprints_match
 
 from repro import RNG, ConfigSpec, NodeSpec, TaskSpec
 from repro.framework.campaign import FaultCampaignSpec, build_campaign, run_campaign
@@ -173,30 +174,17 @@ def observe(workload, sim_kwargs, knobs, path):
     return hot, digest.hexdigest(), result, resilience
 
 
-def split_load(fingerprint):
-    """The fingerprint with the load series pulled out, and that series."""
-    report, final, tasks, samples, snaps = fingerprint
-    return (report, final, tasks, samples), snaps
-
-
 def check_paths_agree(run):
     workload, sim_kwargs, knobs = run
     runs = {path: observe(workload, sim_kwargs, knobs, path) for path in PATHS}
-    assert runs["array"][0], "the hot loop declined a run inside its envelope"
-    assert not runs["array-generic"][0]
+    assert runs["array"][0], "an array run left the hot loop"
+    assert not runs["scan"][0]
     _, ref_digest, ref_result, ref_resilience = runs["scan"]
-    ref_exact, ref_load = split_load(full_fingerprint(ref_result))
-    hot_fingerprint = full_fingerprint(runs["array"][2])
-    assert hot_fingerprint == full_fingerprint(runs["array-generic"][2])
-    for path, (_, digest, result, resilience) in runs.items():
-        assert digest == ref_digest, path
-        assert result.report.as_dict() == ref_result.report.as_dict(), path
-        assert resilience == ref_resilience, path
-        exact, load = split_load(full_fingerprint(result))
-        assert exact == ref_exact, path
-        assert [(s[0], s[4]) for s in load] == [(s[0], s[4]) for s in ref_load], path
-        stats = [x for s in load for x in s[1:4]]
-        assert stats == approx([x for s in ref_load for x in s[1:4]], rel=1e-9, abs=1e-12), path
+    _, digest, result, resilience = runs["array"]
+    assert digest == ref_digest
+    assert result.report.as_dict() == ref_result.report.as_dict()
+    assert resilience == ref_resilience
+    assert_fingerprints_match(result, ref_result)
 
 
 # Table II's fixed per-node delays, clean and under SEU + crash + retries.
@@ -352,15 +340,15 @@ def arrivals_of(spec):
     return list(generate_task_stream(TaskSpec(count=spec.tasks), configs, rng))
 
 
-def windowed(spec, fed, **sim_kwargs):
-    """A started session on the array backend: the spec's own task stream,
-    or (``fed``) the same arrivals pushed through ``ingest`` each window."""
+def windowed(spec, fed, backend):
+    """A started session: the spec's own task stream, or (``fed``) the same
+    arrivals pushed through ``ingest`` each window."""
     bus, digest = TraceBus(), DigestSink()
     bus.attach(digest)
     source = ReplaySource(arrivals_of(spec)) if fed else None
     if fed:
         spec = replace(spec, tasks=0)
-    sim, injector = build_campaign(spec, backend="array", trace=bus, **sim_kwargs)
+    sim, injector = build_campaign(spec, backend=backend, trace=bus)
     if fed:
         sim.open_ingest()
     sim.start()
@@ -375,18 +363,22 @@ def window(sim, source, t):
     sim.advance(t)
 
 
+def without_provenance(snap):
+    """The snapshot's bytes with the ``backend`` it was cut on masked."""
+    return replace(snap, backend=None, sim={**snap.sim, "backend": None}).to_json()
+
+
 @pytest.mark.parametrize("fed", [False, True], ids=["stream", "ingest"])
 @pytest.mark.parametrize("name", sorted(CHECKPOINT_CAMPAIGNS))
 def test_checkpoint_after_hot_windows_equals_the_generic_paths(name, fed):
     """A checkpoint cut after hot windows — placement rows (kind, evicted
     area), ``("noop", …)`` stale completions, the pending arrival, the
     sequence counter (ingest's re-primes included) — has the same bytes as
-    one cut at the same window on the forced-generic path."""
+    one cut at the same window on the scan manager, the ``backend``
+    provenance field aside."""
     spec = CHECKPOINT_CAMPAIGNS[name]
-    hot, hot_injector, hot_digest, hot_source = windowed(spec, fed)
-    generic, generic_injector, generic_digest, generic_source = windowed(
-        spec, fed, debug_invariants_every=10**9
-    )
+    hot, hot_injector, hot_digest, hot_source = windowed(spec, fed, "array")
+    generic, generic_injector, generic_digest, generic_source = windowed(spec, fed, "scan")
     assert hot_eligible(hot) and not hot_eligible(generic)
     t = 0
     while not hot.workload_finished:
@@ -395,7 +387,8 @@ def test_checkpoint_after_hot_windows_equals_the_generic_paths(name, fed):
         window(generic, generic_source, t)
         cut = snapshot_of(hot, hot_injector, digest=hot_digest.hexdigest())
         oracle = snapshot_of(generic, generic_injector, digest=generic_digest.hexdigest())
-        assert cut.to_json() == oracle.to_json(), t
+        assert cut.backend == "array" and oracle.backend == "scan"
+        assert without_provenance(cut) == without_provenance(oracle), t
     assert t > 30_000
     assert hot.run_to_end().report == generic.run_to_end().report
     assert hot_digest.hexdigest() == generic_digest.hexdigest()
@@ -426,3 +419,28 @@ def test_a_dry_arrival_chain_is_re_primed_once():
     assert final.report == result.report
     numbers = [task.task_no for task in svc.sim.tasks]
     assert sorted(numbers) == [a.task.task_no for a in arrivals]
+
+
+def test_windows_until_ready_to_drain_then_drain_equal_batch():
+    """The documented library loop: window until ``ready_to_drain``, then
+    ``drain()``.  The harness SEU + crash campaign seals with the batch
+    digest, Table I and resilience report, and stops windowing at the
+    window that finishes the workload, not after its fault tail."""
+    digest = DigestSink()
+    result, injector = run_campaign(SEU, backend="array", trace=TraceBus(digest))
+    assert injector is not None and result.final_time > 100_000
+
+    svc = on_the_loop(ServiceSimulator(SEU, backend="array"), "array")
+    width = 500
+    windows = 0
+    assert not svc.ready_to_drain  # not started yet
+    while not svc.ready_to_drain:
+        windows += 1
+        svc.advance_to(windows * width)
+    assert svc.sim.env.pending_count > 0  # the fault tail is left to drain
+    final = svc.drain()
+
+    assert windows == -(-result.final_time // width)
+    assert svc.hexdigest() == digest.hexdigest()
+    assert final.report == result.report
+    assert svc.injector.resilience(final).as_dict() == injector.resilience(result).as_dict()

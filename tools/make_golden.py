@@ -71,8 +71,10 @@ SNAPSHOT_CUT_STEPS = 1000
 def make_snapshot_golden() -> None:
     """Regenerate ``tests/golden/snapshot_n20_t200_s42/``.
 
-    Cuts the harness SEU campaign (array backend) after
-    ``SNAPSHOT_CUT_STEPS`` kernel events, writes the serialized snapshot,
+    Cuts the harness SEU campaign after ``SNAPSHOT_CUT_STEPS`` kernel
+    events on the scan backend (only the generic path stops between two
+    events of one tick; the format is backend-neutral, and the fixture's
+    test resumes it on both backends), writes the serialized snapshot,
     the trace prefix up to the cut, and the uninterrupted run's expected
     final digest — everything ``tests/test_snapshot_golden.py`` pins.
     """
@@ -89,7 +91,7 @@ def make_snapshot_golden() -> None:
     dig = DigestSink()
     bus.attach(mem)
     bus.attach(dig)
-    sim, injector = build_campaign(SEU, backend="array", trace=bus)
+    sim, injector = build_campaign(SEU, backend="scan", trace=bus)
     sim.start()
     for _ in range(SNAPSHOT_CUT_STEPS):
         if sim.env.pending_count == 0:
@@ -101,7 +103,7 @@ def make_snapshot_golden() -> None:
     expected = {
         "campaign": (
             "SEU (tests/snapshot_harness.py), 20 nodes / 10 configs / "
-            "200 tasks, seed 42, partial, array backend"
+            "200 tasks, seed 42, partial, cut on the scan backend"
         ),
         "cut_kernel_steps": SNAPSHOT_CUT_STEPS,
         "cut_trace_events": len(mem),

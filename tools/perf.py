@@ -25,7 +25,7 @@ Usage::
 
 Beyond the backend matrix it times the tracing overhead, an SEU campaign on
 both backends, a windowed service session (the bench's ``service`` spec,
-forced-generic windows against the hot loop), the parallel sweep engine and
+scan-manager windows against the hot loop), the parallel sweep engine and
 one dreamlint pass, and records the host (Python, platform, CPU count).
 
 The headline scale (200 nodes / 20k tasks, partial reconfiguration) is the
@@ -338,33 +338,30 @@ def run_faults_scenario(seed: int, repeats: int, quick: bool):
 SERVICE_WINDOW, SERVICE_REPORT_EVERY, SERVICE_CHECKPOINT_EVERY = 2000, 10, 50
 
 
-def _service_child(spec: FaultCampaignSpec, path: str, conn) -> None:
+def _service_child(spec: FaultCampaignSpec, backend: str, conn) -> None:
     """Child half of :func:`run_service_windows`: one timed session.
 
     The arrivals are the ones ``build_campaign`` would draw for the spec,
     fed through a :class:`ReplaySource` to a service built with
-    ``tasks=0``, as the bench feeds its JSONL tail.  ``path="generic"``
-    declines the hot loop for the whole child, so every window takes the
-    kernel, the scheduler and the manager.
+    ``tasks=0``, as the bench feeds its JSONL tail.  On ``backend="scan"``
+    every window takes the kernel, the scheduler and the scan manager; on
+    ``"array"`` the hot loop.
     """
     import dataclasses
 
-    import repro.framework.simulator as simulator
     from repro.rng import RNG
     from repro.service import ReplaySource, ServiceSimulator
 
-    if path == "generic":
-        simulator.hot_eligible = lambda sim: False
     rng = RNG(seed=spec.seed)
     generate_nodes(NodeSpec(count=spec.nodes), rng)
     configs = generate_configs(ConfigSpec(count=spec.configs), rng)
     arrivals = list(generate_task_stream(TaskSpec(count=spec.tasks), configs, rng))
-    svc = ServiceSimulator(dataclasses.replace(spec, tasks=0), backend="array")
+    svc = ServiceSimulator(dataclasses.replace(spec, tasks=0), backend=backend)
     svc.source = ReplaySource(arrivals)
     t0 = time.perf_counter()
     advance_s = 0.0
     now = windows = 0
-    while not (svc.sim.workload_finished and svc.source.exhausted):
+    while not svc.ready_to_drain:
         now += SERVICE_WINDOW
         t1 = time.perf_counter()
         svc.advance_to(now)
@@ -382,7 +379,7 @@ def _service_child(spec: FaultCampaignSpec, path: str, conn) -> None:
 
 
 def run_service_windows(seed: int, repeats: int, quick: bool):
-    """Time a windowed service session: forced-generic windows vs the hot loop.
+    """Time a windowed service session: scan-manager windows vs the hot loop.
 
     The bench's ``service`` spec (200 nodes / 5 000 tasks, 2 000-tick
     windows, a report view every 10 windows, a checkpoint every 50), each
@@ -391,42 +388,42 @@ def run_service_windows(seed: int, repeats: int, quick: bool):
     """
     nodes, tasks = (50, 500) if quick else (200, 5000)
     spec = FaultCampaignSpec(nodes=nodes, tasks=tasks, seed=seed)
-    paths = ("generic", "hot")
-    seconds = {p: float("inf") for p in paths}
-    advance = {p: float("inf") for p in paths}
-    peaks = {p: 0 for p in paths}
+    backends = ("scan", "array")
+    seconds = {b: float("inf") for b in backends}
+    advance = {b: float("inf") for b in backends}
+    peaks = {b: 0 for b in backends}
     outputs = {}
     for _ in range(repeats):
-        for path in paths:
+        for backend in backends:
             parent_conn, child_conn = _FORK.Pipe(duplex=False)
-            proc = _FORK.Process(target=_service_child, args=(spec, path, child_conn))
+            proc = _FORK.Process(target=_service_child, args=(spec, backend, child_conn))
             proc.start()
             child_conn.close()
             elapsed, advance_s, windows, digest, report, peak_kb = parent_conn.recv()
             proc.join()
-            seconds[path] = min(seconds[path], elapsed)
-            advance[path] = min(advance[path], advance_s)
-            peaks[path] = max(peaks[path], peak_kb)
-            outputs[path] = (digest, report)
+            seconds[backend] = min(seconds[backend], elapsed)
+            advance[backend] = min(advance[backend], advance_s)
+            peaks[backend] = max(peaks[backend], peak_kb)
+            outputs[backend] = (digest, report)
     row = {
-        "scale": f"{nodes} nodes / {tasks} tasks (partial, array backend, "
+        "scale": f"{nodes} nodes / {tasks} tasks (partial, "
         f"{SERVICE_WINDOW}-tick windows, a view every {SERVICE_REPORT_EVERY} "
         f"and a checkpoint every {SERVICE_CHECKPOINT_EVERY} windows)",
         "windows": windows,
-        "generic_seconds": round(seconds["generic"], 3),
-        "hot_seconds": round(seconds["hot"], 3),
-        "generic_advance_seconds": round(advance["generic"], 3),
-        "hot_advance_seconds": round(advance["hot"], 3),
-        "speedup": round(seconds["generic"] / seconds["hot"], 2),
-        "generic_peak_rss_mb": round(peaks["generic"] / 1024, 1),
-        "hot_peak_rss_mb": round(peaks["hot"] / 1024, 1),
-        "digest": outputs["hot"][0],
-        "outputs_equal": outputs["generic"] == outputs["hot"],
+        "scan_seconds": round(seconds["scan"], 3),
+        "hot_seconds": round(seconds["array"], 3),
+        "scan_advance_seconds": round(advance["scan"], 3),
+        "hot_advance_seconds": round(advance["array"], 3),
+        "speedup": round(seconds["scan"] / seconds["array"], 2),
+        "scan_peak_rss_mb": round(peaks["scan"] / 1024, 1),
+        "hot_peak_rss_mb": round(peaks["array"] / 1024, 1),
+        "digest": outputs["array"][0],
+        "outputs_equal": outputs["scan"] == outputs["array"],
     }
     print(
-        f"service windows @ {row['scale']}: generic {seconds['generic']:6.2f}s  "
-        f"hot {seconds['hot']:6.2f}s  {row['speedup']:.2f}x  "
-        f"(advance {advance['generic']:5.2f}s -> {advance['hot']:5.2f}s)  "
+        f"service windows @ {row['scale']}: scan {seconds['scan']:6.2f}s  "
+        f"hot {seconds['array']:6.2f}s  {row['speedup']:.2f}x  "
+        f"(advance {advance['scan']:5.2f}s -> {advance['array']:5.2f}s)  "
         f"outputs_equal={row['outputs_equal']}"
     )
     return row
