@@ -42,6 +42,12 @@ def run_with_mtbf(mtbf_range):
     return sim.run(), injector
 
 
+def resilience(run):
+    """The resilience report of one ``run_with_mtbf`` result (None: no faults)."""
+    result, injector = run
+    return injector.resilience(result) if injector else None
+
+
 @pytest.fixture(scope="module")
 def runs():
     return {
@@ -66,7 +72,7 @@ def test_all_workloads_terminate(runs):
 
 
 def test_failure_rate_ordering(runs):
-    assert runs["frequent"][1].failure_count > runs["rare"][1].failure_count
+    assert resilience(runs["frequent"]).failures_total > resilience(runs["rare"]).failures_total
 
 
 def test_failures_stretch_completion(runs):
@@ -76,18 +82,19 @@ def test_failures_stretch_completion(runs):
 
 
 def test_availability_ordering(runs):
-    assert runs["rare"][1].availability() > runs["frequent"][1].availability()
-    assert runs["frequent"][1].availability() > 0.5
+    assert resilience(runs["rare"]).availability > resilience(runs["frequent"]).availability
+    assert resilience(runs["frequent"]).availability > 0.5
 
 
 def test_rows(runs):
     print(f"\n{'regime':<10} {'failures':>9} {'interrupted':>12} "
           f"{'avail':>7} {'avg run time':>13}")
-    for name, (result, inj) in runs.items():
-        fails = inj.failure_count if inj else 0
-        intr = inj.tasks_interrupted if inj else 0
-        avail = f"{inj.availability():.3f}" if inj else "1.000"
+    for name, run in runs.items():
+        res = resilience(run)
+        fails = res.failures_total if res else 0
+        intr = res.interrupts_total if res else 0
+        avail = f"{res.availability:.3f}" if res else "1.000"
         print(
             f"{name:<10} {fails:>9} {intr:>12} {avail:>7} "
-            f"{result.report.avg_running_time_per_task:>13,.0f}"
+            f"{run[0].report.avg_running_time_per_task:>13,.0f}"
         )

@@ -58,9 +58,10 @@ def main() -> None:
     for label, mtbf in REGIMES.items():
         result, injector = run(mtbf)
         rep = result.report
-        fails = injector.failure_count if injector else 0
-        intr = injector.tasks_interrupted if injector else 0
-        avail = injector.availability() if injector else 1.0
+        res = injector.resilience(result) if injector else None
+        fails = res.failures_total if res else 0
+        intr = res.interrupts_total if res else 0
+        avail = res.availability if res else 1.0
         print(
             f"{label:<24} {fails:>6} {intr:>12} {avail:>7.3f} "
             f"{rep.total_completed_tasks:>10} "

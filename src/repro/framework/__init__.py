@@ -23,7 +23,7 @@ from repro.framework.campaign import (
     run_campaign,
 )
 from repro.framework.expconfig import ExperimentConfig, load_experiment
-from repro.framework.failures import FailureEvent, FailureInjector
+from repro.framework.failures import FailureInjector
 from repro.framework.loadbalance import LoadBalancer, LoadSnapshot
 from repro.framework.monitoring import Monitor, MonitorSample
 from repro.framework.report import (
@@ -36,7 +36,6 @@ from repro.framework.simulator import DReAMSim, SimulationResult
 __all__ = [
     "DReAMSim",
     "ExperimentConfig",
-    "FailureEvent",
     "FailureInjector",
     "FaultCampaignSpec",
     "build_campaign",

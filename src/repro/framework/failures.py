@@ -68,6 +68,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.model.config import Configuration
+from repro.model.errors import ConfigurationError
 from repro.framework.simulator import DReAMSim, SimulationResult
 from repro.metrics.resilience import FaultLog, ResilienceReport, assemble_resilience
 from repro.model.node import ConfigTaskEntry, Node
@@ -84,18 +85,6 @@ _DISCARDED = line_encoder(DISCARDED, "task", "reason")
 # Synthetic scrub placeholders live far above any workload task number so
 # invariant I7 (task uniqueness) can never collide with real tasks.
 _SCRUB_TASK_BASE = 1 << 40
-
-
-@dataclass
-class FailureEvent:
-    """One recorded node-loss event (``crash`` or ``burst``)."""
-
-    time: int
-    node_no: int
-    interrupted_tasks: int
-    repair_at: int  # scheduled repair tick (quarantine may defer the actual one)
-    cls: str = "crash"
-    repaired_at: Optional[int] = None  # tick the node actually re-entered service
 
 
 @dataclass
@@ -193,19 +182,15 @@ class FailureInjector:
         self.quarantine_threshold = quarantine_threshold
         self.probation = probation
 
-        self.events: list[FailureEvent] = []
-        self.tasks_interrupted = 0
         self.log = FaultLog()
         self._armed = False
         self._scrub_seq = 0
         # Active scrubs by placeholder task number; entry ids absorb re-strikes.
         self._scrubs: dict[int, _Scrub] = {}
         self._scrub_entries: set[int] = set()
-        # Open spans: node_no -> index into log.failures / log.quarantines,
-        # plus the FailureEvent awaiting its actual repair tick.
+        # Open spans: node_no -> index into log.failures / log.quarantines.
         self._open_fail: dict[int, int] = {}
         self._open_quar: dict[int, int] = {}
-        self._open_event: dict[int, FailureEvent] = {}
         self._quarantine_due: set[int] = set()
 
     # -- public API --------------------------------------------------------------
@@ -227,36 +212,13 @@ class FailureInjector:
             self._schedule_next_burst()
         return self
 
-    @property
-    def failure_count(self) -> int:
-        return len(self.events)
-
-    def availability(self) -> float:
-        """Fraction of node-ticks in service over the run (node-averaged).
-
-        Uses the *actual* repair tick when known (quarantine defers repairs
-        past the scheduled ``repair_at``), clamps every span into
-        ``[0, span]`` so re-failures near the end of a run cannot contribute
-        negative or beyond-horizon downtime, and defines an empty node table
-        as fully available (1.0) rather than dividing by zero.
-        """
-        nodes = self.sim.rim.nodes
-        if not nodes:
-            return 1.0
-        span = max(1, self.sim.env.now)
-        down = 0
-        for ev in self.events:
-            end = ev.repaired_at if ev.repaired_at is not None else ev.repair_at
-            down += max(0, min(end, span) - min(ev.time, span))
-        return 1.0 - down / (span * len(nodes))
-
     def fault_log(self, final_time: int) -> FaultLog:
         """The run's primitive fault facts, finalized for assembly.
 
         ``completed_first_try`` counts tasks that completed without ever
-        being interrupted (a task's ``fault_retries`` counts its entries in
-        the interrupt log) — the goodput numerator — read, with the task
-        total, from the simulator's task fold ⊕ the tasks past it.
+        being interrupted (a task's ``fault_retries`` counts its
+        interrupts) — the goodput numerator — read, with the task total,
+        from the simulator's task fold ⊕ the tasks past it.
         """
         log = self.log
         totals, live = self.sim.task_totals()
@@ -273,7 +235,7 @@ class FailureInjector:
     # -- process scheduling -------------------------------------------------------
 
     def _schedule_next_crash(self) -> None:
-        if self.max_failures is not None and len(self.events) >= self.max_failures:
+        if self.max_failures is not None and len(self.log.failures) >= self.max_failures:
             return
         assert self.mtbf is not None
         gap = max(1, self.mtbf.sample_int(self.rng))
@@ -289,7 +251,7 @@ class FailureInjector:
         )
 
     def _schedule_next_burst(self) -> None:
-        if self.max_failures is not None and len(self.events) >= self.max_failures:
+        if self.max_failures is not None and len(self.log.failures) >= self.max_failures:
             return
         assert self.burst_rate is not None
         gap = max(1, self.burst_rate.sample_int(self.rng))
@@ -327,7 +289,7 @@ class FailureInjector:
             for node in sim.rim.nodes:  # table order: deterministic victim order
                 if felled >= self.burst_size or in_service <= 1:
                     break
-                if self.max_failures is not None and len(self.events) >= self.max_failures:
+                if self.max_failures is not None and len(self.log.failures) >= self.max_failures:
                     break
                 if node.in_service and node.node_no // self.burst_group == group:
                     self._crash(node, now, cls="burst")
@@ -350,15 +312,6 @@ class FailureInjector:
             else:
                 workload.append(task)
         repair_in = max(1, self.mttr.sample_int(self.rng))
-        event = FailureEvent(
-            time=now,
-            node_no=node.node_no,
-            interrupted_tasks=len(workload),
-            repair_at=now + repair_in,
-            cls=cls,
-        )
-        self.events.append(event)
-        self._open_event[node.node_no] = event
         self._open_fail[node.node_no] = len(self.log.failures)
         self.log.failures.append((now, cls, -1))
         if self.quarantine_enabled:
@@ -423,9 +376,6 @@ class FailureInjector:
         if idx is not None:
             start, cls, _end = self.log.failures[idx]
             self.log.failures[idx] = (start, cls, now)
-        event = self._open_event.pop(node.node_no, None)
-        if event is not None:
-            event.repaired_at = now
 
     # -- transient configuration faults (SEU) -------------------------------------
 
@@ -497,8 +447,7 @@ class FailureInjector:
     def _interrupt(self, task: Task, node: Node, now: int, cls: str) -> None:
         """Record one fault interrupt and route the task through retries."""
         sim = self.sim
-        self.tasks_interrupted += 1
-        self.log.interrupts.append((task.task_no, cls))
+        self.log.interrupt(cls)
         if sim.trace is not None:
             sim.trace.emit(_TASK_INTERRUPTED, task.task_no, node.node_no, cls)
         attempt = task.fault_retries
@@ -517,7 +466,7 @@ class FailureInjector:
         if self.backoff_cap is not None:
             delay = min(delay, self.backoff_cap)
         task.mark_suspended(now)  # parked outside any queue until the retry tick
-        self.log.retries.append((task.task_no, delay))
+        self.log.retry(delay)
         if sim.trace is not None:
             sim.trace.emit(_TASK_RETRY, task.task_no, attempt + 1, delay, now + delay)
         sim._pending_retries += 1
@@ -576,7 +525,6 @@ class FailureInjector:
         manager's entries reference them, so the simulator's restore needs
         them before it can rebuild node state (two-phase protocol below).
         """
-        event_idx = {id(ev): i for i, ev in enumerate(self.events)}
         node_entries = {n.node_no: n.entries for n in self.sim.rim.nodes}
 
         def entry_index(node: Node, entry: ConfigTaskEntry) -> int:
@@ -587,23 +535,7 @@ class FailureInjector:
 
         return {
             "armed": self._armed,
-            "events": [
-                [ev.time, ev.node_no, ev.interrupted_tasks, ev.repair_at, ev.cls, ev.repaired_at]
-                for ev in self.events
-            ],
-            "tasks_interrupted": self.tasks_interrupted,
-            "log": {
-                "node_count": self.log.node_count,
-                "final_time": self.log.final_time,
-                "failures": [list(x) for x in self.log.failures],
-                "interrupts": [list(x) for x in self.log.interrupts],
-                "config_faults": self.log.config_faults,
-                "retries": [list(x) for x in self.log.retries],
-                "retry_discards": self.log.retry_discards,
-                "quarantines": [list(x) for x in self.log.quarantines],
-                "completed_first_try": self.log.completed_first_try,
-                "total_tasks": self.log.total_tasks,
-            },
+            "log": self.log.export_state(),
             "scrub_seq": self._scrub_seq,
             "scrubs": [
                 [
@@ -616,9 +548,6 @@ class FailureInjector:
             ],
             "open_fail": sorted(self._open_fail.items()),
             "open_quar": sorted(self._open_quar.items()),
-            "open_event": sorted(
-                (node_no, event_idx[id(ev)]) for node_no, ev in self._open_event.items()
-            ),
             "quarantine_due": sorted(self._quarantine_due),
             "rng": list(self.rng.getstate()),
         }
@@ -633,7 +562,7 @@ class FailureInjector:
         tasks).  Entry binding itself waits for phase 2 — the entries do
         not exist until the manager has been restored.
         """
-        if self._armed or self.events or self._scrubs:
+        if self._armed or self.log.failures or self._scrubs:
             raise RuntimeError(
                 "restore requires a freshly constructed, un-armed injector"
             )
@@ -647,39 +576,18 @@ class FailureInjector:
 
     def restore_state(self, state: dict) -> None:
         """Restore phase 2: bind scrubs to restored entries, rebuild the
-        log/event/timer bookkeeping, and rewire the quarantine callback
-        (taking the place of :meth:`arm` — do NOT arm a restored injector).
+        fault log and its open-span bookkeeping, and rewire the quarantine
+        callback (taking the place of :meth:`arm` — do NOT arm a restored
+        injector).  A malformed fault log, or an open span that names no
+        open record of it, raises :class:`ConfigurationError`.
         """
         if not hasattr(self, "_restoring_scrubs"):
             raise RuntimeError("restore_scrub_tasks must run before restore_state")
         sim = self.sim
         node_by_no = {n.node_no: n for n in sim.rim.nodes}
         self._armed = state["armed"]
-        self.events = [
-            FailureEvent(
-                time=time,
-                node_no=node_no,
-                interrupted_tasks=interrupted,
-                repair_at=repair_at,
-                cls=cls,
-                repaired_at=repaired_at,
-            )
-            for time, node_no, interrupted, repair_at, cls, repaired_at in state["events"]
-        ]
-        self.tasks_interrupted = state["tasks_interrupted"]
-        log_state = state["log"]
-        log = FaultLog()
-        log.node_count = log_state["node_count"]
-        log.final_time = log_state["final_time"]
-        log.failures = [(s, c, e) for s, c, e in log_state["failures"]]
-        log.interrupts = [(t, c) for t, c in log_state["interrupts"]]
-        log.config_faults = log_state["config_faults"]
-        log.retries = [(t, d) for t, d in log_state["retries"]]
-        log.retry_discards = log_state["retry_discards"]
-        log.quarantines = [(s, e) for s, e in log_state["quarantines"]]
-        log.completed_first_try = log_state["completed_first_try"]
-        log.total_tasks = log_state["total_tasks"]
-        self.log = log
+        log = self.log
+        log.restore_state(state.get("log"))
         self._scrub_seq = state["scrub_seq"]
         for node_no, entry_idx, task in self._restoring_scrubs:
             node = node_by_no[node_no]
@@ -687,11 +595,8 @@ class FailureInjector:
             self._scrubs[task.task_no] = _Scrub(node, entry, task)
             self._scrub_entries.add(id(entry))
         del self._restoring_scrubs
-        self._open_fail = {node_no: idx for node_no, idx in state["open_fail"]}
-        self._open_quar = {node_no: idx for node_no, idx in state["open_quar"]}
-        self._open_event = {
-            node_no: self.events[idx] for node_no, idx in state["open_event"]
-        }
+        self._open_fail = _open_spans(state["open_fail"], log.failures, "failure")
+        self._open_quar = _open_spans(state["open_quar"], log.quarantines, "quarantine")
         self._quarantine_due = set(state["quarantine_due"])
         self.rng.setstate(tuple(state["rng"]))
         if self._armed and self.quarantine_enabled:
@@ -723,4 +628,17 @@ class FailureInjector:
         raise ValueError(f"unknown injector event tag {tag!r}")
 
 
-__all__ = ["FailureInjector", "FailureEvent"]
+def _open_spans(pairs: list, spans: list, what: str) -> dict[int, int]:
+    """``{node_no: span index}`` from exported pairs, each naming an open span."""
+    out = {}
+    for node_no, idx in pairs:
+        if type(idx) is not int or not 0 <= idx < len(spans) or spans[idx][-1] != -1:
+            raise ConfigurationError(
+                f"snapshot open {what} span {idx!r} of node {node_no} names no "
+                "open span of the fault log"
+            )
+        out[node_no] = idx
+    return out
+
+
+__all__ = ["FailureInjector"]

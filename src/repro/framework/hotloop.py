@@ -16,7 +16,7 @@ drive the same loop.
 
 **The hot loop is an implementation of the same semantics, not a variant.**
 Every simulated quantity — scheduling/housekeeping step charges, task
-timestamps and state history, monitor series, waste accumulators,
+timestamps and statuses, monitor series, waste accumulators,
 scheduler statistics, event ordering (``(time, insertion sequence)`` heap
 ties) — is produced exactly as the generic path over the scan manager
 produces it, so a hot run and a scan run of the same inputs are
@@ -447,7 +447,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
     evicted_line = line_of(ev.CONFIG_EVICTED, "node", "cfgs", "area")
     sampled_line = line_of(ev.MONITOR_SAMPLED, "busy", "queued", "waste", "running")
 
-    created_s = TaskStatus.CREATED
     running_s = TaskStatus.RUNNING
     suspended_s = TaskStatus.SUSPENDED
     completed_s = TaskStatus.COMPLETED
@@ -605,7 +604,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
             i = bl(cfg_keys, pref.req_area << pos_bits)
             if i == len(cfg_keys):
                 task.status = discarded_s
-                task._history.append((now, discarded_s))
+                task.completion_time = now
                 sched_steps = steps0 + ss
                 task.scheduling_steps += ss
                 st_discarded += 1
@@ -689,7 +688,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
                     if max_len is None or len(sq_order) < max_len:
                         # SuspensionQueue.add, inlined.
                         task.status = suspended_s
-                        task._history.append((now, suspended_s))
                         susq._seq += 1
                         s = susq._seq
                         # matched_cno with the memo hit unwrapped inline.
@@ -753,7 +751,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
                 if node is None:
                     # Queue full or nothing can ever host it: discard.
                     task.status = discarded_s
-                    task._history.append((now, discarded_s))
+                    task.completion_time = now
                     sched_steps = steps0 + ss
                     task.scheduling_steps += ss
                     st_discarded += 1
@@ -784,7 +782,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         # DreamScheduler._start + DReAMSim._submit/_record_placement.
         comm = node.network_delay
         task.status = running_s
-        task._history.append((now, running_s))
         task.start_time = now
         task.assigned_config = config
         task.comm_time = comm
@@ -933,7 +930,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         if max_retries is not None:
             for ex in susq_expired():
                 ex.status = discarded_s
-                ex._history.append((now, discarded_s))
+                ex.completion_time = now
                 st_discarded += 1
                 if trace_on:
                     tr_app(discarded_line(tr_seq, now, sched_steps, hk_steps, ex.task_no, "retries"))
@@ -1004,7 +1001,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
                 if cnode is None:
                     # -- arrival (DReAMSim._on_arrival) -------------------
                     task.create_time = now
-                    task._history.append((now, created_s))
                     tasks_append(task)
                     if trace_on:
                         tr_app(arrived_line(tr_seq, now, sched_steps, hk_steps, task.task_no,
@@ -1026,7 +1022,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
                     continue
                 # -- completion (DReAMSim._on_complete) -------------------
                 task.status = completed_s
-                task._history.append((now, completed_s))
                 task.completion_time = now
                 if trace_on:
                     tr_app(completed_line(tr_seq, now, sched_steps, hk_steps, task.task_no, cnode.node_no,

@@ -40,7 +40,7 @@ from repro.resources import create_manager, resolve_backend
 from repro.resources.counters import SearchCounters
 from repro.resources.invariants import InvariantViolation, check_invariants
 from repro.resources.susqueue import SuspensionQueue
-from repro.sim.core import Event
+from repro.sim.core import Event, SimulationError
 from repro.sim.environment import Environment
 from repro.trace.events import (
     COMPLETED,
@@ -604,6 +604,14 @@ class DReAMSim:
         self._last_hk_time = max(self._last_hk_time, now)
 
     def _on_arrival(self, arrival: TaskArrival) -> None:
+        if hot_eligible(self):
+            # The hot loop adopts the arrival event on its first drive, so
+            # only a caller stepping the kernel by hand gets here.
+            raise SimulationError(
+                "an array-backed run is driven by the hot loop: cut it with "
+                "DReAMSim.advance(until) instead of stepping sim.env, or build "
+                "it with backend='scan' to step it event by event"
+            )
         now = self.env.now
         self._pending_arrival = None
         self._charge_tick_housekeeping(now)

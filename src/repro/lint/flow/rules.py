@@ -302,7 +302,6 @@ MANAGER_CHARGED = frozenset(
         "assign_task",
         "complete_task",
         "evict_entries",
-        "blank_node",
         "fail_node",
         "repair_node",
         "seu_corrupt",
@@ -483,9 +482,8 @@ DL013_PAIRS: tuple[tuple[tuple[str, str], tuple[str, str]], ...] = (
 )
 
 _GENERIC_PATH_ONLY = (
-    "scan-manager-only query of the generic path (scheduler, monitor, entry "
-    "back-references), which runs over the scan manager alone; the hot loop "
-    "reads the array tables itself"
+    "scan-manager-only query of the generic path (scheduler, monitor), which "
+    "runs over the scan manager alone; the hot loop reads the array tables itself"
 )
 
 #: Sanctioned asymmetries, keyed by (reference, substitute) class names.
@@ -496,7 +494,7 @@ DL013_ALLOW: dict[tuple[str, str], dict[str, str]] = {
                 "find_preferred_config", "find_closest_config", "find_best_idle_entry",
                 "find_best_blank_node", "find_best_partially_blank_node",
                 "find_any_idle_node", "busy_candidate_exists", "has_quarantined",
-                "node_count_by_state", "attach_entry_backrefs",
+                "node_count_by_state",
             ),
             _GENERIC_PATH_ONLY,
         ),

@@ -10,9 +10,9 @@ Allowlists
 ----------
 DL002's integer-accounting rule carries an explicit allowlist
 (:data:`DL002_ALLOW`) for the few places float arithmetic is the *design*:
-the Welford statistics accumulators, the GPP slowdown model, the availability
-ratio, and the manager's float-keyed load index.  Everything else needs an
-inline ``# dreamlint: disable=DL002 (reason)``.  The allowlist maps a
+the Welford statistics accumulators and the GPP slowdown model.  Everything
+else (the manager's float-keyed load index, say) needs an inline
+``# dreamlint: disable=DL002 (reason)``.  The allowlist maps a
 root-relative path to qualified-name prefixes (``"*"`` = whole module).
 """
 
@@ -41,8 +41,6 @@ DL002_ALLOW: dict[str, frozenset[str]] = {
     "metrics/accumulators.py": frozenset({"*"}),
     # The GPP offload model's slowdown factor is a float multiplier.
     "model/gpp.py": frozenset({"*"}),
-    # Availability is a ratio in [0, 1]; integer facts in, float ratio out.
-    "framework/failures.py": frozenset({"FailureInjector.availability"}),
 }
 
 #: Modules on hot simulated paths where deepcopy is banned (DL007).

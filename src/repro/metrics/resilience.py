@@ -17,7 +17,9 @@ state or from the structured event stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Mapping
+
+from repro.model.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -66,27 +68,122 @@ class ResilienceReport:
         return out
 
 
+#: FaultLog's integer fields, in export order.
+_LOG_COUNTS = (
+    "node_count",
+    "final_time",
+    "config_faults",
+    "retries_total",
+    "backoff_delay_total",
+    "retry_discards",
+    "completed_first_try",
+    "total_tasks",
+)
+
+
 @dataclass
 class FaultLog:
     """Primitive integer/string fault facts, identical live and replayed.
 
-    ``failures`` and ``quarantines`` record *observed* spans: the end is the
-    tick the repair/release event actually fired, or ``-1`` for a span still
-    open when the workload finished (clamped to ``final_time`` during
-    assembly).  All ordering is by span start, which is how both producers
-    append them.
+    Interrupts and retries are tallies: ``interrupts_by_class`` counts
+    interrupts per fault class in first-seen order (the report's key
+    order), and a retry adds one to ``retries_total`` and its delay to
+    ``backoff_delay_total``.  ``failures`` and ``quarantines`` record
+    *observed* spans: the end is the tick the repair/release event actually
+    fired, or ``-1`` for a span still open when the workload finished
+    (clamped to ``final_time`` during assembly).  All ordering is by span
+    start, which is how both producers append them.
     """
 
     node_count: int = 0
     final_time: int = 0
     failures: list[tuple[int, str, int]] = field(default_factory=list)  # (start, cls, end|-1)
-    interrupts: list[tuple[int, str]] = field(default_factory=list)  # (task_no, cls)
+    interrupts_by_class: dict[str, int] = field(default_factory=dict)
     config_faults: int = 0
-    retries: list[tuple[int, int]] = field(default_factory=list)  # (task_no, delay)
+    retries_total: int = 0
+    backoff_delay_total: int = 0  # Σ granted backoff delays (ticks)
     retry_discards: int = 0
     quarantines: list[tuple[int, int]] = field(default_factory=list)  # (start, end|-1)
     completed_first_try: int = 0
     total_tasks: int = 0
+
+    def interrupt(self, cls: str) -> None:
+        """Count one task interrupt of fault class ``cls``."""
+        by_class = self.interrupts_by_class
+        by_class[cls] = by_class.get(cls, 0) + 1
+
+    def retry(self, delay: int) -> None:
+        """Count one granted backoff retry of ``delay`` ticks."""
+        self.retries_total += 1
+        self.backoff_delay_total += delay
+
+    # -- snapshot support -------------------------------------------------------
+
+    def export_state(self) -> dict[str, object]:
+        """JSON-safe plain data; the class tally travels as ``[cls, n]``
+        pairs so its first-seen order survives a sorted-key dump."""
+        out: dict[str, object] = {name: getattr(self, name) for name in _LOG_COUNTS}
+        out["failures"] = [list(span) for span in self.failures]
+        out["interrupts_by_class"] = [[cls, n] for cls, n in self.interrupts_by_class.items()]
+        out["quarantines"] = [list(span) for span in self.quarantines]
+        return out
+
+    def restore_state(self, state: object) -> None:
+        """Rebuild an :meth:`export_state` record onto this fresh log.
+
+        A missing field, a wrong type, a negative count, a malformed span
+        or tally pair, or a class tallied twice raises
+        :class:`ConfigurationError`.
+        """
+        if type(state) is not dict:
+            raise ConfigurationError(f"snapshot fault log must be an object, got {state!r}")
+        for name in _LOG_COUNTS:
+            value = state.get(name)
+            if type(value) is not int or value < 0:
+                raise ConfigurationError(
+                    f"snapshot fault log field {name!r} must be an integer >= 0, got {value!r}"
+                )
+        failures = _records(state.get("failures"), "failures", _FAILURE)
+        quarantines = _records(state.get("quarantines"), "quarantines", _QUARANTINE)
+        tally = _records(state.get("interrupts_by_class"), "interrupts_by_class", _TALLY)
+        if len(dict(tally)) != len(tally):
+            raise ConfigurationError(
+                f"snapshot fault log field 'interrupts_by_class' repeats a class: {tally!r}"
+            )
+        self.node_count, self.final_time = state["node_count"], state["final_time"]
+        self.config_faults = state["config_faults"]
+        self.retries_total = state["retries_total"]
+        self.backoff_delay_total = state["backoff_delay_total"]
+        self.retry_discards = state["retry_discards"]
+        self.completed_first_try = state["completed_first_try"]
+        self.total_tasks = state["total_tasks"]
+        self.failures = failures
+        self.quarantines = quarantines
+        self.interrupts_by_class = dict(tally)
+
+
+#: Record shapes of the fault log's lists: each field's type and, for an
+#: integer, its least value (a span end of -1 is a span still open).
+_FAILURE = ((int, 0), (str, 0), (int, -1))  # [start, cls, end]
+_QUARANTINE = ((int, 0), (int, -1))  # [start, end]
+_TALLY = ((str, 0), (int, 0))  # [cls, count]
+
+
+def _records(
+    value: Any, name: str, shape: tuple[tuple[type[object], int], ...]
+) -> list[tuple[Any, ...]]:
+    """A validated list of fixed-shape records, as tuples."""
+    if type(value) is not list or any(
+        type(rec) is not list
+        or len(rec) != len(shape)
+        or any(type(x) is not t or (t is int and x < low) for x, (t, low) in zip(rec, shape))
+        for rec in value
+    ):
+        raise ConfigurationError(
+            f"snapshot fault log field {name!r} must be a list of "
+            f"{'/'.join(t.__name__ for t, _low in shape)} records, got {value!r}"
+        )
+    return [tuple(rec) for rec in value]
 
 
 def assemble_resilience(log: FaultLog) -> ResilienceReport:
@@ -116,10 +213,6 @@ def assemble_resilience(log: FaultLog) -> ResilienceReport:
         mttf = 0.0
     mttr = mttr_sum / n_fail if n_fail else 0.0
 
-    interrupts_by_class: dict[str, int] = {}
-    for _task_no, cls in log.interrupts:
-        interrupts_by_class[cls] = interrupts_by_class.get(cls, 0) + 1
-
     q_ticks = 0
     for start, end in log.quarantines:
         s = min(start, span)
@@ -133,11 +226,11 @@ def assemble_resilience(log: FaultLog) -> ResilienceReport:
         mttr_observed=mttr,
         failures_total=n_fail,
         failures_by_class=failures_by_class,
-        interrupts_total=len(log.interrupts),
-        interrupts_by_class=interrupts_by_class,
+        interrupts_total=sum(log.interrupts_by_class.values()),
+        interrupts_by_class=dict(log.interrupts_by_class),
         config_faults=log.config_faults,
-        retries_total=len(log.retries),
-        backoff_delay_total=sum(d for _t, d in log.retries),
+        retries_total=log.retries_total,
+        backoff_delay_total=log.backoff_delay_total,
         retry_discards=log.retry_discards,
         quarantines_total=len(log.quarantines),
         quarantine_ticks=q_ticks,

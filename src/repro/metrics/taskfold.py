@@ -179,9 +179,9 @@ class TaskFold:
                 elif status is _DISCARDED:
                     count += 1
                     discarded += 1
-                    hist = t.history
-                    if hist and hist[-1][0] > last_time:
-                        last_time = hist[-1][0]
+                    ct = t.completion_time
+                    if ct > last_time:
+                        last_time = ct
                     i += 1
                     continue
                 else:

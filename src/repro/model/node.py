@@ -75,7 +75,6 @@ class Node:
     entries: list[ConfigTaskEntry] = field(default_factory=list)
     reconfig_count: int = 0  # total bitstream loads (Table I numerator)
     in_service: bool = True  # False while failed (failure-injection studies)
-    failure_count: int = 0  # lifetime failures suffered
     # Recent-failure health score in integer milli-units (1000 per failure,
     # dyadic decay), maintained by bump_health — kept integral so quarantine
     # decisions are platform-deterministic.

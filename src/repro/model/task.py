@@ -10,7 +10,7 @@ Table I's per-task metrics are derived.  The waiting time follows Eq. 8:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.model.config import Configuration
@@ -68,7 +68,7 @@ class Task:
     data: Any = None
     create_time: int = UNSET
     start_time: int = UNSET
-    completion_time: int = UNSET
+    completion_time: int = UNSET  # terminal tick: completion or discard
     comm_time: int = 0  # t_comm of Eq. 8 (network delay to reach the node)
     config_time_paid: int = 0  # t_config of Eq. 8 (0 on direct allocation)
     assigned_config: Optional[Configuration] = None
@@ -77,7 +77,6 @@ class Task:
     sus_retry: int = 0  # times popped from the suspension queue for retry
     fault_retries: int = 0  # times interrupted by a fault (retry-budget counter)
     scheduling_steps: int = 0  # search steps the scheduler spent on this task
-    _history: list[tuple[int, TaskStatus]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.task_no < 0:
@@ -105,7 +104,7 @@ class Task:
     @property
     def running_time(self) -> int:
         """Time from arrival to completion (Table I 'average running time')."""
-        if self.completion_time == UNSET or self.create_time == UNSET:
+        if self.status is not TaskStatus.COMPLETED:
             raise TaskStateError(f"task {self.task_no} has not completed")
         return self.completion_time - self.create_time
 
@@ -122,24 +121,22 @@ class Task:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def _transition(self, new: TaskStatus, now: int) -> None:
+    def _transition(self, new: TaskStatus) -> None:
         if new not in _TRANSITIONS[self.status]:
             raise TaskStateError(
                 f"task {self.task_no}: illegal transition {self.status.value} -> {new.value}"
             )
         self.status = new
-        self._history.append((now, new))
 
     def mark_created(self, now: int) -> None:
         """Record arrival into the system (CreateTask)."""
         if self.create_time != UNSET:
             raise TaskStateError(f"task {self.task_no} already created")
         self.create_time = now
-        self._history.append((now, TaskStatus.CREATED))
 
     def mark_suspended(self, now: int) -> None:
         """Enter the suspension queue."""
-        self._transition(TaskStatus.SUSPENDED, now)
+        self._transition(TaskStatus.SUSPENDED)
 
     def mark_started(
         self,
@@ -150,7 +147,7 @@ class Task:
         on_gpp: bool = False,
     ) -> None:
         """Record dispatch to a node (SendTaskToNode)."""
-        self._transition(TaskStatus.RUNNING, now)
+        self._transition(TaskStatus.RUNNING)
         self.start_time = now
         self.assigned_config = assigned_config
         self.comm_time = comm_time
@@ -159,17 +156,13 @@ class Task:
 
     def mark_completed(self, now: int) -> None:
         """Record completion (TaskCompletionProc)."""
-        self._transition(TaskStatus.COMPLETED, now)
+        self._transition(TaskStatus.COMPLETED)
         self.completion_time = now
 
     def mark_discarded(self, now: int) -> None:
-        """Record discard (no placement possible)."""
-        self._transition(TaskStatus.DISCARDED, now)
-
-    @property
-    def history(self) -> list[tuple[int, TaskStatus]]:
-        """Immutable view of (time, status) transitions, for diagnostics."""
-        return list(self._history)
+        """Record discard (no placement possible, or retries exhausted)."""
+        self._transition(TaskStatus.DISCARDED)
+        self.completion_time = now
 
     def __repr__(self) -> str:
         return (
@@ -191,7 +184,7 @@ class Task:
 TASK_ROW = (
     "no", "req", "pref", "data", "create", "start", "completion", "comm",
     "ctp", "assigned", "on_gpp", "status", "sus_retry", "fault_retries",
-    "steps", "history",
+    "steps",
 )
 
 
@@ -221,7 +214,6 @@ def export_task(task: Task) -> list[object]:
         task.sus_retry,
         task.fault_retries,
         task.scheduling_steps,
-        [[tick, status._name_] for tick, status in task._history],
     ]
 
 
@@ -277,14 +269,6 @@ def restore_task(
         raise ConfigurationError(
             f"snapshot task row field 'on_gpp' must be a boolean, got {on_gpp!r}"
         )
-    history = row[15]
-    if type(history) is not list or any(
-        type(step) is not list or len(step) != 2 or type(step[0]) is not int or step[0] < 0
-        for step in history
-    ):
-        raise ConfigurationError(
-            f"snapshot task row history must be [[tick, status], ...], got {history!r}"
-        )
     assigned = row[9]
     try:
         pref = resolve_config(_row_triple(row[2], "pref"))
@@ -310,7 +294,6 @@ def restore_task(
     task.sus_retry = _row_int(row, 12, 0)
     task.fault_retries = _row_int(row, 13, 0)
     task.scheduling_steps = _row_int(row, 14, 0)
-    task._history = [(tick, _row_status(name, "history status")) for tick, name in history]
     return task
 
 

@@ -588,19 +588,6 @@ class ArrayRIM:
             )
         return reclaimed
 
-    def blank_node(self, node: Node) -> None:
-        """Remove *all* (idle) entries from a node — full-reconfiguration reuse."""
-        evicted = [e.config.config_no for e in node.entries if e.is_idle]
-        reclaimed = node.configured_area
-        for entry in node.entries:
-            if entry.is_idle:
-                self._idle_remove(entry)
-                self.counters.housekeeping_steps += 1
-        node.make_blank()
-        self._regions_shift(self._pos[node], node)
-        if evicted and self.trace is not None:
-            self.trace.emit(CONFIG_EVICTED_SHAPE, node.node_no, evicted, reclaimed)
-
     # -- failure injection ----------------------------------------------------
 
     def fail_node(self, node: Node, cls: str = "crash") -> list[Task]:
@@ -619,7 +606,6 @@ class ArrayRIM:
         node.make_blank()
         # Out of service before the regions shift, so it stays off the blank chain.
         node.in_service = False
-        node.failure_count += 1
         pos = self._pos[node]
         self._busy_shift(pos, -self.t_busy_area[pos], -self.t_busy_cnt[pos])
         self._regions_shift(pos, node)

@@ -444,21 +444,6 @@ class ResourceInformationManager:
             )
         return reclaimed
 
-    def blank_node(self, node: Node) -> None:
-        """Remove *all* (idle) entries from a node — full-reconfiguration reuse."""
-        evicted = [e.config.config_no for e in node.entries if e.is_idle]
-        reclaimed = node.configured_area
-        for entry in node.entries:
-            if entry.is_idle:
-                self._idle[entry.config.config_no].remove(entry)
-                self.counters.charge_housekeeping()
-        self._track(node, node.make_blank)
-        if node not in self._blank:
-            self._blank_append(node)
-            self.counters.charge_housekeeping()
-        if evicted and self.trace is not None:
-            self.trace.emit(CONFIG_EVICTED_SHAPE, node.node_no, evicted, reclaimed)
-
     # -- failure injection ---------------------------------------------------------------
 
     def fail_node(self, node: Node, cls: str = "crash") -> list[Task]:
@@ -490,7 +475,6 @@ class ResourceInformationManager:
             self._blank.remove(node)
             self.counters.charge_housekeeping()
         node.in_service = False
-        node.failure_count += 1
         if self.trace is not None:
             self.trace.emit(NODE_FAILED_SHAPE, node.node_no, len(interrupted), lost, cls)
         return interrupted
@@ -748,12 +732,6 @@ class ResourceInformationManager:
             raise ConfigurationError(f"entry {entry!r} belongs to no known node")
         return node
 
-    def attach_entry_backrefs(self) -> None:
-        """Cache entry→node back-references for O(1) ``_node_of``."""
-        for node in self.nodes:
-            for entry in node.entries:
-                setattr(entry, "_node", node)
-
 
 # -- the node-record snapshot codec, shared by both backends ---------------------------
 
@@ -764,7 +742,7 @@ def export_node_records(
     """The per-node half of a manager snapshot.
 
     Returns one record per node — its entries as ``[config_no, task_no,
-    loaded_at]`` plus the service, failure and health fields — and the
+    loaded_at]`` plus the service, reconfiguration and health fields — and the
     ``(node, entry)`` table position of every entry, keyed by ``id(entry)``,
     from which the chain records are written.
     """
@@ -786,7 +764,6 @@ def export_node_records(
                 "entries": entries,
                 "in_service": node.in_service,
                 "reconfig_count": node.reconfig_count,
-                "failure_count": node.failure_count,
                 "health_milli": node.health_milli,
                 "health_updated": node.health_updated,
             }
@@ -830,7 +807,6 @@ def restore_node_records(
                 node.add_task(task_of(task_no), entry)
         node.in_service = rec["in_service"]
         node.reconfig_count = rec["reconfig_count"]
-        node.failure_count = rec["failure_count"]
         node.health_milli = rec["health_milli"]
         node.health_updated = rec["health_updated"]
 

@@ -263,7 +263,7 @@ class SuspensionQueue:
 
         Keys and ranks are recomputed on restore from the same deterministic
         functions that produced them, and the task's own row carries its
-        suspension history, so only the identifying pair travels.
+        status, so only the identifying pair travels.
         """
         tasks = self._task
         items = []

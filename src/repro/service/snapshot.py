@@ -54,8 +54,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ingest buffer, the pending arrival and scrub tasks) carry positional task
 #: rows, and only the live tasks have one.  The JSON is written compact.
 #: v4: suspension-queue records are ``[task_no, seq]`` pairs; the suspension
-#: tick, which the task row's history already carries, no longer travels.
-SNAPSHOT_VERSION = 4
+#: tick no longer travels.
+#: v5: task rows have no history column (a discarded task's row carries its
+#: discard tick as ``completion``), and the injector part is its fault log
+#: alone: interrupts and retries travel as tallies (``interrupts_by_class``
+#: ``[cls, n]`` pairs, ``retries_total``, ``backoff_delay_total``), with no
+#: per-failure event list or interrupt counter; node records carry no
+#: lifetime failure count.
+SNAPSHOT_VERSION = 5
 
 #: Hex digits of the trace digest used as the snapshot key.
 _KEY_PREFIX = 12

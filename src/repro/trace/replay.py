@@ -154,7 +154,7 @@ class TraceReplayer:
             self._finished = e
         elif et == ev.TASK_INTERRUPTED:
             task = f["task"]
-            self.fault_log.interrupts.append((task, f.get("cls", "crash")))
+            self.fault_log.interrupt(f.get("cls", "crash"))
             if task not in self._interrupted:
                 self._interrupted.add(task)
                 if task in self._completed:
@@ -172,7 +172,7 @@ class TraceReplayer:
         elif et == ev.CONFIG_FAULT:
             self.fault_log.config_faults += 1
         elif et == ev.TASK_RETRY:
-            self.fault_log.retries.append((f["task"], f["delay"]))
+            self.fault_log.retry(f["delay"])
         elif et == ev.NODE_QUARANTINED:
             flog = self.fault_log
             self._open_quar[f["node"]] = len(flog.quarantines)

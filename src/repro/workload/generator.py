@@ -297,7 +297,6 @@ class TaskStream:
             d["task_no"] = first + i
             d["required_time"] = req_time if req_time > 1 else 1
             d["pref_config"] = pref
-            d["_history"] = []
             task = task_new(Task)
             task.__dict__ = d
             ta = ta_new(TaskArrival)

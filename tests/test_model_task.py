@@ -27,14 +27,12 @@ class TestLifecycle:
         c = cfg()
         t = Task(task_no=0, required_time=100, pref_config=c)
         t.mark_created(10)
+        assert t.status is TaskStatus.CREATED
         t.mark_started(25, c, comm_time=2, config_time_paid=12)
+        assert t.status is TaskStatus.RUNNING
         t.mark_completed(139)
         assert t.status is TaskStatus.COMPLETED
-        assert [s for (_, s) in t.history] == [
-            TaskStatus.CREATED,
-            TaskStatus.RUNNING,
-            TaskStatus.COMPLETED,
-        ]
+        assert (t.create_time, t.start_time, t.completion_time) == (10, 25, 139)
 
     def test_suspension_flow(self):
         c = cfg()
@@ -58,6 +56,7 @@ class TestLifecycle:
         t2.mark_suspended(1)
         t2.mark_discarded(2)
         assert t2.status is TaskStatus.DISCARDED
+        assert t2.completion_time == 2  # the terminal tick
 
     def test_illegal_transitions(self):
         c = cfg()
@@ -121,6 +120,11 @@ class TestTiming:
         t = Task(task_no=0, required_time=10, pref_config=c)
         t.mark_created(0)
         t.mark_started(1, c)
+        with pytest.raises(TaskStateError):
+            _ = t.running_time
+        # A discard records its tick in completion_time; it is no completion.
+        t.mark_discarded(4)
+        assert t.completion_time == 4
         with pytest.raises(TaskStateError):
             _ = t.running_time
 

@@ -59,6 +59,16 @@ def traced_campaign(spec, backend=None):
     return result, injector, mem, digest
 
 
+def retry_delays_by_task(mem):
+    """Each task's granted backoff delays, in grant order, from its
+    ``TaskRetry`` trace events."""
+    per_task: dict[int, list[int]] = {}
+    for e in mem.events:
+        if e.type == ev.TASK_RETRY:
+            per_task.setdefault(e.fields["task"], []).append(e.fields["delay"])
+    return per_task
+
+
 @pytest.fixture(scope="module")
 def seu_pair():
     """The SEU campaign under both reconfiguration modes (traced)."""
@@ -78,10 +88,10 @@ class TestSeuCampaign:
         # An SEU strike in partial mode corrupts at most the one region it
         # lands in (free area absorbs it); in full mode the whole monolithic
         # context is lost.  Same workload seed, same fault seed.
-        _, inj_partial, _, _ = seu_pair[True]
-        _, inj_full, _, _ = seu_pair[False]
-        assert inj_partial.tasks_interrupted < inj_full.tasks_interrupted
-        assert inj_partial.tasks_interrupted > 0  # regime actually bites
+        partial = seu_pair[True][1].resilience(seu_pair[True][0]).interrupts_total
+        full = seu_pair[False][1].resilience(seu_pair[False][0]).interrupts_total
+        assert partial < full
+        assert partial > 0  # regime actually bites
 
     @pytest.mark.parametrize("partial", [True, False], ids=["partial", "full"])
     def test_live_equals_replay_bit_identically(self, seu_pair, partial):
@@ -127,27 +137,22 @@ class TestDeterminism:
 
 class TestRetryPolicy:
     def test_backoff_delays_double_per_attempt(self, seu_pair):
-        _, injector, mem, _ = seu_pair[True]
-        per_task: dict[int, list[int]] = {}
-        for task_no, delay in injector.log.retries:
-            per_task.setdefault(task_no, []).append(delay)
+        result, injector, mem, _ = seu_pair[True]
+        per_task = retry_delays_by_task(mem)
         assert per_task, "regime produced no retries"
         for delays in per_task.values():
             assert delays[0] == SEU_SPEC.backoff_base
             for a, b in zip(delays, delays[1:]):
                 assert b == min(SEU_SPEC.backoff_cap, a * 2)
-        # The trace carries the same grant schedule.
-        traced = [
-            (e.fields["task"], e.fields["delay"])
-            for e in mem.events
-            if e.type == ev.TASK_RETRY
-        ]
-        assert traced == injector.log.retries
+        # The report's tallies count the same grant schedule.
+        rep = injector.resilience(result)
+        assert rep.retries_total == sum(map(len, per_task.values()))
+        assert rep.backoff_delay_total == sum(map(sum, per_task.values()))
 
     def test_backoff_cap_clamps_the_doubling(self):
         spec = replace(SEU_SPEC, retry_budget=8, backoff_cap=16)
-        _, injector, _, _ = traced_campaign(spec)
-        delays = [d for _t, d in injector.log.retries]
+        _, _, mem, _ = traced_campaign(spec)
+        delays = [d for per_task in retry_delays_by_task(mem).values() for d in per_task]
         assert delays and max(delays) == 16  # cap reached, never exceeded
 
     def test_budget_exhaustion_discards_with_distinct_reason(self, seu_pair):
@@ -259,25 +264,31 @@ class TestAssembly:
         log = FaultLog(
             node_count=2,
             final_time=100,
-            failures=[(10, "crash", 30), (50, "seu", -1)],
+            # closed, open at the horizon, entirely past the horizon
+            failures=[(10, "crash", 30), (50, "seu", -1), (150, "crash", 160)],
             quarantines=[(60, -1)],
-            interrupts=[(1, "crash"), (2, "seu"), (3, "seu")],
+            interrupts_by_class={"seu": 2, "crash": 1},
             config_faults=4,
-            retries=[(2, 8), (2, 16)],
+            retries_total=2,
+            backoff_delay_total=24,
             retry_discards=1,
             completed_first_try=7,
             total_tasks=10,
         )
         rep = assemble_resilience(log)
-        down = (30 - 10) + (100 - 50)  # open span clamps to final_time
+        # The open span clamps to final_time; the late one contributes nothing.
+        down = (30 - 10) + (100 - 50)
         assert rep.availability == 1.0 - down / (100 * 2)
-        assert rep.mttf_observed == (50 - 10) / 1
-        assert rep.mttr_observed == down / 2
+        assert rep.mttf_observed == (150 - 10) / 2
+        assert rep.mttr_observed == down / 3
         assert rep.quarantine_ticks == 100 - 60
-        assert rep.failures_by_class == {"crash": 1, "seu": 1}
+        assert rep.failures_by_class == {"crash": 2, "seu": 1}
+        assert rep.interrupts_total == 3
         assert rep.interrupts_by_class == {"crash": 1, "seu": 2}
+        assert rep.retries_total == 2
         assert rep.backoff_delay_total == 24
         assert rep.goodput == 0.7
         d = rep.as_dict()
-        assert d["failures_by_class"] == {"crash": 1, "seu": 1}
+        assert d["failures_by_class"] == {"crash": 2, "seu": 1}
+        assert list(d["interrupts_by_class"]) == ["seu", "crash"]  # first-seen order
         assert d["goodput"] == rep.goodput

@@ -110,6 +110,39 @@ def test_all_terminal_cut_writes_no_rows_and_stays_flat():
     assert abs(large_bytes - small_bytes) <= 0.1 * small_bytes, (small_bytes, large_bytes)
 
 
+#: The repo benchmark's ``faults`` campaign (200 nodes / 5 000 tasks, seed 42).
+FAULTS = FaultCampaignSpec(
+    nodes=200, tasks=5_000, partial=True, seed=42, seu_rate=300, scrub_factor=2,
+    mtbf=5000, mttr=500, retry_budget=3, backoff_base=16, backoff_cap=1024,
+)
+
+
+def test_fault_log_checkpoint_stays_flat_in_interrupts():
+    """The injector's fault log tallies interrupts and retries: between the
+    checkpoints at windows 50 and 350 of the ``faults`` session (2 000-tick
+    windows) only the failure and quarantine span lists grow; every other
+    field keeps its shape, although thousands more faults were counted."""
+    svc = ServiceSimulator(FAULTS, backend="array")
+    logs = {}
+    for k in range(1, 351):
+        svc.advance_to(k * 2_000)
+        if k in (50, 350):
+            logs[k] = Snapshot.from_json(svc.checkpoint().to_json()).injector["log"]
+    assert not svc.sim.workload_finished
+    early, late = (
+        {name: v for name, v in logs[k].items() if name not in ("failures", "quarantines")}
+        for k in (50, 350)
+    )
+    assert early.keys() == late.keys()
+    tallies = [
+        [cls for cls, _n in log.pop("interrupts_by_class")] for log in (early, late)
+    ]
+    assert tallies[0] == tallies[1] == ["seu", "crash"]
+    assert all(type(v) is int for log in (early, late) for v in log.values())
+    assert late["retries_total"] > 5 * early["retries_total"] > 0
+    assert len(logs[350]["failures"]) > len(logs[50]["failures"])
+
+
 def test_resume_without_the_prefix_is_refused():
     """An empty or short prefix would forge the determinism witness."""
     svc = ServiceSimulator(SEU_SMALL, backend="array")
@@ -127,10 +160,11 @@ def test_resume_without_the_prefix_is_refused():
 
 
 def test_version_2_snapshot_is_refused():
-    """v2 (task list), v3 (queue records with a suspension tick): refused."""
+    """v2 (task list), v3 (queue records with a suspension tick), v4 (task
+    rows with a history column, injector event and interrupt lists): refused."""
     data = json.loads((GOLDEN / "snapshot.json").read_text())
-    assert SNAPSHOT_VERSION == 4
-    for old in (2, 3):
+    assert SNAPSHOT_VERSION == 5
+    for old in (2, 3, 4):
         data["version"] = old
         with pytest.raises(SnapshotError, match=f"version {old}"):
             Snapshot.from_json(json.dumps(data))

@@ -1,5 +1,5 @@
-"""Fuzzing the v4 snapshot loader: the fold record, the task rows and the
-suspension-queue records.
+"""Fuzzing the v5 snapshot loader: the fold record, the task rows, the
+suspension-queue records and the failure injector's fault log.
 
 Each example takes the golden checkpoint (the harness SEU campaign cut
 mid-run: 62 live task rows, a fold record whose 112 completed tasks all
@@ -75,7 +75,7 @@ def mutated_snapshots(draw):
     data = json.loads(json.dumps(GOLDEN))
     sim = data["sim"]
     fold = sim["fold"]
-    target = draw(st.sampled_from(["fold", "stats", "sample", "row", "history", "queue"]))
+    target = draw(st.sampled_from(["fold", "stats", "sample", "row", "log", "queue"]))
     if target == "fold":
         container = fold
     elif target == "stats":
@@ -87,7 +87,7 @@ def mutated_snapshots(draw):
     elif target == "queue":
         container = draw(st.sampled_from(sim["susqueue"]["items"]))
     else:
-        container = draw(st.sampled_from(sim["tasks"]))[-1]
+        container = data["injector"]["log"]
     apply(container, draw(edits(container)))
     return json.dumps(data), draw(st.sampled_from(["array", "scan"]))
 

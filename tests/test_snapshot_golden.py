@@ -1,11 +1,11 @@
 """The committed golden snapshot: format stability across sessions.
 
 ``tests/golden/snapshot_n20_t200_s42/`` holds a checkpoint of the harness
-SEU campaign (20 nodes / 200 tasks / seed 42, partial, array backend) cut after
-1000 kernel steps, its trace prefix, and the uninterrupted run's final digest.  If
-restoring it stops reproducing that digest, the snapshot *format* changed —
-which is exactly when ``SNAPSHOT_VERSION`` must be bumped and this fixture
-regenerated (see the module docstring of :mod:`repro.service.snapshot`).
+SEU campaign (20 nodes / 200 tasks / seed 42, partial) cut on the scan backend
+after 1000 kernel steps, its trace prefix, and the uninterrupted run's final
+digest.  If restoring it stops reproducing that digest, the snapshot *format*
+changed — which is exactly when ``SNAPSHOT_VERSION`` must be bumped and this
+fixture regenerated (see the module docstring of :mod:`repro.service.snapshot`).
 """
 
 import json
@@ -239,6 +239,37 @@ def test_golden_tampered_queue_state_rejected(backend, tamper):
     prefix = read_jsonl(GOLDEN / "prefix.jsonl")
     with pytest.raises(ConfigurationError, match="snapshot"):
         resume_to_end(snap, prefix, SEU, backend)
+
+
+def _open_failure_names_closed_span(injector):
+    injector["open_fail"] = [[3, 0]]  # span 0 was repaired before the cut
+
+
+def _open_quarantine_past_the_log(injector):
+    injector["open_quar"] = [[3, len(injector["log"]["quarantines"])]]
+
+
+def _v4_fault_log(injector):
+    # v4 kept every interrupt and retry as a record instead of tallies.
+    log = injector["log"]
+    del log["interrupts_by_class"], log["retries_total"], log["backoff_delay_total"]
+    log["interrupts"], log["retries"] = [[0, "seu"]], [[0, 8]]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_open_failure_names_closed_span, _open_quarantine_past_the_log, _v4_fault_log],
+    ids=lambda fn: fn.__name__.strip("_"),
+)
+def test_golden_tampered_injector_state_rejected(tamper):
+    """An open span that names no open record of the fault log, or a log in
+    the v4 shape, is a typed ConfigurationError, not an IndexError later."""
+    data = json.loads((GOLDEN / "snapshot.json").read_text())
+    tamper(data["injector"])
+    snap = Snapshot.from_json(json.dumps(data))
+    prefix = read_jsonl(GOLDEN / "prefix.jsonl")
+    with pytest.raises(ConfigurationError, match="snapshot"):
+        resume_to_end(snap, prefix, SEU, "array")
 
 
 @pytest.mark.parametrize(
