@@ -24,8 +24,8 @@ from repro.framework.campaign import (
 )
 from repro.framework.expconfig import ExperimentConfig, load_experiment
 from repro.framework.failures import FailureInjector
-from repro.framework.loadbalance import LoadBalancer, LoadSnapshot
-from repro.framework.monitoring import Monitor, MonitorSample
+from repro.framework.loadbalance import LoadBalancer
+from repro.framework.monitoring import Monitor
 from repro.framework.report import (
     parse_report_xml,
     report_to_xml,
@@ -41,9 +41,7 @@ __all__ = [
     "build_campaign",
     "run_campaign",
     "LoadBalancer",
-    "LoadSnapshot",
     "Monitor",
-    "MonitorSample",
     "SimulationResult",
     "load_experiment",
     "parse_report_xml",

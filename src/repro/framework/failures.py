@@ -384,6 +384,10 @@ class FailureInjector:
         now = sim.env.now
         if sim.workload_finished:
             return
+        if sim._arrivals_done and not sim._pending_retries and not self._scrubs:
+            # Liveness, as after a crash: with no arrival, retry or scrub
+            # left to redispatch, a queue on an idle system restarts here.
+            self._kick(now)
         configured = sim.rim.configured_in_service()
         if configured:
             node = self.rng.choice(configured)

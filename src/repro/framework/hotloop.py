@@ -16,14 +16,14 @@ drive the same loop.
 
 **The hot loop is an implementation of the same semantics, not a variant.**
 Every simulated quantity — scheduling/housekeeping step charges, task
-timestamps and statuses, monitor series, waste accumulators,
+timestamps and statuses, monitor and load series, waste accumulators,
 scheduler statistics, event ordering (``(time, insertion sequence)`` heap
 ties) — is produced exactly as the generic path over the scan manager
 produces it, so a hot run and a scan run of the same inputs are
-bit-identical, the beyond-paper load series to a few ULPs
-(``tests/test_array_differential.py`` asserts this).  ``DReAMSim`` gives an
-``array`` request the scan manager unless the loop replicates it completely
-(:func:`in_hot_envelope`), so every ``ArrayRIM`` run is a hot-loop run:
+bit-identical (``tests/test_array_differential.py`` asserts this).
+``DReAMSim`` gives an ``array`` request the scan manager unless the loop
+replicates it completely (:func:`in_hot_envelope`), so every ``ArrayRIM``
+run is a hot-loop run:
 
 * array backend, homogeneous;
 * the paper's MIN_AREA placement policy;
@@ -94,11 +94,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from math import sqrt
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.base import PlacementKind
 from repro.core.policies import PlacementPolicy, SelectionCriterion
+from repro.framework.loadbalance import load_imbalance
 from repro.model.task import Task, TaskStatus
 from repro.resources.arraycore import (
     _POS_BITS,
@@ -335,10 +335,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
     t_busy_cnt = rim.t_busy_cnt
     pos_of = rim._pos
     state_counts = rim.state_counts
-    sl = rim._sl
     load_w = rim._load_w
-    load_den = rim._load_den
-    load_den_sq = rim._load_den_sq
     used_nodes = rim._used_nodes
     configure_node = rim.configure_node
     evict_entries = rim.evict_entries
@@ -364,11 +361,10 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
     running_count = rim.running_tasks_count
     load_sum_i = rim._load_sum_i
     load_sumsq_i = rim._load_sumsq_i
-    # Read-only mirrors of aggregates that only the manager's own methods
+    # Read-only mirror of an aggregate that only the manager's own methods
     # mutate; re-synced after the (rare) configure_node call in submit and
     # after every barrier.
     wasted_total = rim._wasted_total
-    conf_total = rim._configured_total
     # Node-state tallies, hoisted like the step counters: the inlined
     # assign/complete code flips them; scan_any_idle reads the shared
     # dict and configure/evict mutate it, so the locals are written into
@@ -402,17 +398,12 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
     mon_last = monitor._last_time
     m_time = monitor.times.append
     m_busy = monitor.busy_col.append
-    m_idle = monitor.idle_col.append
-    m_blank = monitor.blank_col.append
     m_running = monitor.running_col.append
     m_queued = monitor.queued_col.append
-    m_configured = monitor.configured_col.append
     m_waste = monitor.waste_col.append
     l_time = load.times.append
-    l_mean = load.mean_col.append
     l_cv = load.cv_col.append
     l_jain = load.jain_col.append
-    l_max = load.max_col.append
 
     # RunningStats (Welford) locals for placement waste (``pw_*``) and the
     # simulator's accumulators (``last_hk``, ``sys_waste``, ``waste_samples``,
@@ -498,11 +489,8 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         qlen = len(sq_order)
         m_time(now)
         m_busy(sc_busy)
-        m_idle(sc_idle)
-        m_blank(sc_blank)
         m_running(running_count)
         m_queued(qlen)
-        m_configured(conf_total)
         m_waste(wasted_total)
         mon_last = now
         if trace_on:
@@ -547,7 +535,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         nonlocal sched_steps, hk_steps, sc_busy, sc_idle, sc_blank
         nonlocal st_scheduled, st_suspended, st_discarded
         nonlocal st_closest, st_cfg_paid, st_evicted
-        nonlocal running_count, load_sum_i, load_sumsq_i, wasted_total, conf_total
+        nonlocal running_count, load_sum_i, load_sumsq_i, wasted_total
         nonlocal mon_last, arrivals_done, seq, tr_seq
         sched_steps = counters.scheduling_steps
         hk_steps = counters.housekeeping_steps
@@ -564,7 +552,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         load_sum_i = rim._load_sum_i
         load_sumsq_i = rim._load_sumsq_i
         wasted_total = rim._wasted_total
-        conf_total = rim._configured_total
         mon_last = monitor._last_time
         arrivals_done = sim._arrivals_done
         seq = env._seq
@@ -583,7 +570,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
         nonlocal seq, sys_waste, waste_samples, placed
         nonlocal running_count, load_sum_i, load_sumsq_i
         nonlocal pw_n, pw_total, pw_mean, pw_m2, pw_min, pw_max
-        nonlocal wasted_total, conf_total
+        nonlocal wasted_total
         nonlocal sched_steps, hk_steps
         nonlocal st_scheduled, st_suspended, st_discarded
         nonlocal st_closest, st_cfg_paid, st_evicted
@@ -771,9 +758,8 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
                 sc_busy = state_counts["busy"]
                 sc_idle = state_counts["idle"]
                 sc_blank = state_counts["blank"]
-                # Re-mirror the aggregates configure/evict just changed.
+                # Re-mirror the aggregate configure/evict just changed.
                 wasted_total = rim._wasted_total
-                conf_total = rim._configured_total
                 if trace_on:
                     tr_app(loaded_line(tr_seq, now, steps0 + ss, hk_steps, node.node_no, cno, config.config_time))
                     tr_seq += 1
@@ -823,10 +809,7 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
             ins(sb, tkey)
             ins(busy_pos, pos)
             rim._idle_node_entries -= t_nent[pos]  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
-        # _apply_load_delta, inlined (same float ops, same order).
-        old = (ba0 / total, pos)
-        del sl[bl(sl, old)]
-        ins(sl, (ba1 / total, pos))
+        # _apply_load_delta, inlined.
         w = load_w[pos]
         d = (ba1 - ba0) * w
         load_sum_i += d
@@ -1057,9 +1040,6 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
                     ins(sa, tkey)
                     rim._idle_node_entries += t_nent[pos]  # dreamlint: disable=DL005 (inlined copy of the array manager's own update)
                 # _apply_load_delta, inlined.
-                old = (ba0 / total, pos)
-                del sl[bl(sl, old)]
-                ins(sl, (ba1 / total, pos))
                 w = load_w[pos]
                 d = (ba1 - ba0) * w
                 load_sum_i += d
@@ -1077,22 +1057,11 @@ def hot_loop(sim: "DReAMSim", windowed: bool) -> Generator[None, Optional[int], 
 
                 if mon_last is None or now - mon_last >= ml:
                     sample(now)
-                # LoadBalancer.observe from the O(1) exact-integer aggregates.
-                s1 = load_sum_i / load_den
-                s2 = load_sumsq_i / load_den_sq
-                max_load = sl[-1][0] if sl else 0.0
-                mean = s1 / n_nodes if n_nodes else 0.0
-                if n_nodes and mean > 0:
-                    var = s2 / n_nodes - mean * mean
-                    cv = sqrt(var) / mean if var > 0.0 else 0.0
-                    jain = min((s1 * s1) / (n_nodes * s2), 1.0) if s2 > 0.0 else 1.0
-                else:
-                    cv, jain = 0.0, 1.0
+                # LoadBalancer.observe from the hoisted exact sums.
+                cv, jain = load_imbalance(n_nodes, load_sum_i, load_sumsq_i)
                 l_time(now)
-                l_mean(mean)
                 l_cv(cv)
                 l_jain(jain)
-                l_max(max_load)
                 redispatch(cnode, now)
         finally:
             del sim._submit

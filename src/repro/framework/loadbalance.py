@@ -18,27 +18,31 @@ reproduction implements both halves:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.policies import PlacementPolicy, SelectionCriterion
 from repro.metrics.timeseries import TimeSeries
 from repro.model.config import Configuration
-from repro.model.node import ConfigTaskEntry, Node
+from repro.model.node import ConfigTaskEntry, Node, load_weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resources.manager import ResourceInformationManager
 
 
-@dataclass(frozen=True)
-class LoadSnapshot:
-    """Imbalance summary at one instant."""
+def load_imbalance(n: int, s1: int, s2: int) -> tuple[float, float]:
+    """``(cv, jain)`` of ``n`` node loads from the exact sums ``s1 = Σ
+    busy·w`` and ``s2 = Σ (busy·w)²`` (``w`` from
+    :func:`~repro.model.node.load_weights`).
 
-    time: int
-    mean_load: float
-    cv: float  # coefficient of variation (0 = perfectly balanced)
-    jain: float  # Jain fairness index (1 = perfectly balanced)
-    max_load: float
+    The weights' common denominator cancels: ``cv² = n·s2/s1² − 1`` and
+    ``jain = s1²/(n·s2)``, each an integer ratio rounded once, so every
+    path that reaches the same sums reports the same bits.  An idle system
+    (``s1 == 0``) is perfectly balanced: ``(0.0, 1.0)``.
+    """
+    if not s1:
+        return 0.0, 1.0
+    sq = s1 * s1
+    return math.sqrt((n * s2 - sq) / sq), sq / (n * s2)
 
 
 def node_load(node: Node) -> float:
@@ -53,58 +57,36 @@ def node_load(node: Node) -> float:
 class LoadBalancer:
     """Tracks load distribution across the node table over time.
 
-    Observations are stored column-wise: ``times`` plus one column per
-    :class:`LoadSnapshot` field; ``cv_series``/``jain_series`` are
-    :class:`TimeSeries` views over them and :attr:`snapshots` materialises
-    the records on request.
+    Observations are stored column-wise: ``times``, ``cv_col`` and
+    ``jain_col``, with ``cv_series``/``jain_series`` as :class:`TimeSeries`
+    views over them.
     """
 
     def __init__(self, rim: "ResourceInformationManager") -> None:
         self.rim = rim
+        self._weights = load_weights(rim.nodes)
         self.times: list[float] = []
-        self.mean_col: list[float] = []
         self.cv_col: list[float] = []
         self.jain_col: list[float] = []
-        self.max_col: list[float] = []
         self.cv_series = TimeSeries("load_cv", self.times, self.cv_col)
         self.jain_series = TimeSeries("load_jain", self.times, self.jain_col)
 
     def observe(self, now: int) -> None:
-        """Sample the load distribution and record the imbalance summary.
+        """Record the imbalance of the load distribution at ``now``.
 
         Runs once per task completion on the generic path: an O(nodes)
-        walk with the two-pass variance.  The hot loop keeps the same series
-        from O(1) exact-integer utilization aggregates (``Var X = E[X²] −
-        (E[X])²``); both sums are exact (so an idle system reports
-        ``cv == 0`` identically), but ``mean``/``cv``/``jain`` can still
-        differ by a few ULPs of final-operation rounding, so the
-        differential tests compare these beyond-paper series with a tight
-        tolerance while everything paper-facing stays exact.
+        walk summing the exact integers :func:`load_imbalance` reads.  The
+        hot loop keeps the same two sums incrementally and calls it too.
         """
-        n = len(self.rim.nodes)
-        loads = [node_load(x) for x in self.rim.nodes]
-        mean = sum(loads) / n if n else 0.0
-        max_load = max(loads) if loads else 0.0
-        if n and mean > 0:
-            var = sum((x - mean) ** 2 for x in loads) / n
-            cv = math.sqrt(var) / mean
-            sq = sum(x * x for x in loads)
-            jain = (sum(loads) ** 2) / (n * sq) if sq > 0 else 1.0
-        else:
-            cv, jain = 0.0, 1.0
+        s1 = s2 = 0
+        for node, w in zip(self.rim.nodes, self._weights):
+            b = node.busy_area * w
+            s1 += b
+            s2 += b * b
+        cv, jain = load_imbalance(len(self._weights), s1, s2)
         self.times.append(now)
-        self.mean_col.append(mean)
         self.cv_col.append(cv)
         self.jain_col.append(jain)
-        self.max_col.append(max_load)
-
-    @property
-    def snapshots(self) -> list[LoadSnapshot]:
-        """Every observation, oldest first (built from the columns)."""
-        return [
-            LoadSnapshot(*row)
-            for row in zip(self.times, self.mean_col, self.cv_col, self.jain_col, self.max_col)
-        ]
 
     @property
     def mean_cv(self) -> float:
@@ -166,4 +148,4 @@ class LeastLoadedPolicy(PlacementPolicy):
         return best
 
 
-__all__ = ["LoadBalancer", "LoadSnapshot", "LeastLoadedPolicy", "node_load"]
+__all__ = ["LoadBalancer", "LeastLoadedPolicy", "load_imbalance", "node_load"]

@@ -8,7 +8,6 @@ benches consume.  ``min_interval`` rate-limits sampling for long runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.timeseries import TimeSeries
@@ -22,33 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover
 _MONITOR_SAMPLED = line_encoder(MONITOR_SAMPLED, "busy", "queued", "waste", "running")
 
 
-@dataclass(frozen=True)
-class MonitorSample:
-    """One instantaneous snapshot of system state."""
-
-    time: int
-    busy_nodes: int
-    idle_nodes: int
-    blank_nodes: int
-    running_tasks: int
-    suspended_tasks: int
-    configured_area: int
-    wasted_area: int
-
-    @property
-    def utilization(self) -> float:
-        """Busy share of non-blank nodes."""
-        configured = self.busy_nodes + self.idle_nodes
-        return self.busy_nodes / configured if configured else 0.0
-
-
 class Monitor:
     """Event-driven state sampler with optional rate limiting.
 
     Samples are stored column-wise: ``times`` plus one column per
-    :class:`MonitorSample` field.  The four published series are
-    :class:`TimeSeries` views over those columns (sharing ``times``), and
-    :attr:`samples` materialises the records on request.
+    ``MonitorSampled`` field.  The four published series are
+    :class:`TimeSeries` views over those columns (sharing ``times``).
     """
 
     def __init__(self, min_interval: int = 0, trace: Optional["TraceBus"] = None) -> None:
@@ -57,11 +35,8 @@ class Monitor:
         # Columns a TimeSeries shares carry its list[float] annotation.
         self.times: list[float] = []
         self.busy_col: list[float] = []
-        self.idle_col: list[int] = []
-        self.blank_col: list[int] = []
         self.running_col: list[float] = []
         self.queued_col: list[float] = []
-        self.configured_col: list[int] = []
         self.waste_col: list[float] = []
         self.busy_nodes = TimeSeries("busy_nodes", self.times, self.busy_col)
         self.queue_length = TimeSeries("suspension_queue_length", self.times, self.queued_col)
@@ -75,43 +50,22 @@ class Monitor:
         rim: "ResourceInformationManager",
         susqueue: "SuspensionQueue",
     ) -> None:
-        """Record a snapshot unless rate-limited (see :attr:`samples`)."""
+        """Record a snapshot unless rate-limited by ``min_interval``."""
         if self._last_time is not None and now - self._last_time < self.min_interval:
             return
         # All O(1): the manager maintains these aggregates incrementally.
-        states = rim.node_count_by_state()
-        busy = states["busy"]
+        busy = rim.state_counts["busy"]
         queued = len(susqueue)
         wasted = rim.total_wasted_area()
         running = rim.running_tasks_count
         self.times.append(now)
         self.busy_col.append(busy)
-        self.idle_col.append(states["idle"])
-        self.blank_col.append(states["blank"])
         self.running_col.append(running)
         self.queued_col.append(queued)
-        self.configured_col.append(rim.total_configured_area())
         self.waste_col.append(wasted)
         self._last_time = now
         if self.trace is not None:
             self.trace.emit(_MONITOR_SAMPLED, busy, queued, wasted, running)
-
-    @property
-    def samples(self) -> list[MonitorSample]:
-        """Every recorded snapshot, oldest first (built from the columns)."""
-        return [
-            MonitorSample(*row)
-            for row in zip(
-                self.times,
-                self.busy_col,
-                self.idle_col,
-                self.blank_col,
-                self.running_col,
-                self.queued_col,
-                self.configured_col,
-                self.waste_col,
-            )
-        ]
 
     def export_state(self) -> dict:
         """Snapshot support: the rate-limit gate (series restart empty)."""
@@ -135,4 +89,4 @@ class Monitor:
         return len(self.times)
 
 
-__all__ = ["Monitor", "MonitorSample"]
+__all__ = ["Monitor"]

@@ -13,7 +13,7 @@ Suppressions
 ------------
 A finding may be silenced with an inline comment on the offending line::
 
-    x = a / b  # dreamlint: disable=DL002 (load-index keys are float by design)
+    rank = float(task.required_time)  # dreamlint: disable=DL002 (rank key, ordering only)
 
 The parenthesised reason is **mandatory** — a suppression without one is
 itself reported as ``DL000``.  Multiple rule ids may be given separated by

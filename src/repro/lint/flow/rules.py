@@ -81,10 +81,9 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
         "queue_length": _OBSERVABILITY,
         "wasted_area": _OBSERVABILITY,
         "running_tasks": _OBSERVABILITY,
-        # The columns behind the series above (and behind ``samples``).
+        # The columns behind the series above.
         **dict.fromkeys(
-            ("times", "busy_col", "idle_col", "blank_col", "running_col", "queued_col",
-             "configured_col", "waste_col"),
+            ("times", "busy_col", "running_col", "queued_col", "waste_col"),
             _SERIES_COLUMN,
         ),
     },
@@ -126,8 +125,6 @@ DL010_ALLOW: dict[str, dict[str, str]] = {
         "trace": _CONSTRUCTION,
         "_cfg_keys": _DERIVED_STATIC,
         "_pos": _DERIVED_STATIC,
-        "_load_den": _DERIVED_STATIC,
-        "_load_den_sq": _DERIVED_STATIC,
         "on_quarantine_release": (
             "callback slot wired by the failure injector when it arms; "
             "restore_snapshot requires an un-armed injector and re-wires it"
@@ -284,8 +281,8 @@ class SnapshotFieldCoverage(Rule):
 
 #: Manager methods that must bill simulated steps on every non-exceptional
 #: return path, on each class that defines them.  Peek/read-side views
-#: (peek_*, node_count_by_state, configured_in_service, total_configured_area,
-#: quarantine predicates) are deliberately uncharged observability surfaces;
+#: (peek_*, configured_in_service, quarantine predicates) are deliberately
+#: uncharged observability surfaces;
 #: total_wasted_area charges only when the caller opts in (charge=True);
 #: export/restore are out-of-band service machinery.
 MANAGER_CHARGED = frozenset(
@@ -494,7 +491,6 @@ DL013_ALLOW: dict[tuple[str, str], dict[str, str]] = {
                 "find_preferred_config", "find_closest_config", "find_best_idle_entry",
                 "find_best_blank_node", "find_best_partially_blank_node",
                 "find_any_idle_node", "busy_candidate_exists", "has_quarantined",
-                "node_count_by_state",
             ),
             _GENERIC_PATH_ONLY,
         ),

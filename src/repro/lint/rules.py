@@ -11,7 +11,7 @@ Allowlists
 DL002's integer-accounting rule carries an explicit allowlist
 (:data:`DL002_ALLOW`) for the few places float arithmetic is the *design*:
 the Welford statistics accumulators and the GPP slowdown model.  Everything
-else (the manager's float-keyed load index, say) needs an inline
+else (the suspension queue's float rank keys, say) needs an inline
 ``# dreamlint: disable=DL002 (reason)``.  The allowlist maps a
 root-relative path to qualified-name prefixes (``"*"`` = whole module).
 """
@@ -66,7 +66,6 @@ GUARDED_ATTRS = frozenset(
         "_blank",
         "state_counts",
         "_wasted_total",
-        "_configured_total",
         "running_tasks_count",
         "_entries_total",
         "_idle_node_entries",

@@ -18,8 +18,9 @@ through the resource information manager.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.model.config import Configuration
 from repro.model.errors import AreaError, ConfigurationError
@@ -102,11 +103,6 @@ class Node:
     def available_area(self) -> int:
         """Remaining reconfigurable area (Eq. 4); maintained incrementally."""
         return self._available_area
-
-    @property
-    def configured_area(self) -> int:
-        """Area currently occupied by loaded configurations."""
-        return self.total_area - self._available_area
 
     def check_area_invariant(self) -> None:
         """Recompute Eq. 4 from scratch; raises on drift (debug/test hook)."""
@@ -317,4 +313,12 @@ class Node:
         )
 
 
-__all__ = ["Node", "NodeState", "ConfigTaskEntry"]
+def load_weights(nodes: Sequence[Node]) -> list[int]:
+    """Integer load weights of a node table, ``D // total_area`` with ``D``
+    the lcm of the areas: ``busy_area * w`` is a node's load ``busy_area /
+    total_area`` scaled by ``D``, so load sums stay exact integers."""
+    den = math.lcm(*(n.total_area for n in nodes))
+    return [den // n.total_area for n in nodes]
+
+
+__all__ = ["Node", "NodeState", "ConfigTaskEntry", "load_weights"]

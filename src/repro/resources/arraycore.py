@@ -26,8 +26,8 @@ query state in flat integer tables, which the hot loop
   ``_ie[cno]``   ``avail  << 44 | seq``                  idle chain of ``cno``
   =============  ======================================  ======================
 
-* **load aggregates** — exact big-int sums (``Σ busy·w`` over the lcm
-  denominator) plus one sorted list of ``(load, pos)`` pairs for the max.
+* **load aggregates** — the exact big-int sums ``Σ busy·w`` and
+  ``Σ (busy·w)²`` (weights from :func:`~repro.model.node.load_weights`).
 
 The suspension queue is not part of this module: both backends share
 :class:`repro.resources.susqueue.SuspensionQueue`.
@@ -54,13 +54,12 @@ hot loop's envelope; anything else runs on the scan manager.
 from __future__ import annotations
 
 import copy
-import math
 from bisect import bisect_left, insort
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.model.config import Configuration
 from repro.model.errors import ConfigurationError
-from repro.model.node import ConfigTaskEntry, Node
+from repro.model.node import ConfigTaskEntry, Node, load_weights
 from repro.model.task import Task
 from repro.resources.counters import SearchCounters
 from repro.resources.manager import (
@@ -157,9 +156,7 @@ class ArrayRIM:
 
         # -- flat node table, query arrays and aggregates ------------------
         self._pos: dict[Node, int] = {n: i for i, n in enumerate(self.nodes)}
-        self._load_den = math.lcm(*(n.total_area for n in self.nodes)) if self.nodes else 1
-        self._load_den_sq = self._load_den * self._load_den
-        self._load_w = [self._load_den // n.total_area for n in self.nodes]
+        self._load_w = load_weights(self.nodes)
         self._derive_tables()
 
         # Populate chains in the scan manager's exact construction order
@@ -209,24 +206,19 @@ class ArrayRIM:
         self._idle_node_entries = 0
         self.state_counts: dict[str, int] = {"blank": 0, "idle": 0, "busy": 0}
         self._wasted_total = 0
-        self._configured_total = 0
         self.running_tasks_count = 0
         self._load_sum_i = 0
         self._load_sumsq_i = 0
-        self._sl: list[tuple[float, int]] = []
         for pos, node in enumerate(nodes):
             total = self.t_total[pos]
             avail = self.t_avail[pos]
             ba = self.t_busy_area[pos]
             bc = self.t_busy_cnt[pos]
             nent = self.t_nent[pos]
-            # dreamlint: disable=DL002 (load keys are float ratios by design; the accounted sums stay integer)
-            self._sl.append((ba / total, pos))
             b = ba * self._load_w[pos]
             self._load_sum_i += b
             self._load_sumsq_i += b * b
             self.running_tasks_count += bc
-            self._configured_total += total - avail
             if not nent:
                 self.state_counts["blank"] += 1
                 continue
@@ -244,7 +236,6 @@ class ArrayRIM:
                 self._sa.append(total << _POS_BITS | pos)
                 self._idle_node_entries += nent
             self._entries_total += nent
-        self._sl.sort()
         for lst in (self._sp, self._sr, self._sa, self._sb):
             lst.sort()
 
@@ -357,13 +348,7 @@ class ArrayRIM:
         self._apply_load_delta(pos, ba0, ba1)
 
     def _apply_load_delta(self, pos: int, ba0: int, ba1: int) -> None:
-        """Exact-integer load-sum update plus max-load list rekey."""
-        total = self.t_total[pos]
-        old = (ba0 / total, pos)  # dreamlint: disable=DL002 (load keys are float ratios by design)
-        new = (ba1 / total, pos)  # dreamlint: disable=DL002 (load keys are float ratios by design)
-        sl = self._sl
-        del sl[bisect_left(sl, old)]
-        insort(sl, new)
+        """Exact-integer load-sum update."""
         w = self._load_w[pos]
         d = (ba1 - ba0) * w
         self._load_sum_i += d
@@ -372,12 +357,12 @@ class ArrayRIM:
     def _regions_shift(self, pos: int, node: Node) -> None:
         """Node ``pos`` had regions loaded or freed; move its row to match ``node``.
 
-        Moves the free-area key, the Eq. 6 waste and configured totals, the
-        entry tallies and the idle-entry keys.  On a blank↔configured flip
-        it also moves the state counts, the node's place in the query arrays
-        and its place on the blank chain (one housekeeping step; a node out
-        of service stays off the chain).  The busy regions stay as they are,
-        so a node flipping either way runs nothing.
+        Moves the free-area key, the Eq. 6 waste total, the entry tallies
+        and the idle-entry keys.  On a blank↔configured flip it also moves
+        the state counts, the node's place in the query arrays and its place
+        on the blank chain (one housekeeping step; a node out of service
+        stays off the chain).  The busy regions stay as they are, so a node
+        flipping either way runs nothing.
         """
         avail0 = self.t_avail[pos]
         nent0 = self.t_nent[pos]
@@ -385,7 +370,6 @@ class ArrayRIM:
         nent1 = len(node.entries)
         self.t_avail[pos] = avail1
         self.t_nent[pos] = nent1
-        self._configured_total += avail0 - avail1
         self._wasted_total += (avail1 if nent1 else 0) - (avail0 if nent0 else 0)
         live = self.t_live[pos]
         if nent0 and nent1:
@@ -721,10 +705,6 @@ class ArrayRIM:
             if t_nent[pos]:
                 total += t_avail[pos]
         return total
-
-    def total_configured_area(self) -> int:
-        """Area currently occupied by loaded configurations, system-wide."""
-        return self._configured_total
 
     def configured_in_service(self) -> Sequence[Node]:
         """In-service nodes holding ≥ 1 configuration, in table order (the

@@ -15,8 +15,8 @@ I6.  A busy entry's task points back: ``task.assigned_config is entry.config``
      and the task is RUNNING.
 I7.  No task appears on two entries.
 I8.  Failed nodes hold no entries.
-I9.  Incremental aggregates (state counts, wasted/configured area, running
-     tasks, per-node busy count/area) match brute-force recomputation.
+I9.  Incremental aggregates (state counts, wasted area, running tasks,
+     per-node busy count/area) match brute-force recomputation.
 I10. The array backend's sorted query arrays and step-formula aggregates
      agree with the node table and chains (contents, keys, and tie-break
      ordering); checked by ``ArrayRIM.validate_structures``.
@@ -173,7 +173,6 @@ def check_invariants(rim: "AnyRIM") -> None:
     # I9 — incremental aggregates match brute-force recomputation.
     expected_states = {"blank": 0, "idle": 0, "busy": 0}
     expected_wasted = 0
-    expected_configured = 0
     expected_running = 0
     for node in rim.nodes:
         busy_entries = sum(1 for e in node.entries if e.is_busy)
@@ -196,7 +195,6 @@ def check_invariants(rim: "AnyRIM") -> None:
             expected_states["idle"] += 1
         if not node.is_blank:
             expected_wasted += node.available_area
-        expected_configured += node.configured_area
         expected_running += busy_entries
     if rim.state_counts != expected_states:
         raise InvariantViolation(
@@ -205,11 +203,6 @@ def check_invariants(rim: "AnyRIM") -> None:
     if rim.total_wasted_area() != expected_wasted:
         raise InvariantViolation(
             f"I9: wasted aggregate {rim.total_wasted_area()} != {expected_wasted}"
-        )
-    if rim.total_configured_area() != expected_configured:
-        raise InvariantViolation(
-            f"I9: configured aggregate {rim.total_configured_area()} != "
-            f"{expected_configured}"
         )
     if rim.running_tasks_count != expected_running:
         raise InvariantViolation(

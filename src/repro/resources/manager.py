@@ -151,12 +151,10 @@ class ResourceInformationManager:
         """
         self.state_counts: dict[str, int] = {"blank": 0, "idle": 0, "busy": 0}
         self._wasted_total = 0
-        self._configured_total = 0
         self.running_tasks_count = 0
         for node in self.nodes:
             self.state_counts[self._state_key(node)] += 1
             self._wasted_total += self._waste_of(node)
-            self._configured_total += node.configured_area
             self.running_tasks_count += node.busy_count
 
     @staticmethod
@@ -179,12 +177,10 @@ class ResourceInformationManager:
         """
         self.state_counts[self._state_key(node)] -= 1
         self._wasted_total -= self._waste_of(node)
-        self._configured_total -= node.configured_area
         self.running_tasks_count -= node.busy_count
         result = mutate()
         self.state_counts[self._state_key(node)] += 1
         self._wasted_total += self._waste_of(node)
-        self._configured_total += node.configured_area
         self.running_tasks_count += node.busy_count
         return result
 
@@ -616,14 +612,6 @@ class ResourceInformationManager:
             if not node.is_blank:
                 total += node.available_area
         return total
-
-    def total_configured_area(self) -> int:
-        """Area currently occupied by loaded configurations, system-wide."""
-        return self._configured_total
-
-    def node_count_by_state(self) -> dict[str, int]:
-        """O(1) blank/idle/busy node counts (incrementally maintained)."""
-        return dict(self.state_counts)
 
     def configured_in_service(self) -> Sequence[Node]:
         """In-service nodes holding ≥ 1 configuration, in table order (the

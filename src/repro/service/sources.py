@@ -88,6 +88,19 @@ class ReplaySource:
         return len(self._arrivals) - self._next
 
 
+#: The tail record's integer fields and their lower bounds (None: any int),
+#: ``no`` first so every later message names a valid task number.  A JSON
+#: ``true`` is a bool, not an int, and is rejected like ``1.5`` or ``"5"``.
+_INT_FIELDS = (
+    ("no", None),
+    ("at", None),
+    ("req", 1),
+    ("pref", None),
+    ("pref_area", 1),
+    ("pref_ctime", 0),
+)
+
+
 class JsonlTailSource:
     """Tail a JSONL file an external producer appends task records to.
 
@@ -153,6 +166,13 @@ class JsonlTailSource:
         missing = [key for key in ("no", "at", "req", "pref") if key not in rec]
         if missing:
             raise ValueError(f"task {rec.get('no')}: record lacks {', '.join(missing)}")
+        for key, least in _INT_FIELDS:
+            if key not in rec:
+                continue  # pref_area / pref_ctime are optional
+            value = rec[key]
+            if type(value) is not int or (least is not None and value < least):
+                bound = "an int" if least is None else f"an int >= {least}"
+                raise ValueError(f"task {rec['no']!r}: {key} must be {bound}, got {value!r}")
         pref_no = rec["pref"]
         pref = self._configs.get(pref_no)
         if pref is None:

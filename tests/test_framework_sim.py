@@ -169,7 +169,7 @@ class TestRunSemantics:
         assert small_partial.monitor.peak_queue_length >= 0
 
     def test_load_balancer_observes(self, small_partial):
-        assert len(small_partial.load.snapshots) > 0
+        assert len(small_partial.load.times) > 0
         assert 0 <= small_partial.load.mean_jain <= 1.0
 
 

@@ -240,5 +240,4 @@ class TestStatistics:
         t.mark_started(0, c)
         rim.assign_task(t, rim.nodes[0], entry)
         rim.configure_node(rim.nodes[1], c)
-        counts = rim.node_count_by_state()
-        assert counts == {"blank": 1, "idle": 1, "busy": 1}
+        assert rim.state_counts == {"blank": 1, "idle": 1, "busy": 1}

@@ -1,6 +1,6 @@
 """Tests for the monitoring and load-balancing modules."""
 
-import pytest
+import math
 
 from repro.framework.loadbalance import LoadBalancer, node_load
 from repro.framework.monitoring import Monitor
@@ -32,21 +32,12 @@ class TestMonitor:
         rim.configure_node(rim.nodes[1], rim.configs[0])  # idle configured
         mon = Monitor()
         mon.sample(10, rim, q)
-        snap = mon.samples[-1]
-        assert snap.busy_nodes == 1
-        assert snap.idle_nodes == 1
-        assert snap.blank_nodes == 2
-        assert snap.running_tasks == 1
-        assert snap.wasted_area == 1000 + 1000  # two configured nodes, half waste
-
-    def test_utilization(self):
-        rim = build()
-        q = SuspensionQueue()
-        run_task_on(rim, rim.nodes[0])
-        mon = Monitor()
-        mon.sample(0, rim, q)
-        snap = mon.samples[-1]
-        assert snap.utilization == 1.0  # 1 busy / 1 configured
+        assert rim.state_counts == {"blank": 2, "idle": 1, "busy": 1}
+        # The four MonitorSampled fields: busy nodes, queue length, wasted
+        # area (two configured nodes, half waste each), running tasks.
+        assert (mon.times, mon.busy_col, mon.queued_col, mon.waste_col, mon.running_col) == (
+            [10], [1], [0], [1000 + 1000], [1]
+        )
 
     def test_rate_limiting(self):
         rim = build()
@@ -57,7 +48,7 @@ class TestMonitor:
         mon.sample(50, rim, q)
         assert len(mon) == 1  # inside interval: not recorded
         mon.sample(100, rim, q)
-        assert [s.time for s in mon.samples] == [0, 100]
+        assert mon.times == [0, 100]
         assert len(mon) == 2
 
     def test_series_accumulate(self):
@@ -84,26 +75,21 @@ class TestLoadBalancer:
             run_task_on(rim, n, no=i)
         lb = LoadBalancer(rim)
         lb.observe(0)
-        snap = lb.snapshots[-1]
-        assert snap.cv == pytest.approx(0.0)
-        assert snap.jain == pytest.approx(1.0)
+        assert (lb.cv_col, lb.jain_col) == ([0.0], [1.0])
 
     def test_imbalance_detected(self):
         rim = build()
         run_task_on(rim, rim.nodes[0])
         lb = LoadBalancer(rim)
         lb.observe(0)
-        snap = lb.snapshots[-1]
-        assert snap.cv > 1.0  # one loaded node of four
-        assert snap.jain < 0.5
+        # One loaded node of four: cv = sqrt(4 - 1), jain = 1/4.
+        assert (lb.cv_col, lb.jain_col) == ([math.sqrt(3)], [0.25])
 
     def test_idle_system(self):
         rim = build()
         lb = LoadBalancer(rim)
         lb.observe(0)
-        snap = lb.snapshots[-1]
-        assert snap.mean_load == 0.0
-        assert snap.jain == 1.0
+        assert (lb.times, lb.cv_col, lb.jain_col) == ([0], [0.0], [1.0])
 
     def test_series_means(self):
         rim = build()

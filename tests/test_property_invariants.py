@@ -81,7 +81,7 @@ def test_random_schedules_preserve_invariants(node_areas, config_areas, script):
         sched.susqueue.validate_index()
         # The fleet partition: blank + idle + busy == node count, always
         # (failed nodes are blanked, so they land in the blank bucket).
-        counts = rim.node_count_by_state()
+        counts = rim.state_counts
         assert counts["blank"] + counts["idle"] + counts["busy"] == len(rim.nodes)
         assert rim.running_tasks_count == len(running)
 

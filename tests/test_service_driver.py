@@ -1,6 +1,7 @@
 """Service mode: windowed driving, mid-run metrics, sources, resume wiring."""
 
 import json
+import re
 
 import pytest
 
@@ -235,6 +236,42 @@ def test_jsonl_tail_keeps_the_lines_after_a_bad_one(tmp_path):
         assert [a.task.task_no for a in src.take_until(100)] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        ({"no": "7"}, "no"),
+        ({"no": True}, "no"),
+        ({"at": 1.5}, "at"),
+        ({"req": "5"}, "req"),
+        ({"req": 0}, "req"),
+        ({"pref": [1]}, "pref"),
+        ({"pref": 999, "pref_area": "x"}, "pref_area"),
+        ({"pref": 999, "pref_area": 0}, "pref_area"),
+        ({"pref": 999, "pref_area": 800, "pref_ctime": -1}, "pref_ctime"),
+    ],
+    ids=["no-str", "no-bool", "at-float", "req-str", "req-zero", "pref-list",
+         "pref_area-str", "pref_area-zero", "pref_ctime-negative"],
+)
+def test_jsonl_tail_rejects_a_mistyped_field(tmp_path, fields, field):
+    """A field of the wrong type or below its bound is a ValueError naming
+    the task and the field, and the poll never passes the bad line."""
+    rng = RNG(seed=7)
+    generate_nodes(NodeSpec(count=5), rng)
+    configs = generate_configs(ConfigSpec(count=4), rng)
+    rec = {"no": 3, "at": 20, "req": 50, "pref": configs[0].config_no, **fields}
+    path = tmp_path / "feed.jsonl"
+    path.write_text(record(0, 10, configs[0].config_no) + json.dumps(rec) + "\n")
+    src = JsonlTailSource(path, configs)
+    message = re.escape(f"task {rec['no']!r}: {field} must be an int")
+    with pytest.raises(ValueError, match=message):
+        src.poll()
+    with pytest.raises(ValueError, match=message):  # the same line again, never skipped
+        src.poll()
+    # Repaired in place, the line is read once and the one before it is kept.
+    path.write_text(record(0, 10, configs[0].config_no) + record(3, 20, configs[0].config_no))
+    assert [a.task.task_no for a in src.take_until(100)] == [0, 3]
+
+
 def test_jsonl_tail_waits_for_a_split_utf8_sequence(tmp_path):
     rng = RNG(seed=7)
     generate_nodes(NodeSpec(count=5), rng)
@@ -252,7 +289,9 @@ def test_jsonl_tail_waits_for_a_split_utf8_sequence(tmp_path):
 
 
 def test_ingest_rejects_late_and_non_integer_arrivals(tmp_path):
-    """The tail-fed reproduction: at=10 after the clock reached 170, at=700.5."""
+    """The tail-fed reproduction (at=10 after the clock reached 170), then
+    arrivals the tail's own parse would reject pushed straight into the
+    ingest seam: at=700.5 and a task length of 10.5."""
     feed = tmp_path / "feed.jsonl"
     svc = ServiceSimulator(SOURCE_SPEC, backend="array")
     configs = svc.sim.rim.configs
@@ -270,18 +309,18 @@ def test_ingest_rejects_late_and_non_integer_arrivals(tmp_path):
     append(2, 10)
     with pytest.raises(IngestError, match="watermark"):
         svc.advance_to(300)
-    append(3, 700.5)
-    with pytest.raises(IngestError, match="integer"):
-        svc.advance_to(800)
-    # A fractional task length would be placed, then crash the kernel.
-    append(4, 750, req=10.5)
-    with pytest.raises(IngestError, match="required time 10.5"):
-        svc.advance_to(850)
     assert issubclass(IngestError, ValueError)
 
-    # A batch with one bad arrival queues none of it.
     def arrival(no, at, req=50):
         return TaskArrival(at=at, task=Task(task_no=no, required_time=req, pref_config=configs[0]))
+
+    with pytest.raises(IngestError, match="integer"):
+        svc.sim.ingest([arrival(3, 700.5)])
+    # A fractional task length would be placed, then crash the kernel.
+    with pytest.raises(IngestError, match="required time 10.5"):
+        svc.sim.ingest([arrival(4, 750, req=10.5)])
+
+    # A batch with one bad arrival queues none of it.
 
     with pytest.raises(IngestError, match="watermark"):
         svc.sim.ingest([arrival(4, 2000), arrival(5, 1500)])

@@ -9,11 +9,10 @@ must hold for every draw:
 
 1. **Paths agree.**  The array backend on the flat-table hot loop and the
    reference scan manager on the generic event loop produce the same trace
-   digest, Table I, resilience report and per-task/monitor fingerprint, and
-   every completed task paid its own node's delay as ``t_comm``.  The scan
-   manager's beyond-paper load statistics come from a two-pass walk rather
-   than exact aggregates, so those floats are compared with a tight
-   tolerance, as in ``tests/test_indexed_differential.py``.
+   digest, Table I, resilience report and per-task, monitor and load
+   fingerprint (the load series from the same exact sums on both paths, so
+   compared with ``==``), and every completed task paid its own node's
+   delay as ``t_comm``.
 2. **Service equals batch.**  The same arrivals driven through
    :class:`~repro.service.ServiceSimulator` windows, with two
    checkpoint/resume cuts (each onto either backend, so the second
@@ -21,11 +20,13 @@ must hold for every draw:
    Table I and resilience report.  Every window of an array-backed
    session, fresh or resumed, runs on the hot loop.
 
-Pinned cases add that a checkpoint cut between hot-loop windows has the
-scan manager's bytes, that an arrival chain left dry between windows is
-re-primed exactly once, and that a session windowed until
-:attr:`~repro.service.ServiceSimulator.ready_to_drain` and then drained
-seals with the batch digest in no more windows than the workload needs.
+Pinned cases add that a run whose queue no arrival, retry, scrub or
+completion would redispatch still finishes, that a checkpoint cut between
+hot-loop windows has the scan manager's bytes, that an arrival chain left
+dry between windows is re-primed exactly once, and that a session windowed
+until :attr:`~repro.service.ServiceSimulator.ready_to_drain` and then
+drained seals with the batch digest in no more windows than the workload
+needs.
 
 Tier-1 runs a small derandomised profile; the ``chaos`` marker selects a
 deeper one (``pytest -m chaos tests/test_whole_run_differential.py``).
@@ -218,6 +219,35 @@ def test_fixed_node_delays_are_paid_as_comm_time(case, path):
     assert all(
         t.config_time_paid in (0, t.assigned_config.config_time) for t in completed
     )
+
+
+# A drawn run whose last suspended task no event would ever redispatch:
+# nothing is placed, no retry or scrub is pending, every node is in service
+# and only the SEU process keeps firing.
+STALLED_DRAW = (
+    {"nodes": 33, "tasks": 154, "seed": 250, "node_area": (474, 1855), "network_delay": None},
+    {"partial": False, "queue_order": "area", "max_queue_length": 2, "max_retries": 3,
+     "monitor_min_interval": 0},
+    {"seu_rate": 15545, "scrub_factor": 2, "mtbf": 17504, "mttr": 561, "max_failures": 7,
+     "retry_budget": 1, "backoff_base": 40, "backoff_cap": 176},
+)
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_a_queue_no_event_would_redispatch_is_restarted(path):
+    """A fault process restarts a queue that only it could still reach, as a
+    crash does, so the workload finishes.  The run advances in bounded
+    windows, so a stalled run fails here instead of running forever."""
+    sim, _, _, _ = build(*STALLED_DRAW, path)
+    sim.start()
+    bound = 0
+    while not sim.workload_finished and bound < 1_000_000:
+        bound += 20_000
+        sim.advance(bound)
+    assert sim.workload_finished, f"stalled with {len(sim.susqueue)} queued at {sim.env.now}"
+    result = sim.run_to_end()
+    assert all(t.status in (TaskStatus.COMPLETED, TaskStatus.DISCARDED) for t in result.tasks)
+    assert len(result.tasks) == STALLED_DRAW[0]["tasks"]
 
 
 @TIER1
