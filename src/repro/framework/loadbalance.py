@@ -18,6 +18,7 @@ reproduction implements both halves:
 from __future__ import annotations
 
 import math
+from array import array
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.policies import PlacementPolicy, SelectionCriterion
@@ -57,17 +58,18 @@ def node_load(node: Node) -> float:
 class LoadBalancer:
     """Tracks load distribution across the node table over time.
 
-    Observations are stored column-wise: ``times``, ``cv_col`` and
-    ``jain_col``, with ``cv_series``/``jain_series`` as :class:`TimeSeries`
-    views over them.
+    Observations are stored column-wise and unboxed: ``times`` an
+    ``array('q')`` of ticks, ``cv_col`` and ``jain_col`` ``array('d')``
+    columns, with ``cv_series``/``jain_series`` as :class:`TimeSeries` views
+    over them.
     """
 
     def __init__(self, rim: "ResourceInformationManager") -> None:
         self.rim = rim
         self._weights = load_weights(rim.nodes)
-        self.times: list[float] = []
-        self.cv_col: list[float] = []
-        self.jain_col: list[float] = []
+        self.times: array[int] = array("q")
+        self.cv_col: array[float] = array("d")
+        self.jain_col: array[float] = array("d")
         self.cv_series = TimeSeries("load_cv", self.times, self.cv_col)
         self.jain_series = TimeSeries("load_jain", self.times, self.jain_col)
 

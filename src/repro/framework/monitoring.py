@@ -8,6 +8,7 @@ benches consume.  ``min_interval`` rate-limits sampling for long runs.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.timeseries import TimeSeries
@@ -25,19 +26,19 @@ class Monitor:
     """Event-driven state sampler with optional rate limiting.
 
     Samples are stored column-wise: ``times`` plus one column per
-    ``MonitorSampled`` field.  The four published series are
+    ``MonitorSampled`` field, each an ``array('q')`` (every sample is an
+    integer tick or count, stored unboxed).  The four published series are
     :class:`TimeSeries` views over those columns (sharing ``times``).
     """
 
     def __init__(self, min_interval: int = 0, trace: Optional["TraceBus"] = None) -> None:
         self.min_interval = min_interval
         self.trace = trace
-        # Columns a TimeSeries shares carry its list[float] annotation.
-        self.times: list[float] = []
-        self.busy_col: list[float] = []
-        self.running_col: list[float] = []
-        self.queued_col: list[float] = []
-        self.waste_col: list[float] = []
+        self.times: array[int] = array("q")
+        self.busy_col: array[int] = array("q")
+        self.running_col: array[int] = array("q")
+        self.queued_col: array[int] = array("q")
+        self.waste_col: array[int] = array("q")
         self.busy_nodes = TimeSeries("busy_nodes", self.times, self.busy_col)
         self.queue_length = TimeSeries("suspension_queue_length", self.times, self.queued_col)
         self.wasted_area = TimeSeries("wasted_area", self.times, self.waste_col)

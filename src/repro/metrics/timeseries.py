@@ -4,7 +4,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional, Protocol
+
+
+class Column(Protocol):
+    """One column of samples: a list, or a typed ``array`` — ``'q'`` for the
+    monitor's ticks and counts, ``'d'`` for the load balancer's ratios —
+    whose items are stored unboxed."""
+
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, index: int, /) -> float: ...
+
+    def __iter__(self) -> Iterator[float]: ...
+
+    def append(self, value: Any, /) -> None:
+        """Add one sample at the end."""
 
 
 @dataclass
@@ -12,8 +27,8 @@ class TimeSeries:
     """An append-only series of (time, value) samples, non-decreasing in time."""
 
     name: str = ""
-    times: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
+    times: Column = field(default_factory=list)
+    values: Column = field(default_factory=list)
 
     def add(self, time: float, value: float) -> None:
         """Append a sample; time must not precede the previous sample."""

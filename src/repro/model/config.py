@@ -11,7 +11,7 @@ directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.model.family import DeviceFamily
@@ -28,7 +28,7 @@ class Ptype(enum.Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessorParams:
     """Architectural parameters of a ``Ptype`` (the ``param`` set of Eq. 2).
 
@@ -64,7 +64,12 @@ class ProcessorParams:
         return d
 
 
-@dataclass(frozen=True, eq=False)
+# The one parameter set every configuration built without ``params`` shares
+# (frozen, so sharing is safe; the generator fabricates thousands of them).
+_DEFAULT_PARAMS = ProcessorParams()
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Configuration:
     """A loadable processor configuration (Eq. 2).
 
@@ -95,7 +100,7 @@ class Configuration:
     config_time: int
     bsize: int = 0
     ptype: Ptype = Ptype.SOFT_CORE
-    params: ProcessorParams = field(default_factory=ProcessorParams)
+    params: ProcessorParams = _DEFAULT_PARAMS
     family: Optional[DeviceFamily] = None
 
     def __post_init__(self) -> None:

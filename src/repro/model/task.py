@@ -42,7 +42,7 @@ _TRANSITIONS = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Task:
     """One application task (Eq. 3) plus its bookkeeping timestamps.
 

@@ -31,6 +31,7 @@ prefix.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -46,17 +47,23 @@ class TraceError(ValueError):
     """The trace is malformed (missing framing events, unknown types…)."""
 
 
+def _sampled(name: str) -> TimeSeries:
+    """A series over ``array('q')`` columns, the live monitor's layout, so a
+    replayed series equals the live one column for column."""
+    return TimeSeries(name, array("q"), array("q"))
+
+
 @dataclass
 class ReplaySeries:
     """Monitor time series rebuilt from ``MonitorSampled`` events."""
 
-    busy_nodes: TimeSeries = field(default_factory=lambda: TimeSeries("busy_nodes"))
+    busy_nodes: TimeSeries = field(default_factory=lambda: _sampled("busy_nodes"))
     queue_length: TimeSeries = field(
-        default_factory=lambda: TimeSeries("suspension_queue_length")
+        default_factory=lambda: _sampled("suspension_queue_length")
     )
-    wasted_area: TimeSeries = field(default_factory=lambda: TimeSeries("wasted_area"))
+    wasted_area: TimeSeries = field(default_factory=lambda: _sampled("wasted_area"))
     running_tasks: TimeSeries = field(
-        default_factory=lambda: TimeSeries("running_tasks")
+        default_factory=lambda: _sampled("running_tasks")
     )
 
 
@@ -140,10 +147,14 @@ class TraceReplayer:
             self._nodes_used.add(f["node"])
         elif et == ev.MONITOR_SAMPLED:
             series = self.series
-            series.busy_nodes.add(e.time, f["busy"])
-            series.queue_length.add(e.time, f["queued"])
-            series.wasted_area.add(e.time, f["waste"])
-            series.running_tasks.add(e.time, f["running"])
+            try:
+                series.busy_nodes.add(e.time, f["busy"])
+                series.queue_length.add(e.time, f["queued"])
+                series.wasted_area.add(e.time, f["waste"])
+                series.running_tasks.add(e.time, f["running"])
+            except (TypeError, ValueError, OverflowError) as exc:
+                # A non-integer count or a sample before the previous one.
+                self._error = f"bad MonitorSampled at seq {e.seq}: {exc}"
         elif et == ev.SUSPENDED:
             self._suspension_events += 1
         elif et == ev.DISCARDED:

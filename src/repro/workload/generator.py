@@ -96,7 +96,7 @@ def generate_configs(spec: ConfigSpec, rng: RNG) -> list[Configuration]:
     return configs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskArrival:
     """One scheduled arrival: the task plus its absolute arrival timetick."""
 
@@ -190,28 +190,15 @@ class TaskStream:
         inv_2_53 = 1.0 / 9007199254740992.0
         now = self.start_time
         first = self.first_task_no
-        # Tasks built from a field template instead of the dataclass
-        # __init__ (its argument parsing and __post_init__ checks dominate
-        # construction cost; the values below always satisfy the checks).
+        # Slotted records filled field by field instead of through the
+        # dataclass __init__ (its argument parsing and __post_init__ checks
+        # dominate construction cost; the values below always satisfy the
+        # checks).  The arrival is frozen, so its two slots are set through
+        # ``object.__setattr__``.
         task_new = Task.__new__
         ta_new = TaskArrival.__new__
-        tmpl = {
-            "task_no": 0,
-            "required_time": 1,
-            "pref_config": None,
-            "data": data,
-            "create_time": UNSET,
-            "start_time": UNSET,
-            "completion_time": UNSET,
-            "comm_time": 0,
-            "config_time_paid": 0,
-            "assigned_config": None,
-            "on_gpp": False,
-            "status": TaskStatus.CREATED,
-            "sus_retry": 0,
-            "fault_retries": 0,
-            "scheduling_steps": 0,
-        }
+        set_field = object.__setattr__
+        created = TaskStatus.CREATED
         for i in range(spec.count):
             # arrival interval: UniformInt via rejection (RNG.randint)
             while True:
@@ -293,14 +280,25 @@ class TaskStream:
                 if r < r_limit:
                     break
             req_time = r_low + r % r_span
-            d = dict(tmpl)
-            d["task_no"] = first + i
-            d["required_time"] = req_time if req_time > 1 else 1
-            d["pref_config"] = pref
             task = task_new(Task)
-            task.__dict__ = d
+            task.task_no = first + i
+            task.required_time = req_time if req_time > 1 else 1
+            task.pref_config = pref
+            task.data = data
+            task.create_time = UNSET
+            task.start_time = UNSET
+            task.completion_time = UNSET
+            task.comm_time = 0
+            task.config_time_paid = 0
+            task.assigned_config = None
+            task.on_gpp = False
+            task.status = created
+            task.sus_retry = 0
+            task.fault_retries = 0
+            task.scheduling_steps = 0
             ta = ta_new(TaskArrival)
-            ta.__dict__.update({"at": now, "task": task})
+            set_field(ta, "at", now)
+            set_field(ta, "task", task)
             yield ta
 
     def _make_task(self, task_no: int) -> Task:

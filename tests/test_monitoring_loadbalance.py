@@ -1,6 +1,7 @@
 """Tests for the monitoring and load-balancing modules."""
 
 import math
+from array import array
 
 from repro.framework.loadbalance import LoadBalancer, node_load
 from repro.framework.monitoring import Monitor
@@ -36,7 +37,8 @@ class TestMonitor:
         # The four MonitorSampled fields: busy nodes, queue length, wasted
         # area (two configured nodes, half waste each), running tasks.
         assert (mon.times, mon.busy_col, mon.queued_col, mon.waste_col, mon.running_col) == (
-            [10], [1], [0], [1000 + 1000], [1]
+            array("q", [10]), array("q", [1]), array("q", [0]),
+            array("q", [1000 + 1000]), array("q", [1]),
         )
 
     def test_rate_limiting(self):
@@ -48,7 +50,7 @@ class TestMonitor:
         mon.sample(50, rim, q)
         assert len(mon) == 1  # inside interval: not recorded
         mon.sample(100, rim, q)
-        assert mon.times == [0, 100]
+        assert mon.times == array("q", [0, 100])
         assert len(mon) == 2
 
     def test_series_accumulate(self):
@@ -75,7 +77,7 @@ class TestLoadBalancer:
             run_task_on(rim, n, no=i)
         lb = LoadBalancer(rim)
         lb.observe(0)
-        assert (lb.cv_col, lb.jain_col) == ([0.0], [1.0])
+        assert (lb.cv_col, lb.jain_col) == (array("d", [0.0]), array("d", [1.0]))
 
     def test_imbalance_detected(self):
         rim = build()
@@ -83,13 +85,15 @@ class TestLoadBalancer:
         lb = LoadBalancer(rim)
         lb.observe(0)
         # One loaded node of four: cv = sqrt(4 - 1), jain = 1/4.
-        assert (lb.cv_col, lb.jain_col) == ([math.sqrt(3)], [0.25])
+        assert (lb.cv_col, lb.jain_col) == (array("d", [math.sqrt(3)]), array("d", [0.25]))
 
     def test_idle_system(self):
         rim = build()
         lb = LoadBalancer(rim)
         lb.observe(0)
-        assert (lb.times, lb.cv_col, lb.jain_col) == ([0], [0.0], [1.0])
+        assert (lb.times, lb.cv_col, lb.jain_col) == (
+            array("q", [0]), array("d", [0.0]), array("d", [1.0])
+        )
 
     def test_series_means(self):
         rim = build()

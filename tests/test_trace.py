@@ -184,6 +184,24 @@ def test_replayer_rejects_unknown_event_type():
         TraceReplayer(_framed(middle)).replay()
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [[(3, 1), (2, 1)], [(1, 1.5)]],
+    ids=["backwards-in-time", "non-integer-count"],
+)
+def test_replayer_records_a_bad_monitor_sample_as_a_defect(samples):
+    middle = [
+        TraceEvent(
+            seq=i + 1, time=t, type=ev.MONITOR_SAMPLED,
+            fields={"busy": busy, "queued": 0, "waste": 0, "running": 0},
+        )
+        for i, (t, busy) in enumerate(samples)
+    ]
+    replayer = TraceReplayer(_framed(middle))  # write() does not raise
+    with pytest.raises(TraceError, match="MonitorSampled"):
+        replayer.report()
+
+
 def test_replayer_on_minimal_trace_produces_empty_report():
     report = TraceReplayer(_framed()).report()
     assert report.total_tasks_generated == 0

@@ -1,9 +1,13 @@
 """Tests for the synthetic workload and resource generators."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.model import Task
+from repro.model.task import TASK_ROW, export_task
 from repro.rng import RNG
+from repro.rng.distributions import UniformInt
 from repro.workload import ConfigSpec, NodeSpec, TaskSpec
 from repro.workload.generator import (
     TaskStream,
@@ -120,8 +124,37 @@ class TestTaskStream:
         arrivals = list(generate_task_stream(TaskSpec(count=50), configs, rng))
         assert [a.task.task_no for a in arrivals] == list(range(50))
 
+    @pytest.mark.parametrize("seed", [7, 2012])
+    def test_fast_path_matches_generic_path(self, seed):
+        """``_iter_fast`` builds the records the generic ``__iter__`` /
+        ``_make_task`` path builds, draw for draw: a ``UniformInt`` under
+        another type sends a stream down the generic path."""
+        configs = generate_configs(ConfigSpec(count=10), RNG(seed=seed))
+        spec = TaskSpec(count=2000)
+        generic_spec = replace(spec, arrival_interval=_PlainUniformInt(1, 50))
+        fast = list(generate_task_stream(spec, configs, RNG(seed=seed)))
+        generic = list(generate_task_stream(generic_spec, configs, RNG(seed=seed)))
+        assert [a.at for a in fast] == [a.at for a in generic]
+        # One export row per task: all 15 TASK_ROW fields, the preference
+        # as its [config_no, req_area, config_time] triple.
+        assert len(export_task(fast[0].task)) == len(TASK_ROW)
+        assert [export_task(a.task) for a in fast] == [export_task(a.task) for a in generic]
+        system = {id(c) for c in configs}
+        fabricated = 0
+        for f, g in zip(fast, generic):
+            if id(g.task.pref_config) in system:
+                assert f.task.pref_config is g.task.pref_config
+            else:
+                assert id(f.task.pref_config) not in system
+                fabricated += 1
+        assert fabricated > 0  # the closest-match share took both paths
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             TaskSpec(count=0)
         with pytest.raises(ValueError):
             TaskSpec(closest_match_pct=1.5)
+
+
+class _PlainUniformInt(UniformInt):
+    """A ``UniformInt`` the generator's fast-path type check does not match."""
